@@ -1,14 +1,18 @@
 """Baseline stochastic solvers for constrained problems.
 
-Three non-adaptive (or differently adaptive) methods sharing the constrained
-problem protocol and checkpoint conventions of the main solver:
+Three non-adaptive (or differently adaptive) methods run by the same driver
+as the main solver (``solvers.drive``), so checkpoints, timing, scoring and
+divergence reporting are identical across methods. Each ``*_run`` supplies
+only its setup, a ``step(k)`` closure holding its update and divergence
+test, and its lanes (the trajectories it reports):
 
 * ``msa_run``: projected stochastic subgradient on the Lagrangian with a
   multiplier ascent clipped into ``[0, z_cap]^M``.
 * ``csa_run``: cooperative switching between objective and constraint
   subgradient steps, driven by a per-step estimate of the aggregate
-  violation; emits two candidate trajectories (average over the steps whose
-  estimate cleared the tolerance, and average over all steps).
+  violation; emits two candidate trajectories, the lanes ``csa1`` (average
+  over the steps whose estimate cleared the tolerance, scored on evaluation
+  stream 1) and ``csa2`` (average over all steps, stream 0).
 * ``pdsg_adp_run``: a primal-dual method on the classical augmented
   Lagrangian (penalty one) with a diagonal step scaling accumulated from
   normalized gradient energy; needs exact per-constraint values, so it only
@@ -19,7 +23,6 @@ plain step-weighted ergodic averaging.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +30,10 @@ import numpy as np
 from .errors import DivergenceError
 from .oracles import (constraint_step_direction, estimate_constraint_value,
                       sample_lagrangian_subgradient)
-from .results import CheckpointRecord, RunResult
-from .rng import eval_seed, training_rng
+from .results import RunResult
+from .rng import training_rng
 from .schedules import ErgodicAverager
-from .solvers import _initial_x, _resolve_checkpoints
+from .solvers import Lane, _initial_x, drive
 
 __all__ = [
     "MsaParams",
@@ -101,33 +104,20 @@ class PdsgAdpParams:
             raise ValueError(f"eta_scale must be non-negative, got {self.eta_scale!r}")
 
 
-def _eval_record(problem, x_bar, k, wall, seed, f0_ref, lane=0):
-    ev = problem.evaluate_full(x_bar, seed=eval_seed(seed, k, lane))
-    err = abs(ev.objective - f0_ref) if f0_ref is not None else float("nan")
-    return CheckpointRecord(iteration=k, wall_s=wall, obj_err=err,
-                            viol_avg=ev.viol_avg, viol_max=ev.viol_max,
-                            objective=ev.objective)
-
-
 def msa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             timing="algo") -> RunResult:
     """Projected stochastic subgradient with capped multiplier ascent."""
-    if timing not in ("algo", "total"):
-        raise ValueError(f"timing must be 'algo' or 'total', got {timing!r}")
     horizon = int(params.horizon)
     alpha = params.alpha / math.sqrt(horizon)
     rho = params.rho / math.sqrt(horizon)
-    cps = _resolve_checkpoints(checkpoints, horizon)
-    cpset = set(cps)
     box = problem.box
     x = _initial_x(box)
     z = np.zeros(problem.num_constraints)
     avg_x = ErgodicAverager(0.0)
     rng = training_rng(seed)
-    records = []
-    wall = 0.0
-    for k in range(1, horizon + 1):
-        tic = time.perf_counter()
+
+    def step(k):
+        nonlocal x, z
         sample = sample_lagrangian_subgradient(problem, x, z, batches, rng)
         avg_x.push(x, alpha)
         x = box.project(x - alpha * sample.u)
@@ -137,18 +127,10 @@ def msa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             s = sample.w_support
             z[s] = np.clip(z[s] + rho * sample.w[s], 0.0, params.z_cap)
         if not np.all(np.isfinite(x)):
-            raise DivergenceError("non-finite iterate", iteration=k, partial_records=records)
-        wall += time.perf_counter() - tic
-        if k in cpset:
-            x_bar = avg_x.finalize()
-            tic = time.perf_counter()
-            rec = _eval_record(problem, x_bar, k, wall, seed, f0_ref)
-            if timing == "total":
-                wall += time.perf_counter() - tic
-                rec.wall_s = wall
-            records.append(rec)
-    return RunResult(algorithm="msa", seed=seed, records=records,
-                     x_bar=avg_x.finalize(), z_bar=z.copy(), wall_total=wall)
+            raise DivergenceError("non-finite iterate")
+
+    lanes = [Lane("msa", avg_x, lambda: z.copy())]
+    return drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing)[0]
 
 
 def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
@@ -158,31 +140,26 @@ def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     Each step estimates the aggregate violation with a ``jg``-sample batch;
     an estimate within ``eta_tol`` triggers an objective subgradient step,
     anything larger a constraint subgradient step. The first returned
-    trajectory averages only the steps (from index ``s`` on) whose estimate
-    cleared the tolerance; its checkpoints carry flag ``csa1_absent`` with
-    NaN metrics while that set is still empty. The second averages all
-    steps.
+    trajectory (``csa1``) averages only the steps (from index ``s`` on)
+    whose estimate cleared the tolerance; its checkpoints carry flag
+    ``csa1_absent`` with NaN metrics while that set is still empty. The
+    second (``csa2``) averages all steps. Both lanes share one step, so a
+    divergence carries the partial records of each.
     """
-    if timing not in ("algo", "total"):
-        raise ValueError(f"timing must be 'algo' or 'total', got {timing!r}")
     horizon = int(params.horizon)
     gamma = params.gamma / math.sqrt(horizon)
     jg = params.jg if params.jg is not None else batches.jg
-    cps = _resolve_checkpoints(checkpoints, horizon)
-    cpset = set(cps)
     box = problem.box
     x = _initial_x(box)
     avg_cleared = ErgodicAverager(0.0)
     avg_all = ErgodicAverager(0.0)
     rng = training_rng(seed)
-    records1, records2 = [], []
-    wall = 0.0
-    for k in range(1, horizon + 1):
-        tic = time.perf_counter()
+
+    def step(k):
+        nonlocal x
         ghat = estimate_constraint_value(problem, x, jg, rng)
         if not math.isfinite(ghat):
-            raise DivergenceError("non-finite violation estimate",
-                                  iteration=k, partial_records=records2)
+            raise DivergenceError("non-finite violation estimate")
         avg_all.push(x, gamma)
         if ghat <= params.eta_tol:
             if k >= params.s:
@@ -192,27 +169,10 @@ def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             direction = constraint_step_direction(problem, x, batches.j1, rng)
         x = box.project(x - gamma * direction)
         if not np.all(np.isfinite(x)):
-            raise DivergenceError("non-finite iterate", iteration=k, partial_records=records2)
-        wall += time.perf_counter() - tic
-        if k in cpset:
-            tic = time.perf_counter()
-            if avg_cleared.count > 0:
-                rec1 = _eval_record(problem, avg_cleared.finalize(), k, wall, seed, f0_ref, lane=1)
-            else:
-                rec1 = CheckpointRecord(iteration=k, wall_s=wall, flags="csa1_absent")
-            rec2 = _eval_record(problem, avg_all.finalize(), k, wall, seed, f0_ref)
-            if timing == "total":
-                wall += time.perf_counter() - tic
-                rec1.wall_s = wall
-                rec2.wall_s = wall
-            records1.append(rec1)
-            records2.append(rec2)
-    xb1 = avg_cleared.finalize() if avg_cleared.count > 0 else None
-    res1 = RunResult(algorithm="csa1", seed=seed, records=records1,
-                     x_bar=xb1, wall_total=wall)
-    res2 = RunResult(algorithm="csa2", seed=seed, records=records2,
-                     x_bar=avg_all.finalize(), wall_total=wall)
-    return res1, res2
+            raise DivergenceError("non-finite iterate")
+
+    lanes = [Lane("csa1", avg_cleared, eval_lane=1), Lane("csa2", avg_all)]
+    return tuple(drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing))
 
 
 def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
@@ -231,8 +191,6 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     gradient is biased), so the problem must expose
     ``sample_constraint_block_exact``.
     """
-    if timing not in ("algo", "total"):
-        raise ValueError(f"timing must be 'algo' or 'total', got {timing!r}")
     if not hasattr(problem, "sample_constraint_block_exact"):
         raise ValueError(
             f"pdsg_adp needs exact per-constraint values, which problem kind "
@@ -241,8 +199,6 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     horizon = int(params.horizon)
     alpha = params.alpha / math.sqrt(horizon)
     rho = params.rho / math.sqrt(horizon)
-    cps = _resolve_checkpoints(checkpoints, horizon)
-    cpset = set(cps)
     box = problem.box
     num = problem.num_constraints
     x = _initial_x(box)
@@ -250,10 +206,9 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     accum = np.zeros(box.dim)
     avg_x = ErgodicAverager(0.0)
     rng = training_rng(seed)
-    records = []
-    wall = 0.0
-    for k in range(1, horizon + 1):
-        tic = time.perf_counter()
+
+    def step(k):
+        nonlocal x, accum
         u0 = problem.sample_objective_grad(x, batches.j0, rng)
         support, values, grads = problem.sample_constraint_block_exact(x, batches.j1, rng)
         scale = num / len(support)
@@ -267,16 +222,7 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
         z[support] = z[support] + rho * scale * np.maximum(values, -z[support])
         znorm = float(np.linalg.norm(z))
         if not np.all(np.isfinite(x)) or znorm > params.divergence_cap:
-            raise DivergenceError(f"iterate diverged (multiplier norm {znorm:.3e})",
-                                  iteration=k, partial_records=records)
-        wall += time.perf_counter() - tic
-        if k in cpset:
-            x_bar = avg_x.finalize()
-            tic = time.perf_counter()
-            rec = _eval_record(problem, x_bar, k, wall, seed, f0_ref)
-            if timing == "total":
-                wall += time.perf_counter() - tic
-                rec.wall_s = wall
-            records.append(rec)
-    return RunResult(algorithm="pdsg_adp", seed=seed, records=records,
-                     x_bar=avg_x.finalize(), z_bar=z.copy(), wall_total=wall)
+            raise DivergenceError(f"iterate diverged (multiplier norm {znorm:.3e})")
+
+    lanes = [Lane("pdsg_adp", avg_x, lambda: z.copy())]
+    return drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing)[0]

@@ -33,14 +33,18 @@ class ConfigError(ApridError):
 class DivergenceError(ApridError):
     """A solver run produced non-finite or unboundedly growing state.
 
-    Carries whatever checkpoint records were completed before the blow-up so
-    the harness can persist a partial trajectory.
+    The run driver fills in the step that failed (``iteration``) and the
+    checkpoint records completed before it, so the harness can persist
+    partial trajectories: ``partial_results`` holds one RunResult per lane
+    of the run, named after the lane, and ``partial_records`` the last
+    lane's records (for a one-lane method, its whole partial trajectory).
     """
 
-    def __init__(self, message, iteration=None, partial_records=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.iteration = iteration
-        self.partial_records = list(partial_records) if partial_records else []
+        self.iteration = None
+        self.partial_records = []
+        self.partial_results = []
 
 
 class ReferenceError(ApridError):

@@ -28,8 +28,7 @@ from .problems import (load_dataset, make_bilinear_saddle, make_npc,
                        make_qcqp_expectation, make_qcqp_finite_sum,
                        make_synthetic_dataset, preprocess)
 from .reference import solve_reference
-from .results import (CheckpointRecord, RunResult, log_spaced_checkpoints,
-                      read_run_csv, write_run_csv)
+from .results import CheckpointRecord, log_spaced_checkpoints, read_run_csv, write_run_csv
 from .schedules import StepSchedule
 from .solvers import SolverParams, apriad_run, aprid_run
 
@@ -123,13 +122,12 @@ def _run_cell(problem, cfg, seed, f0_ref, timing):
     batches = BatchSizes(j0=cfg.run["j0"], j1=cfg.run["j1"], jg=cfg.run["jg"])
     cps = _checkpoint_list(cfg)
     if name == "aprid":
-        params = SolverParams(_build_schedule(cfg), beta1=a["beta1"], beta2=a["beta2"],
-                              theta=a["theta"], divergence_cap=a["divergence_cap"])
+        params = SolverParams(_build_schedule(cfg), beta2=a["beta2"], theta=a["theta"],
+                              divergence_cap=a["divergence_cap"])
         return [aprid_run(problem, params, batches, seed, checkpoints=cps,
                           f0_ref=f0_ref, timing=timing)]
     if name == "apriad":
-        params = SolverParams(_build_schedule(cfg), beta1=a["beta1"], beta2=a["beta2"],
-                              theta=a["theta"])
+        params = SolverParams(_build_schedule(cfg), beta2=a["beta2"], theta=a["theta"])
         return [apriad_run(problem, params, seed, checkpoints=cps, timing=timing)]
     if name == "msa":
         params = MsaParams(horizon=horizon, alpha=a["alpha"], rho=a["rho"],
@@ -139,9 +137,8 @@ def _run_cell(problem, cfg, seed, f0_ref, timing):
     if name == "csa":
         params = CsaParams(horizon=horizon, gamma=a["gamma"], eta_tol=a["eta_tol"],
                            s=a["s"])
-        res1, res2 = csa_run(problem, params, batches, seed, checkpoints=cps,
-                             f0_ref=f0_ref, timing=timing)
-        return [res1, res2]
+        return list(csa_run(problem, params, batches, seed, checkpoints=cps,
+                            f0_ref=f0_ref, timing=timing))
     if name == "pdsg_adp":
         params = PdsgAdpParams(horizon=horizon, alpha=a["alpha"], rho=a["rho"],
                                eta_scale=a["eta_scale"],
@@ -198,17 +195,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
             for res in _run_cell(problem, cfg, seed, f0_ref, run_timing):
                 cell_results.append((res, "ok"))
         except DivergenceError as exc:
+            # every lane keeps its completed rows and ends on the failing step
             diverged = True
-            records = list(exc.partial_records)
-            last_wall = records[-1].wall_s if records else 0.0
-            last_iter = records[-1].iteration if records else 0
-            err_iter = exc.iteration if exc.iteration and exc.iteration > last_iter \
-                else last_iter + 1
-            records.append(CheckpointRecord(iteration=err_iter, wall_s=last_wall,
-                                            flags="diverged"))
-            partial = RunResult(algorithm=cfg.algorithm_name, seed=seed,
-                                records=records)
-            cell_results.append((partial, "diverged"))
+            for partial in exc.partial_results:
+                last_wall = partial.records[-1].wall_s if partial.records else 0.0
+                partial.records = partial.records + [CheckpointRecord(
+                    iteration=exc.iteration, wall_s=last_wall, flags="diverged")]
+                cell_results.append((partial, "diverged"))
 
     if cfg.run["reference"] == "best_feasible":
         feasible = [

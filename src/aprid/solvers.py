@@ -1,4 +1,4 @@
-"""Adaptive primal-dual stochastic solvers.
+"""Adaptive primal-dual stochastic solvers and the run driver every solver uses.
 
 Two state machines live here. The constrained solver runs adaptive
 momentum/second-moment primal updates against a multiplier ascent with the
@@ -19,11 +19,25 @@ both projected onto their boxes.
 
 Solvers report the ergodic averages of their iterates, weighted by
 ``sum_{k=j}^t alpha_k beta1^(k-j)``, via streaming averagers.
+
+Every run, here and in ``baselines``, goes through one driver, ``drive``,
+which owns the protocol the methods are compared under: it validates the
+checkpoints and the ``timing`` mode, times the steps (and, under ``total``,
+the checkpoint scoring), scores each lane's averaged iterate into a
+``CheckpointRecord`` at every checkpoint, annotates a ``DivergenceError``
+with the failing step and the partial trajectories, and builds one
+``RunResult`` per lane. A method's ``*_run`` supplies only
+
+* its setup: initial state, averagers and the training stream,
+* ``step(k)``: its update for step ``k``, including the averager pushes and
+  its own divergence test (raising ``DivergenceError``),
+* its lanes: one ``Lane`` per reported trajectory.
 """
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +58,8 @@ __all__ = [
     "apriad_step",
     "apriad_run",
     "primal_dual_gap",
+    "Lane",
+    "drive",
 ]
 
 
@@ -51,15 +67,14 @@ __all__ = [
 class SolverParams:
     """Hyper-parameters shared by the adaptive solvers.
 
-    The momentum weight ``beta1`` must match the schedule's, since the dual
-    step recursion and the ergodic averaging weights are derived from it.
+    The momentum weight ``beta1`` is the schedule's, since the dual step
+    recursion and the ergodic averaging weights are derived from it.
     ``adaptive=False`` freezes the second-moment scaling at one (every
     coordinate steps with plain alpha_k), which with ``beta1 = 0`` reduces
     the solvers to projected stochastic gradient descent/ascent.
     """
 
     schedule: StepSchedule
-    beta1: float = 0.9
     beta2: float = 0.99
     theta: float = 10.0
     z_init: np.ndarray | None = None
@@ -67,19 +82,12 @@ class SolverParams:
     divergence_cap: float = 1e8
 
     def __post_init__(self):
-        if not 0 <= self.beta1 < 1:
-            raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1!r}")
         if not 0 < self.beta2 < 1:
             raise ValueError(f"beta2 must lie in (0, 1), got {self.beta2!r}")
         if not self.theta > 0:
             raise ValueError(f"theta must be positive, got {self.theta!r}")
         if not self.divergence_cap > 0:
             raise ValueError(f"divergence_cap must be positive, got {self.divergence_cap!r}")
-        if abs(self.schedule.beta1 - self.beta1) > 0:
-            raise ValueError(
-                f"schedule beta1={self.schedule.beta1} differs from solver "
-                f"beta1={self.beta1}; both recursions must share the weight"
-            )
 
     @property
     def horizon(self) -> int:
@@ -87,15 +95,15 @@ class SolverParams:
 
     @classmethod
     def constant(cls, horizon, alpha=10.0, rho=1.0, beta1=0.9, **kwargs):
-        return cls(StepSchedule.constant(alpha, rho, horizon, beta1), beta1=beta1, **kwargs)
+        return cls(StepSchedule.constant(alpha, rho, horizon, beta1), **kwargs)
 
     @classmethod
     def sqrt_log(cls, horizon, alpha=10.0, rho=1.0, beta1=0.9, **kwargs):
-        return cls(StepSchedule.sqrt_log(alpha, rho, horizon, beta1), beta1=beta1, **kwargs)
+        return cls(StepSchedule.sqrt_log(alpha, rho, horizon, beta1), **kwargs)
 
     @classmethod
     def sqrt(cls, horizon, alpha=1.0, rho=1.0, beta1=0.9, **kwargs):
-        return cls(StepSchedule.sqrt(alpha, rho, horizon, beta1), beta1=beta1, **kwargs)
+        return cls(StepSchedule.sqrt(alpha, rho, horizon, beta1), **kwargs)
 
 
 @dataclass
@@ -134,7 +142,7 @@ def _scaled_direction(m, v_hat):
 
 def aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, box):
     """One primal-dual update in place; returns the updated states."""
-    b1, b2 = params.beta1, params.beta2
+    b1, b2 = params.schedule.beta1, params.beta2
     u = sample.u
     pstate.m = b1 * pstate.m + (1.0 - b1) * u
     if params.adaptive:
@@ -154,17 +162,6 @@ def aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, box):
     if not np.all(np.isfinite(dstate.z)):
         raise DivergenceError("non-finite multiplier after update")
     return pstate, dstate
-
-
-def _resolve_checkpoints(checkpoints, horizon):
-    if checkpoints is None:
-        return log_spaced_checkpoints(horizon)
-    cps = sorted(set(int(c) for c in checkpoints))
-    if not cps:
-        raise ValueError("checkpoint list is empty")
-    if cps[0] < 1 or cps[-1] > horizon:
-        raise ValueError(f"checkpoints must lie in [1, {horizon}], got {cps[0]}..{cps[-1]}")
-    return cps
 
 
 def _initial_x(box):
@@ -194,54 +191,26 @@ def aprid_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     the multiplier norm passes ``params.divergence_cap`` or any iterate goes
     non-finite.
     """
-    if timing not in ("algo", "total"):
-        raise ValueError(f"timing must be 'algo' or 'total', got {timing!r}")
     schedule = params.schedule.fresh()
-    horizon = schedule.horizon
-    cps = _resolve_checkpoints(checkpoints, horizon)
-    cpset = set(cps)
     pstate = PrimalState.fresh(_initial_x(problem.box))
     dstate = DualState(z=_initial_z(params, problem.num_constraints))
-    avg_x = ErgodicAverager(params.beta1)
-    avg_z = ErgodicAverager(params.beta1)
+    avg_x = ErgodicAverager(schedule.beta1)
+    avg_z = ErgodicAverager(schedule.beta1)
     rng = training_rng(seed)
-    records = []
-    wall = 0.0
-    for k in range(1, horizon + 1):
-        tic = time.perf_counter()
+
+    def step(k):
         alpha_k, rho_k = schedule.next()
         sample = sample_lagrangian_subgradient(problem, pstate.x, dstate.z, batches, rng)
         avg_x.push(pstate.x, alpha_k)
         avg_z.push(dstate.z, alpha_k)
-        try:
-            aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, problem.box)
-        except DivergenceError as exc:
-            exc.iteration = k
-            exc.partial_records = records
-            raise
+        aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, problem.box)
         znorm = float(np.linalg.norm(dstate.z))
         if znorm > params.divergence_cap:
             raise DivergenceError(
-                f"multiplier norm {znorm:.3e} exceeded divergence cap at step {k}",
-                iteration=k, partial_records=records,
-            )
-        wall += time.perf_counter() - tic
-        if k in cpset:
-            x_bar = avg_x.finalize()
-            tic = time.perf_counter()
-            ev = problem.evaluate_full(x_bar, seed=eval_seed(seed, k))
-            if timing == "total":
-                wall += time.perf_counter() - tic
-            err = abs(ev.objective - f0_ref) if f0_ref is not None else float("nan")
-            records.append(CheckpointRecord(
-                iteration=k, wall_s=wall, obj_err=err,
-                viol_avg=ev.viol_avg, viol_max=ev.viol_max,
-                objective=ev.objective,
-            ))
-    return RunResult(
-        algorithm="aprid", seed=seed, records=records,
-        x_bar=avg_x.finalize(), z_bar=avg_z.finalize(), wall_total=wall,
-    )
+                f"multiplier norm {znorm:.3e} exceeded divergence cap at step {k}")
+
+    lanes = [Lane("aprid", avg_x, avg_z.finalize)]
+    return drive(problem, seed, schedule.horizon, step, lanes, checkpoints, f0_ref, timing)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +238,7 @@ class MinimaxState:
 
 def apriad_step(state, sample, alpha_k, rho_k, params, box_x, box_z):
     """One adaptive descent-ascent update in place; returns the state."""
-    b1, b2 = params.beta1, params.beta2
+    b1, b2 = params.schedule.beta1, params.beta2
     n = state.x.size
     g = np.concatenate([sample.u, sample.w])
     state.m = b1 * state.m + (1.0 - b1) * g
@@ -298,8 +267,6 @@ def apriad_run(problem, params, seed, checkpoints=None, timing="algo") -> RunRes
     schedule with a drifting alpha/rho ratio is accepted with a warning.
     Checkpoints record the exact primal-dual gap of the averaged pair.
     """
-    if timing not in ("algo", "total"):
-        raise ValueError(f"timing must be 'algo' or 'total', got {timing!r}")
     schedule = params.schedule.fresh()
     ratios = schedule.alpha_sequence() / schedule.rho_sequence()
     if ratios.max() - ratios.min() > 1e-9 * abs(ratios[0]):
@@ -308,36 +275,22 @@ def apriad_run(problem, params, seed, checkpoints=None, timing="algo") -> RunRes
             "the minimax solver's guarantees assume proportional steps",
             stacklevel=2,
         )
-    horizon = schedule.horizon
-    cps = _resolve_checkpoints(checkpoints, horizon)
-    cpset = set(cps)
     state = MinimaxState.fresh(_initial_x(problem.box_x), _initial_x(problem.box_z))
-    avg_x = ErgodicAverager(params.beta1)
-    avg_z = ErgodicAverager(params.beta1)
+    avg_x = ErgodicAverager(schedule.beta1)
+    avg_z = ErgodicAverager(schedule.beta1)
     rng = training_rng(seed)
-    records = []
-    wall = 0.0
-    for k in range(1, horizon + 1):
-        tic = time.perf_counter()
+
+    def step(k):
         alpha_k, rho_k = schedule.next()
         sample = sample_minimax_subgradient(problem, state.x, state.z, rng)
         avg_x.push(state.x, alpha_k)
         avg_z.push(state.z, alpha_k)
         apriad_step(state, sample, alpha_k, rho_k, params, problem.box_x, problem.box_z)
         if not (np.all(np.isfinite(state.m)) and np.all(np.isfinite(state.v))):
-            raise DivergenceError("non-finite accumulator state",
-                                  iteration=k, partial_records=records)
-        wall += time.perf_counter() - tic
-        if k in cpset:
-            tic = time.perf_counter()
-            gap = primal_dual_gap(problem, avg_x.finalize(), avg_z.finalize())
-            if timing == "total":
-                wall += time.perf_counter() - tic
-            records.append(CheckpointRecord(iteration=k, wall_s=wall, gap=gap))
-    return RunResult(
-        algorithm="apriad", seed=seed, records=records,
-        x_bar=avg_x.finalize(), z_bar=avg_z.finalize(), wall_total=wall,
-    )
+            raise DivergenceError("non-finite accumulator state")
+
+    lanes = [Lane("apriad", avg_x, avg_z.finalize, gap=True)]
+    return drive(problem, seed, schedule.horizon, step, lanes, checkpoints, None, timing)[0]
 
 
 def primal_dual_gap(problem, x_bar, z_bar) -> float:
@@ -353,3 +306,89 @@ def primal_dual_gap(problem, x_bar, z_bar) -> float:
             "solver; the primal-dual gap is unavailable"
         )
     return float(problem.gap(x_bar, z_bar))
+
+
+# ---------------------------------------------------------------------------
+# run driver
+
+
+@dataclass
+class Lane:
+    """One trajectory a run reports.
+
+    ``avg_x`` is the ergodic average of the primal iterate, pushed by the
+    method's step; ``z_bar`` returns the dual output reported with it (None
+    for primal-only methods). Checkpoints evaluate the averaged iterate on
+    evaluation stream ``eval_lane``, or with ``gap`` set score the exact
+    primal-dual gap of ``(x_bar, z_bar())``; while the average is still
+    empty they record the flag ``<name>_absent``.
+    """
+
+    name: str
+    avg_x: ErgodicAverager
+    z_bar: Callable[[], np.ndarray] | None = None
+    eval_lane: int = 0
+    gap: bool = False
+
+
+def _resolve_checkpoints(checkpoints, horizon):
+    if checkpoints is None:
+        return log_spaced_checkpoints(horizon)
+    cps = sorted(set(int(c) for c in checkpoints))
+    if not cps:
+        raise ValueError("checkpoint list is empty")
+    if cps[0] < 1 or cps[-1] > horizon:
+        raise ValueError(f"checkpoints must lie in [1, {horizon}], got {cps[0]}..{cps[-1]}")
+    return cps
+
+
+def _score(problem, lane, k, seed, f0_ref) -> CheckpointRecord:
+    """Checkpoint record (without wall time) of ``lane``'s average at step ``k``."""
+    if lane.avg_x.count == 0:
+        return CheckpointRecord(iteration=k, flags=f"{lane.name}_absent")
+    x_bar = lane.avg_x.finalize()
+    if lane.gap:
+        return CheckpointRecord(iteration=k, gap=primal_dual_gap(problem, x_bar, lane.z_bar()))
+    ev = problem.evaluate_full(x_bar, seed=eval_seed(seed, k, lane.eval_lane))
+    err = abs(ev.objective - f0_ref) if f0_ref is not None else float("nan")
+    return CheckpointRecord(iteration=k, obj_err=err, viol_avg=ev.viol_avg,
+                            viol_max=ev.viol_max, objective=ev.objective)
+
+
+def drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing) -> list:
+    """Run ``step(1)..step(horizon)`` and return one RunResult per lane.
+
+    ``wall_s`` counts the steps and, with ``timing='total'``, the checkpoint
+    scoring too. A DivergenceError raised by a step leaves with
+    ``iteration`` set to that step and ``partial_results`` holding each
+    lane's completed records as a RunResult named after the lane;
+    ``partial_records`` are the last lane's records.
+    """
+    if timing not in ("algo", "total"):
+        raise ValueError(f"timing must be 'algo' or 'total', got {timing!r}")
+    cpset = set(_resolve_checkpoints(checkpoints, horizon))
+    records = [[] for _ in lanes]
+    wall = 0.0
+    try:
+        for k in range(1, horizon + 1):
+            tic = time.perf_counter()
+            step(k)
+            wall += time.perf_counter() - tic
+            if k in cpset:
+                tic = time.perf_counter()
+                scored = [_score(problem, lane, k, seed, f0_ref) for lane in lanes]
+                if timing == "total":
+                    wall += time.perf_counter() - tic
+                for rec, lane_records in zip(scored, records):
+                    rec.wall_s = wall
+                    lane_records.append(rec)
+    except DivergenceError as exc:
+        exc.iteration = k
+        exc.partial_results = [RunResult(algorithm=lane.name, seed=seed, records=recs)
+                               for lane, recs in zip(lanes, records)]
+        exc.partial_records = records[-1]
+        raise
+    return [RunResult(algorithm=lane.name, seed=seed, records=recs,
+                      x_bar=lane.avg_x.finalize() if lane.avg_x.count else None,
+                      z_bar=lane.z_bar() if lane.z_bar else None, wall_total=wall)
+            for lane, recs in zip(lanes, records)]

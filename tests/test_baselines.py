@@ -5,11 +5,13 @@ demand agreement with the packaged loop.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from aprid import (
+    baselines,
     BatchSizes,
     CsaParams,
     DivergenceError,
@@ -22,6 +24,10 @@ from aprid import (
     make_qcqp_finite_sum,
     msa_run,
     pdsg_adp_run,
+    read_manifest,
+    read_run_csv,
+    resolve_config,
+    run_experiment,
     sample_lagrangian_subgradient,
     training_rng,
 )
@@ -232,6 +238,36 @@ def test_csa_determinism():
     assert np.array_equal(a1.x_bar, b1.x_bar)
     assert np.array_equal(a2.x_bar, b2.x_bar)
     assert a2.records[0].objective == b2.records[0].objective
+
+
+def test_diverged_csa_cell_writes_both_lanes(tmp_path, monkeypatch):
+    # a NaN violation estimate at step 16 ends both lanes of the cell
+    calls = []
+    estimate = baselines.estimate_constraint_value
+
+    def nan_at_step_16(problem, x, jg, rng):
+        calls.append(None)
+        return float("nan") if len(calls) == 16 else estimate(problem, x, jg, rng)
+
+    monkeypatch.setattr(baselines, "estimate_constraint_value", nan_at_step_16)
+    raw = {
+        "problem": {"kind": "qcqp_finite_sum", "n": "4", "p": "2",
+                    "num_objective_terms": "12", "num_constraints": "6"},
+        "algorithm": {"name": "csa", "eta_tol": "0.5"},
+        "run": {"horizon": "40", "checkpoints": "5 10 20 40", "seeds": "1",
+                "timing": "none", "reference": "none"},
+    }
+    out = run_experiment(resolve_config(raw), tmp_path)
+    assert out.diverged
+    assert [os.path.basename(p) for p in out.csv_paths] == ["csa1_seed1.csv", "csa2_seed1.csv"]
+    manifest = read_manifest(out.manifest_path)
+    assert manifest["cell.0"] == "csa1,1,csa1_seed1.csv,diverged"
+    assert manifest["cell.1"] == "csa2,1,csa2_seed1.csv,diverged"
+    assert "cell.2" not in manifest
+    for path in out.csv_paths:
+        rows = read_run_csv(path)
+        assert [r.iteration for r in rows] == [5, 10, 16]
+        assert rows[-1].flags == "diverged"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from aprid import (
     MinimaxState,
     PrimalState,
     SolverParams,
-    StepSchedule,
     aprid_run,
     aprid_step,
     apriad_run,
@@ -35,9 +34,6 @@ def qcqp():
 
 
 def test_solver_params_validation():
-    sch = StepSchedule.constant(1.0, 1.0, 10, 0.9)
-    with pytest.raises(ValueError, match="beta1"):
-        SolverParams(sch, beta1=0.5)  # disagrees with the schedule
     with pytest.raises(ValueError):
         SolverParams.constant(10, beta2=1.0)
     with pytest.raises(ValueError):
