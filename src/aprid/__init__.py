@@ -20,7 +20,7 @@ from .oracles import (BatchSizes, GradSample, constraint_step_direction,
                       sample_minimax_subgradient)
 from .problems import (BilinearSaddleProblem, Dataset, ExpectationQcqpProblem,
                        FiniteSumQcqpProblem, FrozenQcqpProblem, FullEval,
-                       NeymanPearsonProblem, evaluate_full, load_dataset,
+                       NeymanPearsonProblem, load_dataset,
                        load_instance, make_bilinear_saddle, make_npc,
                        make_qcqp_expectation, make_qcqp_finite_sum,
                        make_synthetic_dataset, preprocess, save_instance,
@@ -48,7 +48,7 @@ __all__ = [
     "SolverParams", "StepSchedule", "apriad_run", "apriad_step", "aprid_run",
     "aprid_step", "build_problem", "clip_gradient", "compare_report",
     "constraint_step_direction", "csa_run", "estimate_constraint_value",
-    "eval_seed", "evaluate_full", "format_report", "freeze_seed", "kkt_residuals",
+    "eval_seed", "format_report", "freeze_seed", "kkt_residuals",
     "load_dataset", "load_instance", "log_spaced_checkpoints",
     "make_bilinear_saddle", "make_npc", "make_qcqp_expectation",
     "make_qcqp_finite_sum", "make_synthetic_dataset", "msa_run", "parse_config",

@@ -68,14 +68,13 @@ class MsaParams:
 @dataclass
 class CsaParams:
     """Switching subgradient parameters: step gamma/sqrt(horizon), switching
-    tolerance eta_tol, averaging start index s (1-based), and the batch size
-    of the per-step violation estimate (None: use batches.jg)."""
+    tolerance eta_tol and averaging start index s (1-based). The per-step
+    violation estimate draws ``batches.jg`` samples."""
 
     horizon: int
     gamma: float = 10.0
     eta_tol: float = 0.04
     s: int = 1
-    jg: int | None = None
 
     def __post_init__(self):
         _check_positive(horizon=self.horizon, gamma=self.gamma)
@@ -117,15 +116,12 @@ def msa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     rng = training_rng(seed)
 
     def step(k):
-        nonlocal x, z
+        nonlocal x
         sample = sample_lagrangian_subgradient(problem, x, z, batches, rng)
         avg_x.push(x, alpha)
         x = box.project(x - alpha * sample.u)
-        if sample.w_support is None:
-            z = np.clip(z + rho * sample.w, 0.0, params.z_cap)
-        else:
-            s = sample.w_support
-            z[s] = np.clip(z[s] + rho * sample.w[s], 0.0, params.z_cap)
+        s = sample.w_support
+        z[s] = np.clip(z[s] + rho * sample.w, 0.0, params.z_cap)
         if not np.all(np.isfinite(x)):
             raise DivergenceError("non-finite iterate")
 
@@ -137,7 +133,7 @@ def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             timing="algo"):
     """Switching subgradient method; returns a pair of RunResults.
 
-    Each step estimates the aggregate violation with a ``jg``-sample batch;
+    Each step estimates the aggregate violation from ``batches.jg`` samples;
     an estimate within ``eta_tol`` triggers an objective subgradient step,
     anything larger a constraint subgradient step. The first returned
     trajectory (``csa1``) averages only the steps (from index ``s`` on)
@@ -148,7 +144,6 @@ def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     """
     horizon = int(params.horizon)
     gamma = params.gamma / math.sqrt(horizon)
-    jg = params.jg if params.jg is not None else batches.jg
     box = problem.box
     x = _initial_x(box)
     avg_cleared = ErgodicAverager(0.0)
@@ -157,7 +152,7 @@ def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
 
     def step(k):
         nonlocal x
-        ghat = estimate_constraint_value(problem, x, jg, rng)
+        ghat = estimate_constraint_value(problem, x, batches.jg, rng)
         if not math.isfinite(ghat):
             raise DivergenceError("non-finite violation estimate")
         avg_all.push(x, gamma)

@@ -36,14 +36,12 @@ class DivergenceError(ApridError):
     The run driver fills in the step that failed (``iteration``) and the
     checkpoint records completed before it, so the harness can persist
     partial trajectories: ``partial_results`` holds one RunResult per lane
-    of the run, named after the lane, and ``partial_records`` the last
-    lane's records (for a one-lane method, its whole partial trajectory).
+    of the run, named after the lane.
     """
 
     def __init__(self, message):
         super().__init__(message)
         self.iteration = None
-        self.partial_records = []
         self.partial_results = []
 
 

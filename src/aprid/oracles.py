@@ -5,14 +5,15 @@ problem (duck-typed; see ``aprid.problems``) exposes raw per-draw samples;
 this layer assembles them into unbiased estimates of
 
 * the primal Lagrangian subgradient  u ~ d/dx [ f0(x) + z . f(x) ],
-* the constraint values              w ~ f(x),
+* the constraint values              w ~ f(x), as values on the sampled
+  constraint indices ``S`` (the coordinates a dual step moves),
 
 with the ``M/|S|`` importance reweighting whenever only a subset ``S`` of the
 ``M`` constraints is sampled, and of the aggregate violation used by the
 switching baseline.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +47,15 @@ class BatchSizes:
 class GradSample:
     """One oracle draw.
 
-    ``u`` is the primal estimate (dim n). ``w`` is the dual-side estimate
-    (dim M); when ``w_support`` is present only those coordinates were
-    sampled and every coordinate outside it is exactly zero.
+    ``u`` is the primal estimate (dim n). ``w`` is the dual-side estimate on
+    the coordinates ``w_support``: ``w[i]`` estimates coordinate
+    ``w_support[i]``, and no other coordinate was sampled. A minimax draw
+    has ``w_support`` None, its ``w`` spanning the whole maximization block.
     """
 
     u: np.ndarray
     w: np.ndarray
-    w_support: np.ndarray | None = field(default=None)
+    w_support: np.ndarray | None
 
 
 def sample_lagrangian_subgradient(problem, x, z, batches, rng) -> GradSample:
@@ -64,9 +66,11 @@ def sample_lagrangian_subgradient(problem, x, z, batches, rng) -> GradSample:
     assembles
 
         u = u0 + (M/|S|) * sum_{j in S} z_j * uhat_j,
-        w_j = (M/|S|) * (batched estimate of f_j(x))   for j in S, else 0.
+        w_j = (M/|S|) * (batched estimate of f_j(x)),  values on S,
 
-    The reweighting keeps both estimates unbiased under uniform subsampling.
+    returned as ``w`` with ``w_support = S`` (all M indices, in sampled order,
+    when the batch covers every constraint). The reweighting keeps both
+    estimates unbiased under uniform subsampling.
     """
     z = np.asarray(z, dtype=float)
     m = problem.num_constraints
@@ -77,10 +81,8 @@ def sample_lagrangian_subgradient(problem, x, z, batches, rng) -> GradSample:
     support = np.asarray(support, dtype=int)
     scale = m / support.size
     u = u0 + scale * (z[support] @ grads)
-    w = np.zeros(m)
-    w[support] = scale * np.asarray(values, dtype=float)
-    w_support = support if support.size < m else None
-    return GradSample(u=u, w=w, w_support=w_support)
+    w = scale * np.asarray(values, dtype=float)
+    return GradSample(u=u, w=w, w_support=support)
 
 
 def estimate_constraint_value(problem, x, jg, rng) -> float:
@@ -113,6 +115,6 @@ def constraint_step_direction(problem, x, j1, rng) -> np.ndarray:
 
 def sample_minimax_subgradient(problem, x, z, rng) -> GradSample:
     """Noisy gradient pair for a saddle problem: ``u`` for the minimization
-    block, ``w`` for the maximization block (no subsampling support)."""
+    block, ``w`` for the whole maximization block (``w_support`` None)."""
     u, w = problem.sample_grads(x, z, rng)
     return GradSample(u=np.asarray(u, dtype=float), w=np.asarray(w, dtype=float), w_support=None)

@@ -56,7 +56,6 @@ __all__ = [
     "make_qcqp_expectation",
     "make_qcqp_finite_sum",
     "make_bilinear_saddle",
-    "evaluate_full",
     "save_instance",
     "load_instance",
 ]
@@ -76,20 +75,6 @@ class FullEval(NamedTuple):
 def _full_eval(objective, raw_constraint_values):
     v = np.maximum(np.asarray(raw_constraint_values, dtype=float), 0.0)
     return FullEval(float(objective), v, float(v.mean()), float(v.max()))
-
-
-def evaluate_full(problem, x, seed=None) -> FullEval:
-    """Evaluate objective and constraint violations of ``x`` on ``problem``.
-
-    Deterministic problems ignore ``seed``; expectation-form problems draw a
-    fresh evaluation sample from it (int, SeedSequence, or Generator).
-    """
-    if not hasattr(problem, "evaluate_full"):
-        raise TypeError(
-            f"problem kind {getattr(problem, 'kind', '?')!r} has no scalar evaluation; "
-            "saddle problems are scored with primal_dual_gap"
-        )
-    return problem.evaluate_full(x, seed=seed)
 
 
 # ---------------------------------------------------------------------------

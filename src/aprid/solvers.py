@@ -154,12 +154,10 @@ def aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, box):
         root = np.ones_like(pstate.m)
         direction = pstate.m
     pstate.x = project_box_weighted(pstate.x - alpha_k * direction, box, root)
-    if sample.w_support is None:
-        dstate.z = np.maximum(dstate.z + rho_k * sample.w, 0.0)
-    else:
-        s = sample.w_support
-        dstate.z[s] = np.maximum(dstate.z[s] + rho_k * sample.w[s], 0.0)
-    if not np.all(np.isfinite(dstate.z)):
+    # only the sampled multipliers move, so only they can turn non-finite
+    z_s = np.maximum(dstate.z[sample.w_support] + rho_k * sample.w, 0.0)
+    dstate.z[sample.w_support] = z_s
+    if not np.all(np.isfinite(z_s)):
         raise DivergenceError("non-finite multiplier after update")
     return pstate, dstate
 
@@ -174,6 +172,8 @@ def _initial_z(params, num_constraints):
     z = np.asarray(params.z_init, dtype=float).copy()
     if z.shape != (num_constraints,):
         raise ValueError(f"z_init shape {z.shape} does not match {num_constraints} constraints")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z_init must be finite")
     if np.any(z < 0):
         raise ValueError("z_init must be non-negative")
     return z
@@ -361,8 +361,7 @@ def drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing) -> l
     ``wall_s`` counts the steps and, with ``timing='total'``, the checkpoint
     scoring too. A DivergenceError raised by a step leaves with
     ``iteration`` set to that step and ``partial_results`` holding each
-    lane's completed records as a RunResult named after the lane;
-    ``partial_records`` are the last lane's records.
+    lane's completed records as a RunResult named after the lane.
     """
     if timing not in ("algo", "total"):
         raise ValueError(f"timing must be 'algo' or 'total', got {timing!r}")
@@ -386,7 +385,6 @@ def drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing) -> l
         exc.iteration = k
         exc.partial_results = [RunResult(algorithm=lane.name, seed=seed, records=recs)
                                for lane, recs in zip(lanes, records)]
-        exc.partial_records = records[-1]
         raise
     return [RunResult(algorithm=lane.name, seed=seed, records=recs,
                       x_bar=lane.avg_x.finalize() if lane.avg_x.count else None,

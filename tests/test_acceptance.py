@@ -200,10 +200,12 @@ def test_criterion_05_oracle_unbiasedness():
         su = sq_u = sw = sq_w = 0.0
         for _ in range(draws):
             smp = sample_lagrangian_subgradient(problem, x, z, batches, rng)
+            w = np.zeros(problem.num_constraints)
+            w[smp.w_support] = smp.w
             su = su + smp.u
             sq_u = sq_u + smp.u * smp.u
-            sw = sw + smp.w
-            sq_w = sq_w + smp.w * smp.w
+            sw = sw + w
+            sq_w = sq_w + w * w
         return (*_mean_and_se(su, sq_u, draws), *_mean_and_se(sw, sq_w, draws))
 
     # finite-sum QCQP against the exact full-batch Lagrangian pieces

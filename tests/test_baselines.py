@@ -115,11 +115,8 @@ def test_msa_matches_manual_replay():
         sample = sample_lagrangian_subgradient(problem, x, z, batches, rng)
         xs.append(x)
         x = problem.box.project(x - alpha * sample.u)
-        if sample.w_support is None:
-            z = np.clip(z + rho * sample.w, 0.0, params.z_cap)
-        else:
-            s = sample.w_support
-            z[s] = np.clip(z[s] + rho * sample.w[s], 0.0, params.z_cap)
+        s = sample.w_support
+        z[s] = np.clip(z[s] + rho * sample.w, 0.0, params.z_cap)
 
     # constant steps make the ergodic average a plain mean over x_1..x_K
     np.testing.assert_allclose(res.x_bar, np.mean(xs, axis=0), rtol=1e-12)
@@ -330,7 +327,7 @@ def test_pdsg_divergence_cap():
     with pytest.raises(DivergenceError) as info:
         pdsg_adp_run(VIOLATED, params, BATCHES, seed=1)
     assert info.value.iteration == 1
-    assert info.value.partial_records == []
+    assert info.value.partial_results[0].records == []
 
 
 def test_pdsg_determinism_and_checkpoints():

@@ -25,6 +25,8 @@ NPC = {"kind": "npc_synthetic", "d": "4", "n_pos": "40", "n_neg": "40",
 EXPECTATION = {"kind": "qcqp_expectation", "n": "3", "p": "2", "eval_samples": "500"}
 FINITE_SUM = {"kind": "qcqp_finite_sum", "n": "4", "p": "3", "num_objective_terms": "30",
               "num_constraints": "20", "instance_seed": "1"}
+# as many constraints as the run's j1, so every step samples all of them
+FINITE_SUM_FULL = dict(FINITE_SUM, num_constraints="3")
 BILINEAR = {"kind": "bilinear", "n": "3", "m": "3", "instance_seed": "1",
             "noise_sigma": "0.1"}
 
@@ -42,6 +44,8 @@ CASES = [
     ("finite_sum-msa", FINITE_SUM, {"name": "msa"}, ["msa"]),
     ("finite_sum-csa", FINITE_SUM, {"name": "csa", "eta_tol": "0.5"}, ["csa1", "csa2"]),
     ("finite_sum-pdsg_adp", FINITE_SUM, {"name": "pdsg_adp"}, ["pdsg_adp"]),
+    ("finite_sum_full-aprid", FINITE_SUM_FULL, {"name": "aprid"}, ["aprid"]),
+    ("finite_sum_full-msa", FINITE_SUM_FULL, {"name": "msa"}, ["msa"]),
     ("bilinear-apriad", BILINEAR, {"name": "apriad", "schedule": "sqrt"}, ["apriad"]),
 ]
 SEED = 1

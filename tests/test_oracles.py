@@ -48,8 +48,8 @@ def test_full_batch_reproduces_exact_lagrangian_gradient(qcqp):
     sample = sample_lagrangian_subgradient(qcqp, x, z, batches, training_rng(0))
     exact_u, exact_w = lagrangian_full_batch(qcqp, x, z)
     assert np.allclose(sample.u, exact_u, rtol=1e-10)
-    assert np.allclose(sample.w, exact_w, rtol=1e-10)
-    assert sample.w_support is None  # every constraint visited
+    assert np.allclose(sample.w, exact_w[sample.w_support], rtol=1e-10)
+    assert np.array_equal(np.sort(sample.w_support), np.arange(30))  # every constraint visited
 
 
 def test_subgradient_unbiased_qcqp(qcqp):
@@ -59,11 +59,11 @@ def test_subgradient_unbiased_qcqp(qcqp):
     batches = BatchSizes(j0=4, j1=3, jg=5)
     reps = 4000
     us = np.empty((reps, 5))
-    ws = np.empty((reps, 30))
+    ws = np.zeros((reps, 30))
     for r in range(reps):
         s = sample_lagrangian_subgradient(qcqp, x, z, batches, rng)
         us[r] = s.u
-        ws[r] = s.w
+        ws[r, s.w_support] = s.w
     exact_u, exact_w = lagrangian_full_batch(qcqp, x, z)
     for mean, sd, exact in (
         (us.mean(0), us.std(0, ddof=1), exact_u),
@@ -93,16 +93,14 @@ def test_subgradient_unbiased_npc(npc):
 
 
 def test_sampled_constraint_support_scaling(qcqp):
-    # w is dense over all constraints, nonzero only on the sampled support,
-    # scaled by M/|S| so its mean is the full constraint vector
+    # w holds one value per sampled constraint, scaled by M/|S| so that,
+    # scattered onto its support, its mean is the full constraint vector
     x = np.full(5, 0.2)
     s = sample_lagrangian_subgradient(qcqp, x, np.zeros(30), BatchSizes(4, 3, 5), training_rng(9))
-    assert s.w.shape == (30,)
-    assert s.w_support is not None and len(s.w_support) == 3
-    off = np.setdiff1d(np.arange(30), s.w_support)
-    assert np.all(s.w[off] == 0)
+    assert s.w.shape == (3,)
+    assert len(np.unique(s.w_support)) == 3
     exact_vals = qcqp.full_constraint_values(x)
-    assert np.allclose(s.w[s.w_support], (30 / 3) * exact_vals[s.w_support])
+    assert np.allclose(s.w, (30 / 3) * exact_vals[s.w_support])
 
 
 def test_estimate_constraint_value_exact_at_full_batch(qcqp):

@@ -9,7 +9,6 @@ from aprid import (
     Dataset,
     ExpectationQcqpProblem,
     FiniteSumQcqpProblem,
-    evaluate_full,
     load_dataset,
     load_instance,
     make_bilinear_saddle,
@@ -248,7 +247,7 @@ def test_qcqp_determinism_and_memory_guard():
 
 def test_qcqp_evaluate_full_summarizes_violations(qcqp):
     x = np.full(5, 2.0)
-    full = evaluate_full(qcqp, x)
+    full = qcqp.evaluate_full(x)
     vals = qcqp.full_constraint_values(x)
     assert full.objective == pytest.approx(qcqp.full_objective(x))
     assert full.viol_max == pytest.approx(float(np.max(np.maximum(vals, 0))))
@@ -264,16 +263,16 @@ def test_expectation_objective_population_value():
     prob = ExpectationQcqpProblem(6, 4, eval_samples=40_000)
     x = np.array([1.0, -1.0, 0.5, 0.0, 2.0, -0.3])
     want = 0.5 * (np.dot(x, x) / 6 + 1.0)
-    got = evaluate_full(prob, x, seed=11).objective
+    got = prob.evaluate_full(x, seed=11).objective
     assert got == pytest.approx(want, rel=0.02)
 
 
 def test_expectation_eval_deterministic_given_seed():
     prob = ExpectationQcqpProblem(4, 3, eval_samples=2_000)
     x = np.full(4, 0.5)
-    a = evaluate_full(prob, x, seed=5)
-    b = evaluate_full(prob, x, seed=5)
-    c = evaluate_full(prob, x, seed=6)
+    a = prob.evaluate_full(x, seed=5)
+    b = prob.evaluate_full(x, seed=5)
+    c = prob.evaluate_full(x, seed=6)
     assert a.objective == b.objective and a.viol_max == b.viol_max
     assert a.objective != c.objective
 
@@ -287,8 +286,8 @@ def test_freeze_agrees_with_independent_evaluation():
     rng = np.random.default_rng(12)
     for _ in range(3):
         x = rng.uniform(-1.5, 1.5, 4)
-        full = evaluate_full(prob, x, seed=13)
-        froz = evaluate_full(frozen, x)
+        full = prob.evaluate_full(x, seed=13)
+        froz = frozen.evaluate_full(x)
         assert froz.objective == pytest.approx(full.objective, abs=0.05)
         assert froz.viol_max == pytest.approx(full.viol_max, abs=0.05)
 
@@ -346,8 +345,7 @@ def test_bilinear_gap_matches_grid_brute_force():
 
 def test_saddle_has_no_scalar_evaluation():
     prob = make_bilinear_saddle(3, 3, seed=0)
-    with pytest.raises(TypeError):
-        evaluate_full(prob, np.zeros(3))
+    assert not hasattr(prob, "evaluate_full")
 
 
 # -- instance snapshots -------------------------------------------------------

@@ -52,7 +52,7 @@ def test_momentum_keeps_raw_gradient_second_moment_uses_clipped():
     params = SolverParams.constant(5, beta1=0.9, beta2=0.5, theta=5.0)
     pstate = PrimalState.fresh(np.zeros(2))
     dstate = DualState.fresh(1)
-    sample = GradSample(u=np.array([60.0, 80.0]), w=np.zeros(1))
+    sample = GradSample(u=np.array([60.0, 80.0]), w=np.zeros(1), w_support=np.array([0]))
     aprid_step(pstate, dstate, sample, 0.1, 0.1, params, box)
     assert np.allclose(pstate.m, 0.1 * np.array([60.0, 80.0]), rtol=1e-15)
     u_hat = np.array([3.0, 4.0])  # norm 100 clipped to 5
@@ -66,7 +66,7 @@ def test_untouched_coordinate_does_not_move():
     params = SolverParams.constant(5, beta1=0.9)
     pstate = PrimalState.fresh(np.array([1.0, 2.0]))
     dstate = DualState.fresh(1)
-    sample = GradSample(u=np.array([1.0, 0.0]), w=np.zeros(1))
+    sample = GradSample(u=np.array([1.0, 0.0]), w=np.zeros(1), w_support=np.array([0]))
     aprid_step(pstate, dstate, sample, 0.5, 0.5, params, box)
     assert pstate.x[1] == 2.0
     assert pstate.x[0] != 1.0
@@ -110,11 +110,7 @@ def test_reduces_to_projected_stochastic_subgradient(qcqp):
         zs.append(z.copy())
         x = qcqp.box.project(x - a * s.u)
         z = z.copy()
-        if s.w_support is None:
-            z = np.maximum(z + r * s.w, 0.0)
-        else:
-            sup = s.w_support
-            z[sup] = np.maximum(z[sup] + r * s.w[sup], 0.0)
+        z[s.w_support] = np.maximum(z[s.w_support] + r * s.w, 0.0)
     assert np.allclose(res.x_bar, np.mean(xs, axis=0), rtol=1e-12)
     assert np.allclose(res.z_bar, np.mean(zs, axis=0), rtol=1e-12)
 
@@ -188,6 +184,10 @@ def test_z_init_validation(qcqp):
     with pytest.raises(ValueError):
         params = SolverParams.constant(10, z_init=np.full(20, -0.1))
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            params = SolverParams.constant(10, z_init=np.full(20, bad))
+            aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1)
 
 
 def test_divergence_cap_carries_context(qcqp):
@@ -196,7 +196,7 @@ def test_divergence_cap_carries_context(qcqp):
     with pytest.raises(DivergenceError) as excinfo:
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1)
     assert excinfo.value.iteration == 1
-    assert excinfo.value.partial_records == []
+    assert excinfo.value.partial_results[0].records == []
 
 
 def test_minimax_blocks_clip_separately():
