@@ -33,7 +33,7 @@ from .oracles import (constraint_step_direction, estimate_constraint_value,
 from .results import RunResult
 from .rng import training_rng
 from .schedules import ErgodicAverager
-from .solvers import Lane, _initial_x, drive
+from .solvers import Lane, _NormWatch, _initial_x, drive
 
 __all__ = [
     "MsaParams",
@@ -200,6 +200,7 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     z = np.zeros(num)
     accum = np.zeros(box.dim)
     avg_x = ErgodicAverager(0.0)
+    watch = _NormWatch(z, params.divergence_cap)
     rng = training_rng(seed)
 
     def step(k):
@@ -207,17 +208,18 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
         u0 = problem.sample_objective_grad(x, batches.j0, rng)
         support, values, grads = problem.sample_constraint_block_exact(x, batches.j1, rng)
         scale = num / len(support)
-        weights = np.maximum(z[support] + values, 0.0)
+        z_old = z[support]
+        weights = np.maximum(z_old + values, 0.0)
         u = u0 + scale * (weights @ grads)
         gam = max(1.0, float(np.linalg.norm(u)))
         accum += (u * u) / (gam * gam)
         v = params.eta_scale * np.sqrt(accum)
         avg_x.push(x, alpha)
         x = box.project(x - u / (v + 1.0 / alpha))
-        z[support] = z[support] + rho * scale * np.maximum(values, -z[support])
-        znorm = float(np.linalg.norm(z))
-        if not np.all(np.isfinite(x)) or znorm > params.divergence_cap:
-            raise DivergenceError(f"iterate diverged (multiplier norm {znorm:.3e})")
+        z_new = z_old + rho * scale * np.maximum(values, -z_old)
+        z[support] = z_new
+        if watch.exceeded(z_old, z_new) is not None or not np.all(np.isfinite(x)):
+            raise DivergenceError(f"iterate diverged (multiplier norm {np.linalg.norm(z):.3e})")
 
     lanes = [Lane("pdsg_adp", avg_x, lambda: z.copy())]
     return drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing)[0]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ScheduleExhaustedError
 
-__all__ = ["StepSchedule", "ErgodicAverager"]
+__all__ = ["StepSchedule", "ErgodicAverager", "LazyErgodicAverager"]
 
 
 def _tail_sums(alphas, beta1):
@@ -241,7 +241,8 @@ class ErgodicAverager:
     the plain alpha-weighted running average.
 
     ``finalize`` is non-destructive: pushing may continue afterwards, which
-    is how solvers report every checkpoint from one accumulator.
+    is how solvers report every checkpoint from one accumulator. For a vector
+    changing only on small supports, ``LazyErgodicAverager`` is O(support).
     """
 
     def __init__(self, beta1):
@@ -274,3 +275,48 @@ class ErgodicAverager:
         if self.count == 0:
             raise ValueError("cannot average before any iterate was pushed")
         return self.weighted_sum / self.normalizer
+
+
+class LazyErgodicAverager:
+    """``ErgodicAverager``'s average, under ``schedule``'s weights, of a vector
+    that changes only on supports: ``push()`` is O(1), ``change(support,
+    delta)`` (adding ``delta`` on ``support``) O(|support|), ``finalize()`` O(dim).
+
+    Since ``sum_{k=s}^t alpha_k beta1^(k-s) = eta_s - beta1^(t-s+1) eta_{t+1}``
+    for the schedule's eta, a change ``delta_m`` after push ``m`` (``x0`` is
+    the change at 0) weighs (A_t - A_m - beta1 eta_{m+1} + beta1^(t+1-m)
+    eta_{t+1}) / (1 - beta1) at push ``t``, where ``A_t = sum_{k<=t} alpha_k``.
+    So each coordinate keeps the sums of ``delta_m`` times 1, ``A_m + beta1
+    eta_{m+1}`` and ``beta1^-m``, the last relative to a step moved up every
+    ``period`` pushes so that no power of beta1 applied to it leaves [1e-100, 1e100].
+    """
+
+    def __init__(self, x0, schedule):
+        b = self._beta1 = schedule.beta1
+        alphas, etas = schedule.alpha_sequence(), schedule.eta_sequence()
+        # eta_{horizon+1} by the recursion eta_k = alpha_k + beta1 eta_{k+1}
+        self._eta = np.append(etas, (etas[-1] - alphas[-1]) / b if b > 0 else 0.0)
+        self._prefix = np.concatenate(([0.0], np.cumsum(alphas)))
+        steps = np.arange(self._prefix.size)
+        base = b or 0.5  # any base will do for beta1 = 0: the third sum is never read
+        self._period = max(1, int(230.0 / -np.log(base)))
+        self._coef = np.stack([np.ones(steps.size), self._prefix + b * self._eta,
+                               base ** -(steps % self._period)], 1)
+        self._sums = np.multiply.outer(np.asarray(x0, dtype=float), self._coef[0])
+        self.count = 0
+
+    def push(self):
+        self.count += 1
+        if self.count % self._period == 0:
+            self._sums[:, 2] *= self._beta1 ** self._period
+
+    def change(self, support, delta):
+        np.add.at(self._sums, support, np.multiply.outer(delta, self._coef[self.count]))
+
+    def finalize(self):
+        t = self.count
+        if t == 0:
+            raise ValueError("cannot average before any iterate was pushed")
+        b, a_t, tail = self._beta1, self._prefix[t], self._eta[t]
+        recent = b ** (t + 1 - t // self._period * self._period) * tail
+        return self._sums @ [a_t, -1.0, recent] / (a_t - self._coef[0, 1] + b ** (t + 1) * tail)

@@ -4,7 +4,10 @@ the CSVs committed under ``tests/data/golden/``.
 
 Iterations and flags must match exactly and float columns to ``rtol=1e-12``,
 so a change in the order of random draws, in the averaging or in the scoring
-shows up here. After a deliberate trajectory change, regenerate the files with
+shows up here. The aprid cells also compare their final averaged multipliers
+``z_bar`` with ``<label>_seed1_z_bar.npy`` to 1e-12 relative in the max norm,
+since checkpoints score only the primal average. After a deliberate
+trajectory change, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden_trajectories.py
 
@@ -62,6 +65,10 @@ def _golden_name(label, lane):
     return f"{label.split('-')[0]}-{lane}_seed{SEED}.csv"
 
 
+def _z_bar_name(label):
+    return os.path.join(GOLDEN, f"{label}_seed{SEED}_z_bar.npy")
+
+
 @pytest.mark.parametrize("label,problem,algorithm,lanes", CASES, ids=[c[0] for c in CASES])
 def test_trajectory_matches_golden(tmp_path, label, problem, algorithm, lanes):
     out = run_experiment(_config(problem, algorithm), str(tmp_path))
@@ -75,6 +82,10 @@ def test_trajectory_matches_golden(tmp_path, label, problem, algorithm, lanes):
             np.testing.assert_allclose(
                 [getattr(r, column) for r in got], [getattr(r, column) for r in want],
                 rtol=1e-12, atol=0.0, equal_nan=True, err_msg=f"{lane} {column}")
+    if algorithm["name"] == "aprid":
+        got, want = out.results[0].z_bar, np.load(_z_bar_name(label))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 if __name__ == "__main__":
@@ -88,3 +99,5 @@ if __name__ == "__main__":
                 with open(path, "rb") as src, \
                         open(os.path.join(GOLDEN, _golden_name(label, lane)), "wb") as dst:
                     dst.write(src.read())
+            if algorithm["name"] == "aprid":
+                np.save(_z_bar_name(label), out.results[0].z_bar)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aprid import ErgodicAverager, ScheduleExhaustedError, StepSchedule
+from aprid.schedules import LazyErgodicAverager
 
 from brute import double_sum_average, geometric_tail_weights
 
@@ -202,3 +203,67 @@ def test_averager_validation():
         av.push(np.zeros(2), 0.0)  # weights must be positive
     with pytest.raises(ValueError):
         ErgodicAverager(1.0)
+
+
+def _max_rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _sparse_walk(schedule, x0, rng, max_support, reads):
+    """Drive a dense and a lazy averager over random sparse changes of one
+    vector; at each step in ``reads`` yield (lazy, dense, iterates, alphas)."""
+    dense, lazy = ErgodicAverager(schedule.beta1), LazyErgodicAverager(x0, schedule)
+    x, xs, alphas = x0.copy(), [], []
+    for t in range(1, schedule.horizon + 1):
+        alpha, _ = schedule.next()
+        dense.push(x, alpha)
+        lazy.push()
+        xs.append(x.copy())
+        alphas.append(alpha)
+        support = rng.choice(x.size, int(rng.integers(1, max_support + 1)), replace=False)
+        old = x[support]
+        x[support] = np.maximum(old + rng.standard_normal(support.size), 0.0)
+        lazy.change(support, x[support] - old)
+        if t in reads:
+            yield lazy.finalize(), dense.finalize(), xs, alphas
+
+
+SCHEDULES = {
+    "constant": lambda beta1, k: StepSchedule.constant(10.0, 1.0, k, beta1),
+    "sqrt_log": lambda beta1, k: StepSchedule.sqrt_log(10.0, 1.0, k, beta1),
+    "from_sequence": lambda beta1, k: StepSchedule.from_sequence(
+        0.5 / np.arange(1, k + 1) ** 0.3, 1.0, beta1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULES))
+@pytest.mark.parametrize("beta1", [0.0, 0.05, 0.9])
+def test_lazy_averager_matches_double_sum_and_dense(kind, beta1):
+    # beta1 = 0.05 rescales the lazy sums every 76 pushes, inside this horizon
+    rng = np.random.default_rng(41)
+    x0 = rng.uniform(0.0, 2.0, 12)
+    reads = {1, 2, 17, 76, 77, 150}
+    seen = 0
+    for lazy, dense, xs, alphas in _sparse_walk(SCHEDULES[kind](beta1, 150), x0, rng, 4, reads):
+        assert _max_rel_err(lazy, dense) <= 1e-12
+        assert _max_rel_err(lazy, double_sum_average(xs, alphas, beta1)) <= 1e-12
+        seen += 1
+    assert seen == len(reads)
+
+
+@pytest.mark.parametrize("kind", ["constant", "sqrt_log"])
+def test_lazy_averager_past_beta1_power_underflow(kind):
+    # 0.9^k underflows past k ~ 7100; the lazy sums must not
+    rng = np.random.default_rng(43)
+    reads = {100, 2500, 7000, 7101, 7600}
+    walk = _sparse_walk(SCHEDULES[kind](0.9, 7600), rng.uniform(0.0, 1.0, 30), rng, 3, reads)
+    errors = [_max_rel_err(lazy, dense) for lazy, dense, _, _ in walk]
+    assert len(errors) == len(reads) and max(errors) <= 1e-12
+
+
+def test_lazy_averager_needs_a_push():
+    lazy = LazyErgodicAverager(np.ones(3), StepSchedule.constant(1.0, 1.0, 5, 0.9))
+    with pytest.raises(ValueError):
+        lazy.finalize()
+    lazy.push()
+    assert np.allclose(lazy.finalize(), 1.0, rtol=1e-14)

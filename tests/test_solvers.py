@@ -25,6 +25,7 @@ from aprid import (
     training_rng,
 )
 
+from aprid.solvers import _NormWatch
 from brute import double_sum_average
 
 
@@ -197,6 +198,65 @@ def test_divergence_cap_carries_context(qcqp):
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1)
     assert excinfo.value.iteration == 1
     assert excinfo.value.partial_results[0].records == []
+
+
+def test_divergence_step_matches_dense_norm_replay(qcqp):
+    # Sparse updates take ||z|| past the cap at a step k > 1. The run must stop
+    # where a replay taking the dense norm after every step does, with the same
+    # message and records. A cap equal to the norm at one step (not passed
+    # there) or one ulp below it (passed there) needs the exact recompute.
+    batches, cps = BatchSizes(4, 4, 8), [5, 10, 20, 50, 200]
+    params = SolverParams.constant(200, alpha=3.0, rho=1.0)
+    full = aprid_run(qcqp, params, batches, seed=1, checkpoints=cps, f0_ref=0.5)
+    sch, rng = params.schedule.fresh(), training_rng(1)
+    pstate, dstate = PrimalState.fresh(qcqp.box.project(np.zeros(5))), DualState.fresh(20)
+    norms = []
+    for _ in range(200):
+        a, r = sch.next()
+        s = sample_lagrangian_subgradient(qcqp, pstate.x, dstate.z, batches, rng)
+        aprid_step(pstate, dstate, s, a, r, params, qcqp.box)
+        norms.append(float(np.linalg.norm(dstate.z)))
+    at = next(n for n in norms if n > 1.9)
+    for cap in (at, np.nextafter(at, 0.0)):
+        k = next(k for k, n in enumerate(norms, 1) if n > cap)
+        assert k > 5
+        capped = SolverParams.constant(200, alpha=3.0, rho=1.0, divergence_cap=cap)
+        with pytest.raises(DivergenceError) as excinfo:
+            aprid_run(qcqp, capped, batches, seed=1, checkpoints=cps, f0_ref=0.5)
+        err = excinfo.value
+        assert err.iteration == k
+        assert str(err) == (
+            f"multiplier norm {norms[k - 1]:.3e} exceeded divergence cap at step {k}")
+        got = [(r.iteration, r.obj_err, r.viol_max, r.objective)
+               for r in err.partial_results[0].records]
+        assert got == [(r.iteration, r.obj_err, r.viol_max, r.objective)
+                       for r in full.records if r.iteration < k]
+
+
+def test_norm_watch_trips_exactly_where_the_dense_norm_does():
+    # A running ||z||^2 is off from the exact one by a few ulps; at a cap equal
+    # to (or one ulp below) the exact norm of some step, only the exact
+    # recompute near the cap decides the same way as np.linalg.norm.
+    rng = np.random.default_rng(8)
+    z0 = rng.uniform(0.0, 1.0, 50)
+    changes, norms, z = [], [], z0.copy()
+    for _ in range(400):
+        support = rng.choice(50, 3, replace=False)
+        old = z[support]
+        z[support] = old + rng.uniform(0.0, 0.1, 3)
+        changes.append((support, old, z[support].copy()))
+        norms.append(np.linalg.norm(z))
+    for target in norms[::20]:
+        for cap in (target, np.nextafter(target, 0.0)):
+            z = z0.copy()
+            watch = _NormWatch(z, cap)
+            for k, (support, old, new) in enumerate(changes, 1):
+                z[support] = new
+                dense = float(np.linalg.norm(z))
+                assert watch.exceeded(old, new) == (dense if dense > cap else None)
+                if dense > cap:
+                    break
+            assert dense > cap
 
 
 def test_minimax_blocks_clip_separately():
