@@ -4,10 +4,10 @@ One experiment is a validated config plus a seed list. The harness builds
 the problem once (instances are immutable), resolves the reference target,
 runs every (algorithm, seed) cell, and writes per-cell trajectory CSVs plus
 a single ``manifest.txt`` with every resolved config value, library
-versions, the reference provenance, timestamps, and a per-cell status
-table. Trajectory files never contain timestamps, so identical configs and
-seeds reproduce identical bytes (exactly true in ``timing = none`` mode,
-true outside the wall_s column otherwise).
+versions, the reference provenance and active set, timestamps, and a
+per-cell status table. Trajectory files never contain timestamps, so
+identical configs and seeds reproduce identical bytes (exactly true in
+``timing = none`` mode, true outside the wall_s column otherwise).
 """
 
 import datetime
@@ -15,6 +15,7 @@ import hashlib
 import os
 import platform
 import time
+import warnings
 from dataclasses import dataclass, field
 from statistics import median
 
@@ -181,6 +182,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
         ref_lines["reference.f0"] = format(f0_ref, ".17g")
         ref_lines["reference.kkt_worst"] = format(ref.residuals.worst, ".3e")
         ref_lines["reference.outer_iterations"] = str(ref.outer_iterations)
+        active = int(np.sum(ref.constraint_values >= -cfg.run["reference_tol"]))
+        ref_lines["reference.active_constraints"] = str(active)
+        ref_lines["reference.z_norm"] = format(float(np.linalg.norm(ref.z)), ".3e")
+        ref_lines["reference.min_slack"] = format(-float(np.max(ref.constraint_values)), ".3e")
+        if active == 0:
+            warnings.warn("no constraint is active at the reference (min slack "
+                          f"{ref_lines['reference.min_slack']}); the run is unconstrained",
+                          stacklevel=2)
         if not getattr(problem, "deterministic", False):
             ref_lines["reference.frozen_samples"] = str(cfg.run["freeze_samples"])
             ref_lines["reference.freeze_seed"] = str(cfg.run["freeze_seed"])

@@ -409,26 +409,34 @@ def _draw_objective_terms(rng, count, p, n, h_normalization):
 
 def _draw_constraint_terms(rng, count, n):
     g = rng.standard_normal((count, n, n))
-    s = np.matmul(g.transpose(0, 2, 1), g)
-    top = np.linalg.eigvalsh(s)[:, -1]
-    q = s / np.maximum(top, 1e-300)[:, None, None]
+    q = np.matmul(g.transpose(0, 2, 1), g)
+    del g  # at most two count x n x n arrays live at once
+    q /= np.maximum(np.linalg.eigvalsh(q)[:, -1], 1e-300)[:, None, None]
     a = _unit_2norm(rng.standard_normal((count, n)))
     b = rng.uniform(0.1, 1.1, size=count)
     return q, a, b
 
 
-def _objective_terms_at(h, c, x):
-    # per-sample residuals and gradients of 0.5 ||h x - c||^2
+# Per-sample values of 0.5 ||h x - c||^2 and their mean gradient, per-constraint values
+# and gradients of 0.5 x'Qx + a.x - b; apart, so each caller computes only what it reads.
+
+
+def _objective_values_at(h, c, x):
     r = np.einsum("spn,n->sp", h, x) - c
-    values = 0.5 * np.einsum("sp,sp->s", r, r)
-    grads = np.einsum("spn,sp->n", h, r) / h.shape[0]
-    return values, grads
+    return 0.5 * np.einsum("sp,sp->s", r, r)
 
 
-def _constraint_terms_at(q, a, b, x):
-    values = 0.5 * np.einsum("sij,i,j->s", q, x, x) + a @ x - b
-    grads = np.einsum("sij,j->si", q, x) + a
-    return values, grads
+def _objective_grad_at(h, c, x):
+    r = np.einsum("spn,n->sp", h, x) - c
+    return np.einsum("spn,sp->n", h, r) / h.shape[0]
+
+
+def _constraint_values_at(q, a, b, x):
+    return 0.5 * np.einsum("sij,i,j->s", q, x, x) + a @ x - b
+
+
+def _constraint_grads_at(q, a, x):
+    return np.einsum("sij,j->si", q, x) + a
 
 
 class ExpectationQcqpProblem:
@@ -463,18 +471,16 @@ class ExpectationQcqpProblem:
 
     def sample_objective_grad(self, x, j0, rng):
         h, c = _draw_objective_terms(rng, int(j0), self.p, self.n, self.h_normalization)
-        _, grad = _objective_terms_at(h, c, x)
-        return grad
+        return _objective_grad_at(h, c, x)
 
     def sample_constraint_block(self, x, j1, rng):
         q, a, b = _draw_constraint_terms(rng, int(j1), self.n)
-        values, grads = _constraint_terms_at(q, a, b, x)
+        values, grads = _constraint_values_at(q, a, b, x), _constraint_grads_at(q, a, x)
         return np.array([0]), np.array([values.mean()]), grads.mean(axis=0)[None, :]
 
     def constraint_value_estimate(self, x, jg, rng) -> float:
         q, a, b = _draw_constraint_terms(rng, int(jg), self.n)
-        values, _ = _constraint_terms_at(q, a, b, x)
-        return float(values.mean())
+        return float(_constraint_values_at(q, a, b, x).mean())
 
     def evaluate_full(self, x, seed=None) -> FullEval:
         rng = np.random.default_rng(seed)
@@ -485,11 +491,9 @@ class ExpectationQcqpProblem:
         while done < self.eval_samples:
             take = min(_EVAL_CHUNK, self.eval_samples - done)
             h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
-            values, _ = _objective_terms_at(h, c, x)
-            f0_sum += values.sum()
+            f0_sum += _objective_values_at(h, c, x).sum()
             q, a, b = _draw_constraint_terms(rng, take, self.n)
-            cvals, _ = _constraint_terms_at(q, a, b, x)
-            f1_sum += cvals.sum()
+            f1_sum += _constraint_values_at(q, a, b, x).sum()
             done += take
         return _full_eval(f0_sum / done, np.array([f1_sum / done]))
 
@@ -617,33 +621,30 @@ class FiniteSumQcqpProblem:
         return self._amat @ x - self._rvec
 
     def full_constraint_values(self, x):
-        values, _ = _constraint_terms_at(self.q, self.a, self.b, np.asarray(x, dtype=float))
-        return values
+        return _constraint_values_at(self.q, self.a, self.b, np.asarray(x, dtype=float))
 
     def full_constraint_grads(self, x):
-        _, grads = _constraint_terms_at(self.q, self.a, self.b, np.asarray(x, dtype=float))
-        return grads
+        return _constraint_grads_at(self.q, self.a, np.asarray(x, dtype=float))
 
     # sampled quantities
 
     def sample_objective_grad(self, x, j0, rng):
         take = min(int(j0), self.num_objective_terms)
         idx = rng.choice(self.num_objective_terms, size=take, replace=False)
-        _, grad = _objective_terms_at(self.h[idx], self.c[idx], x)
-        return grad
+        return _objective_grad_at(self.h[idx], self.c[idx], x)
 
     def sample_constraint_block(self, x, j1, rng):
         take = min(int(j1), self.num_constraints)
         idx = rng.choice(self.num_constraints, size=take, replace=False)
-        values, grads = _constraint_terms_at(self.q[idx], self.a[idx], self.b[idx], x)
-        return idx, values, grads
+        q, a = self.q[idx], self.a[idx]
+        return idx, _constraint_values_at(q, a, self.b[idx], x), _constraint_grads_at(q, a, x)
 
     sample_constraint_block_exact = sample_constraint_block
 
     def constraint_value_estimate(self, x, jg, rng) -> float:
         take = min(int(jg), self.num_constraints)
         idx = rng.choice(self.num_constraints, size=take, replace=False)
-        values, _ = _constraint_terms_at(self.q[idx], self.a[idx], self.b[idx], x)
+        values = _constraint_values_at(self.q[idx], self.a[idx], self.b[idx], x)
         return float(np.sum(np.maximum(values, 0.0)) * (self.num_constraints / take))
 
     def evaluate_full(self, x, seed=None) -> FullEval:

@@ -6,6 +6,8 @@ steps safeguarded by nonmonotone Armijo backtracking, so still projected
 gradient with backtracking), multiplier updates ``z <- [z + beta f(x)]_+``,
 and penalty growth whenever feasibility stalls. Convergence is declared by an
 independent KKT residual check, never by the loop's own progress measures.
+Constraint values are computed once per distinct point (by value), shared by
+the inner objective and gradient and by the post-round update and KKT check.
 
 Saddle problems are solved by the extragradient method with a fixed step
 sized from the coupling norm; for affine operators over boxes the last
@@ -56,10 +58,13 @@ def kkt_residuals(problem, x, z) -> KktResiduals:
     complementarity the largest ``|z_j f_j(x)|``.
     """
     x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
+    return _kkt_at(problem, x, np.asarray(z, dtype=float), problem.full_constraint_values(x))
+
+
+def _kkt_at(problem, x, z, f):
+    """``kkt_residuals`` given the constraint values ``f`` at ``x``."""
     grad = problem.full_objective_grad(x) + problem.full_constraint_grads(x).T @ z
     stationarity = float(np.linalg.norm(x - problem.box.project(x - grad)))
-    f = problem.full_constraint_values(x)
     feasibility = float(np.max(np.maximum(f, 0.0)))
     complementarity = float(np.max(np.abs(z * f)))
     return KktResiduals(stationarity, feasibility, complementarity)
@@ -72,6 +77,7 @@ class ReferenceSolution:
     objective: float
     residuals: KktResiduals
     outer_iterations: int
+    constraint_values: np.ndarray  # f_j(x), as the final KKT check saw them
 
 
 def _spg_minimize(fun, grad, x0, box, tol, max_iters=5000):
@@ -110,14 +116,27 @@ def _spg_minimize(fun, grad, x0, box, tol, max_iters=5000):
     return x
 
 
-def _augmented_lagrangian(problem, z, beta):
+def _constraint_values_once(problem):
+    """``problem.full_constraint_values``, recomputed only when the point's
+    values differ from the last point's."""
+    last = [None, None]
+
+    def values(x):
+        if x.tobytes() != last[0]:
+            last[:] = x.tobytes(), problem.full_constraint_values(x)
+        return last[1]
+
+    return values
+
+
+def _augmented_lagrangian(problem, values, z, beta):
     def fun(x):
-        f = problem.full_constraint_values(x)
+        f = values(x)
         shifted = np.maximum(z + beta * f, 0.0)
         return problem.full_objective(x) + float(np.sum(shifted**2 - z**2)) / (2.0 * beta)
 
     def grad(x):
-        f = problem.full_constraint_values(x)
+        f = values(x)
         shifted = np.maximum(z + beta * f, 0.0)
         return problem.full_objective_grad(x) + shifted @ problem.full_constraint_grads(x)
 
@@ -144,22 +163,23 @@ def solve_reference(problem, tol=1e-6, max_outer=100, inner_max_iters=5000,
     box = problem.box
     x = box.project(np.zeros(box.dim))
     z = np.zeros(problem.num_constraints)
+    values = _constraint_values_once(problem)
     beta = 10.0
     inner_tol = max(1e-3, 10.0 * tol)
     prev_viol = np.inf
     best = None
     for outer in range(1, max_outer + 1):
-        fun, grad = _augmented_lagrangian(problem, z, beta)
+        fun, grad = _augmented_lagrangian(problem, values, z, beta)
         x = _spg_minimize(fun, grad, x, box, inner_tol, inner_max_iters)
-        f = problem.full_constraint_values(x)
+        f = values(x)
         z = np.maximum(z + beta * f, 0.0)
-        res = kkt_residuals(problem, x, z)
+        res = _kkt_at(problem, x, z, f)
         if best is None or res.worst < best[2].worst:
             best = (x.copy(), z.copy(), res, outer)
         if res.worst <= tol:
             return ReferenceSolution(
                 x=x, z=z, objective=problem.full_objective(x),
-                residuals=res, outer_iterations=outer,
+                residuals=res, outer_iterations=outer, constraint_values=f,
             )
         viol = float(np.max(np.maximum(f, 0.0)))
         if viol > 0.25 * prev_viol:

@@ -208,6 +208,17 @@ def test_qcqp_objective_matches_double_loop(qcqp):
     assert np.allclose(qcqp.full_constraint_values(x), vals, rtol=1e-12)
 
 
+def test_qcqp_full_evaluators_equal_the_oracle_rows_bitwise(qcqp):
+    # the full evaluators and the sampling oracle share one expression per row
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = rng.uniform(-2, 2, 5)
+        support, values, grads = qcqp.sample_constraint_block(x, 20, rng)
+        assert sorted(support) == list(range(20)) and not np.array_equal(support, np.arange(20))
+        assert np.array_equal(qcqp.full_constraint_values(x)[support], values)
+        assert np.array_equal(qcqp.full_constraint_grads(x)[support], grads)
+
+
 def test_qcqp_gradients_match_finite_differences(qcqp):
     rng = np.random.default_rng(8)
     for _ in range(5):

@@ -1,5 +1,17 @@
 """Reference solver: KKT residuals, the augmented Lagrangian loop, and the
-extragradient saddle solver, checked on instances with hand-derivable optima."""
+extragradient saddle solver, checked on instances with hand-derivable optima.
+
+The solutions of the golden finite-sum and npc instances are also pinned bit
+for bit to ``tests/data/golden/reference-<label>_{x,z,objective}.npy``; after
+a deliberate change to the solver, regenerate them with
+
+    PYTHONPATH=src python3 tests/test_reference.py
+
+and state the change and its reason alongside it.
+"""
+
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +20,20 @@ from aprid import (
     BilinearSaddleProblem,
     FiniteSumQcqpProblem,
     ReferenceError,
+    build_problem,
     kkt_residuals,
     make_bilinear_saddle,
     make_qcqp_expectation,
     make_qcqp_finite_sum,
+    read_manifest,
+    run_experiment,
     solve_reference,
     solve_saddle_reference,
 )
+from test_golden_trajectories import FINITE_SUM, FINITE_SUM_FULL, GOLDEN, NPC, _config
+
+# (label, problem section) of the golden trajectory instances
+GOLDEN_INSTANCES = [("finite_sum", FINITE_SUM), ("npc", NPC)]
 
 
 def known_solution_problem(b=0.0):
@@ -134,3 +153,70 @@ def test_saddle_reference_budget_exhaustion():
     problem = make_bilinear_saddle(3, 4, seed=5)
     with pytest.raises(ReferenceError, match="gap"):
         solve_saddle_reference(problem, tol=1e-12, max_iters=3, check_every=1)
+
+
+def _golden_problem(problem):
+    return build_problem(_config(problem, {"name": "aprid"}))
+
+
+def _reference_name(label, field):
+    return os.path.join(GOLDEN, f"reference-{label}_{field}.npy")
+
+
+@pytest.mark.parametrize("label,problem", GOLDEN_INSTANCES, ids=[c[0] for c in GOLDEN_INSTANCES])
+def test_reference_is_bitwise_golden_and_evaluates_each_point_once(label, problem):
+    prob = _golden_problem(problem)
+    assert prob.num_constraints == {"finite_sum": 20, "npc": 1}[label]
+    seen = []
+    full_values = prob.full_constraint_values
+
+    def recording(x):
+        seen.append(np.asarray(x, dtype=float).tobytes())
+        return full_values(x)
+
+    prob.full_constraint_values = recording
+    sol = solve_reference(prob, tol=1e-6)
+    for field in ("x", "z", "objective"):
+        want = np.load(_reference_name(label, field))
+        got = np.asarray(getattr(sol, field))
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert len(seen) > sol.outer_iterations
+    assert len(set(seen)) == len(seen), "a point was evaluated more than once"
+    # the values the final KKT check used are those at the returned point
+    assert np.array_equal(sol.constraint_values, full_values(sol.x))
+
+
+@pytest.mark.parametrize("problem,active", [(NPC, 1), (FINITE_SUM, 2)], ids=["npc", "finite_sum"])
+def test_manifest_reports_active_reference_constraints(tmp_path, problem, active):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="no constraint is active")
+        out = run_experiment(_config(problem, {"name": "aprid"}), str(tmp_path))
+    manifest = read_manifest(out.manifest_path)
+    sol = solve_reference(_golden_problem(problem), tol=1e-6)
+    f = sol.constraint_values
+    assert manifest["reference.active_constraints"] == str(active)
+    assert np.count_nonzero(sol.z) == active
+    assert np.all(np.abs(f[sol.z > 0]) <= 1e-6)
+    assert manifest["reference.z_norm"] == format(float(np.linalg.norm(sol.z)), ".3e")
+    assert manifest["reference.min_slack"] == format(-float(np.max(f)), ".3e")
+
+
+def test_manifest_warns_when_no_reference_constraint_is_active(tmp_path):
+    with pytest.warns(UserWarning, match="no constraint is active") as caught:
+        out = run_experiment(_config(FINITE_SUM_FULL, {"name": "aprid"}), str(tmp_path))
+    assert sum("no constraint is active" in str(w.message) for w in caught) == 1
+    manifest = read_manifest(out.manifest_path)
+    sol = solve_reference(_golden_problem(FINITE_SUM_FULL), tol=1e-6)
+    assert manifest["reference.active_constraints"] == "0"
+    assert manifest["reference.z_norm"] == format(float(np.linalg.norm(sol.z)), ".3e")
+    slack = -float(np.max(sol.constraint_values))
+    assert slack > 1e-6
+    assert manifest["reference.min_slack"] == format(slack, ".3e")
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for label, problem in GOLDEN_INSTANCES:
+        sol = solve_reference(_golden_problem(problem), tol=1e-6)
+        for field in ("x", "z", "objective"):
+            np.save(_reference_name(label, field), np.asarray(getattr(sol, field)))
