@@ -121,8 +121,9 @@ def msa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
         avg_x.push(x, alpha)
         x = box.project(x - alpha * sample.u)
         s = sample.w_support
-        z[s] = np.clip(z[s] + rho * sample.w, 0.0, params.z_cap)
-        if not np.all(np.isfinite(x)):
+        # the bits of np.clip(..., 0.0, z_cap), signed zeros included
+        z[s] = np.minimum(params.z_cap, np.maximum(0.0, z[s] + rho * sample.w))
+        if not np.isfinite(x).all():
             raise DivergenceError("non-finite iterate")
 
     lanes = [Lane("msa", avg_x, lambda: z.copy())]
@@ -163,7 +164,7 @@ def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
         else:
             direction = constraint_step_direction(problem, x, batches.j1, rng)
         x = box.project(x - gamma * direction)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergenceError("non-finite iterate")
 
     lanes = [Lane("csa1", avg_cleared, eval_lane=1), Lane("csa2", avg_all)]
@@ -189,8 +190,7 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     if not hasattr(problem, "sample_constraint_block_exact"):
         raise ValueError(
             f"pdsg_adp needs exact per-constraint values, which problem kind "
-            f"{problem.kind!r} cannot provide (finite-sum families can)"
-        )
+            f"{problem.kind!r} cannot provide (finite-sum families can)")
     horizon = int(params.horizon)
     alpha = params.alpha / math.sqrt(horizon)
     rho = params.rho / math.sqrt(horizon)
@@ -211,14 +211,14 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
         z_old = z[support]
         weights = np.maximum(z_old + values, 0.0)
         u = u0 + scale * (weights @ grads)
-        gam = max(1.0, float(np.linalg.norm(u)))
+        gam = max(1.0, math.sqrt(u.dot(u)))
         accum += (u * u) / (gam * gam)
         v = params.eta_scale * np.sqrt(accum)
         avg_x.push(x, alpha)
         x = box.project(x - u / (v + 1.0 / alpha))
         z_new = z_old + rho * scale * np.maximum(values, -z_old)
         z[support] = z_new
-        if watch.exceeded(z_old, z_new) is not None or not np.all(np.isfinite(x)):
+        if watch.exceeded(z_old, z_new) is not None or not np.isfinite(x).all():
             raise DivergenceError(f"iterate diverged (multiplier norm {np.linalg.norm(z):.3e})")
 
     lanes = [Lane("pdsg_adp", avg_x, lambda: z.copy())]

@@ -21,6 +21,8 @@ the recursion's division stays well defined; stepping past the horizon is the
 state where it would not be, and raises.
 """
 
+import copy
+
 import numpy as np
 
 from .errors import ScheduleExhaustedError
@@ -73,24 +75,22 @@ class StepSchedule:
     def __init__(self, kind, beta1, alphas, rhos, etas):
         if kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {kind!r}")
-        beta1 = _check_beta1(beta1)
+        self.beta1 = _check_beta1(beta1)
         alphas = _check_alphas(alphas)
         if np.any(etas <= 0):
             raise ValueError("dual-step recursion seed must stay positive")
         self.kind = kind
-        self.beta1 = beta1
         self._alphas = alphas
         self._rhos = np.asarray(rhos, dtype=float)
         self._etas = np.asarray(etas, dtype=float)
+        self._emit = (alphas.tolist(), self._rhos.tolist())  # next()'s floats, boxed once
         self.step_index = 1
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def constant(cls, alpha, rho, horizon, beta1):
-        horizon = _check_horizon(horizon)
-        _check_scales(alpha, rho)
-        beta1 = _check_beta1(beta1)
+        horizon, beta1 = _check_closed_form(alpha, rho, horizon, beta1)
         a = float(alpha) / np.sqrt(horizon)
         r = float(rho) / np.sqrt(horizon)
         alphas = np.full(horizon, a)
@@ -101,9 +101,7 @@ class StepSchedule:
 
     @classmethod
     def sqrt_log(cls, alpha, rho, horizon, beta1):
-        horizon = _check_horizon(horizon)
-        _check_scales(alpha, rho)
-        beta1 = _check_beta1(beta1)
+        horizon, beta1 = _check_closed_form(alpha, rho, horizon, beta1)
         k = np.arange(1, horizon + 1, dtype=float)
         alphas = float(alpha) / (np.sqrt(k + 1.0) * np.log(k + 1.0))
         etas = _tail_sums(alphas, beta1)
@@ -113,9 +111,7 @@ class StepSchedule:
 
     @classmethod
     def sqrt(cls, alpha, rho, horizon, beta1):
-        horizon = _check_horizon(horizon)
-        _check_scales(alpha, rho)
-        beta1 = _check_beta1(beta1)
+        horizon, beta1 = _check_closed_form(alpha, rho, horizon, beta1)
         k = np.arange(1, horizon + 1, dtype=float)
         alphas = float(alpha) / np.sqrt(k + 1.0)
         rhos = float(rho) / np.sqrt(k + 1.0)
@@ -156,25 +152,21 @@ class StepSchedule:
 
     def next(self):
         """Emit ``(alpha_k, rho_k)`` for the current step and advance."""
-        self._check_live()
         i = self.step_index - 1
-        self.step_index += 1
-        return float(self._alphas[i]), float(self._rhos[i])
+        alphas, rhos = self._emit
+        if i >= len(alphas):
+            self._check_live()
+        self.step_index = i + 2
+        return alphas[i], rhos[i]
 
     def _check_live(self):
         if self.step_index > self.horizon:
             raise ScheduleExhaustedError(
-                f"schedule of horizon {self.horizon} has no step {self.step_index}"
-            )
+                f"schedule of horizon {self.horizon} has no step {self.step_index}")
 
     def fresh(self):
         """A rewound copy sharing the precomputed sequences."""
-        twin = object.__new__(StepSchedule)
-        twin.kind = self.kind
-        twin.beta1 = self.beta1
-        twin._alphas = self._alphas
-        twin._rhos = self._rhos
-        twin._etas = self._etas
+        twin = copy.copy(self)
         twin.step_index = 1
         return twin
 
@@ -219,11 +211,13 @@ def _check_alphas(alphas):
     return alphas
 
 
-def _check_scales(alpha, rho):
+def _check_closed_form(alpha, rho, horizon, beta1):
+    horizon = _check_horizon(horizon)
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho!r}")
+    return horizon, _check_beta1(beta1)
 
 
 class ErgodicAverager:
@@ -246,9 +240,7 @@ class ErgodicAverager:
     """
 
     def __init__(self, beta1):
-        if not 0 <= beta1 < 1:
-            raise ValueError(f"beta1 must lie in [0, 1), got {beta1!r}")
-        self.beta1 = float(beta1)
+        self.beta1 = _check_beta1(beta1)
         self.weighted_sum = None
         self.geo_vec = None
         self.normalizer = 0.0

@@ -138,9 +138,7 @@ class DualState:
 def _scaled_direction(m, v_hat):
     # 0/0 = 0: coordinates never touched by gradient energy do not move.
     root = np.sqrt(v_hat)
-    direction = np.zeros_like(m)
-    np.divide(m, root, out=direction, where=root > 0)
-    return root, direction
+    return root, np.divide(m, root, out=np.zeros_like(m), where=root > 0)
 
 
 def aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, box):
@@ -162,7 +160,7 @@ def aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, box):
     z_old = dstate.z[sample.w_support]
     z_new = np.maximum(z_old + rho_k * sample.w, 0.0)
     dstate.z[sample.w_support] = z_new
-    if not np.all(np.isfinite(z_new)):
+    if not np.isfinite(z_new).all():
         raise DivergenceError("non-finite multiplier after update")
     return z_old, z_new
 
@@ -272,10 +270,8 @@ def apriad_step(state, sample, alpha_k, rho_k, params, box_x, box_z):
     state.m = b1 * state.m + (1.0 - b1) * g
     if params.adaptive:
         # each block is clipped to theta separately
-        g_hat = np.concatenate([
-            clip_gradient(sample.u, params.theta),
-            clip_gradient(sample.w, params.theta),
-        ])
+        g_hat = np.concatenate([clip_gradient(sample.u, params.theta),
+                                clip_gradient(sample.w, params.theta)])
         state.v = b2 * state.v + (1.0 - b2) * (g_hat * g_hat)
         state.v_hat = np.maximum(state.v_hat, state.v)
         root, direction = _scaled_direction(state.m, state.v_hat)
@@ -314,7 +310,7 @@ def apriad_run(problem, params, seed, checkpoints=None, timing="algo") -> RunRes
         avg_x.push(state.x, alpha_k)
         avg_z.push(state.z, alpha_k)
         apriad_step(state, sample, alpha_k, rho_k, params, problem.box_x, problem.box_z)
-        if not (np.all(np.isfinite(state.m)) and np.all(np.isfinite(state.v))):
+        if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
             raise DivergenceError("non-finite accumulator state")
 
     lanes = [Lane("apriad", avg_x, avg_z.finalize, gap=True)]

@@ -119,3 +119,29 @@ def test_weighted_projection_validation():
         project_box_weighted(np.zeros(2), box, np.array([1.0, -1.0]))
     with pytest.raises(DivergenceError):
         project_box_weighted(np.array([np.nan, 0.0]), box, np.ones(2))
+
+
+def test_clip_overflowing_finite_norm_scales_to_zero():
+    # ||u||^2 overflows to inf although every entry is finite: not a
+    # divergence, and the vector is divided by the infinite norm
+    for u in (np.full(4, 1e300), np.array([1e300, -1e300, 2.0, -0.0])):
+        theta = 3.0
+        with np.errstate(over="ignore"):
+            want = u / max(1.0, float(np.linalg.norm(u)) / theta)
+            got = clip_gradient(u, theta)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_box_project_is_bitwise_np_clip():
+    # NaN, infinities, signed zeros and points on either bound, at sizes that
+    # cover vectorised bodies and their scalar tails
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1.0, 0.5, -2.0, 3.0])
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 100):
+        for _ in range(20):
+            lower = rng.choice([-1.0, 0.0, -0.0, -2.0], dim)
+            upper = np.maximum(lower, rng.choice([0.0, -0.0, 1.0, 3.0], dim))
+            y = rng.choice(np.concatenate([specials, lower, upper]), dim)
+            box = BoxSet(lower, upper)
+            want = np.clip(y, box.lower, box.upper)
+            assert np.array_equal(box.project(y).view(np.uint64), want.view(np.uint64))

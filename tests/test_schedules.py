@@ -267,3 +267,22 @@ def test_lazy_averager_needs_a_push():
         lazy.finalize()
     lazy.push()
     assert np.allclose(lazy.finalize(), 1.0, rtol=1e-14)
+
+
+def test_next_emits_the_sequences_as_python_floats():
+    schedules = [
+        StepSchedule.constant(2.0, 0.5, horizon=30, beta1=0.9),
+        StepSchedule.sqrt_log(3.0, 5.0, horizon=30, beta1=0.9),
+        StepSchedule.sqrt(2.0, 6.0, horizon=30, beta1=0.8),
+        StepSchedule.from_sequence(np.linspace(1.0, 0.1, 30), 0.7, 0.6),
+    ]
+    for sch in schedules:
+        for run in (sch, sch.fresh(), sch.fresh()):
+            pairs = [run.next() for _ in range(sch.horizon)]
+            assert all(type(a) is float and type(r) is float for a, r in pairs)
+            alphas, rhos = np.array(pairs).T
+            assert alphas.tobytes() == sch.alpha_sequence().tobytes()
+            assert rhos.tobytes() == sch.rho_sequence().tobytes()
+            with pytest.raises(ScheduleExhaustedError):
+                run.next()
+            assert run.step_index == sch.horizon + 1
