@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, DivergenceError, ReferenceError
-from .config import parse_config
+from .config import _int_list, parse_config
 from .harness import compare_report, format_report, run_experiment, sweep
 
 __all__ = ["main"]
@@ -22,12 +22,9 @@ def _parse_seeds(text):
     if text is None:
         return None
     try:
-        seeds = [int(s) for s in text.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError([f"--seeds: expected comma-separated integers, got {text!r}"]) from None
-    if not seeds or any(s < 0 for s in seeds):
-        raise ConfigError([f"--seeds: expected non-negative integers, got {text!r}"])
-    return seeds
+        return _int_list(text)
+    except ValueError as exc:
+        raise ConfigError([f"--seeds: {exc}"]) from None
 
 
 def _cmd_run(args) -> int:
@@ -52,7 +49,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    values = [v for v in args.values.split(",") if v]
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError([f"--values: expected a comma-separated list, got {args.values!r}"])
     outputs, rows = sweep(cfg, args.param, values, args.out, seeds=_parse_seeds(args.seeds))

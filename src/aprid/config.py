@@ -101,8 +101,8 @@ def _checkpoints(text):
     # a single integer is a count of log-spaced checkpoints; a list of two or
     # more is the explicit iteration list
     values = _int_list(text)
-    if len(values) == 1:
-        return values
+    if values == [0]:
+        raise ValueError("a checkpoint count must be at least 1, got 0")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("checkpoint list must be strictly increasing")
     return values
@@ -115,17 +115,20 @@ class _Key:
     required: bool = False
 
 
-_PROBLEM_COMMON = {"kind": _Key(str, required=True)}
+# the dataset preparation and constraint level both NPC kinds share
+_NPC_KEYS = {
+    "preprocess": _Key(_parse_bool, True),
+    "c_hat": _Key(_parse_float),
+    "c_target": _Key(_parse_float),
+    "kappa": _Key(_nonneg_float, 0.0),
+    "box_halfwidth": _Key(_pos_float, 100.0),
+}
 
 _PROBLEM_KEYS = {
     "npc": {
         "data": _Key(str, required=True),
         "format": _Key(_enum("auto", "dense-csv", "sparse-index-value"), "auto"),
-        "preprocess": _Key(_parse_bool, True),
-        "c_hat": _Key(_parse_float),
-        "c_target": _Key(_parse_float),
-        "kappa": _Key(_nonneg_float, 0.0),
-        "box_halfwidth": _Key(_pos_float, 100.0),
+        **_NPC_KEYS,
     },
     "npc_synthetic": {
         "d": _Key(_pos_int, required=True),
@@ -133,11 +136,7 @@ _PROBLEM_KEYS = {
         "n_neg": _Key(_pos_int, required=True),
         "separation": _Key(_pos_float, 2.0),
         "instance_seed": _Key(_nonneg_int, 0),
-        "preprocess": _Key(_parse_bool, True),
-        "c_hat": _Key(_parse_float),
-        "c_target": _Key(_parse_float),
-        "kappa": _Key(_nonneg_float, 0.0),
-        "box_halfwidth": _Key(_pos_float, 100.0),
+        **_NPC_KEYS,
     },
     "qcqp_expectation": {
         "n": _Key(_pos_int, required=True),
@@ -161,8 +160,6 @@ _PROBLEM_KEYS = {
         "noise_sigma": _Key(_nonneg_float, 0.0),
     },
 }
-
-_ALGORITHM_COMMON = {"name": _Key(str, required=True)}
 
 _ALGORITHM_KEYS = {
     "aprid": {
@@ -227,10 +224,6 @@ class ExperimentConfig:
     digest: str = ""
 
     @property
-    def problem_kind(self) -> str:
-        return self.problem["kind"]
-
-    @property
     def algorithm_name(self) -> str:
         return self.algorithm["name"]
 
@@ -239,11 +232,7 @@ class ExperimentConfig:
         sec, _, key = param.partition(".")
         if sec not in ("problem", "algorithm", "run") or not key:
             raise ConfigError([f"override target {param!r} must look like section.key"])
-        raw = {
-            "problem": {k: v for k, v in self._raw["problem"].items()},
-            "algorithm": {k: v for k, v in self._raw["algorithm"].items()},
-            "run": {k: v for k, v in self._raw["run"].items()},
-        }
+        raw = {name: dict(section) for name, section in self._raw.items()}
         raw[sec][key] = str(value)
         return resolve_config(raw)
 

@@ -61,16 +61,10 @@ def build_problem(cfg: ExperimentConfig):
     p = cfg.problem
     kind = p["kind"]
     try:
-        if kind == "npc":
-            ds = load_dataset(p["data"], fmt=p["format"])
-            if p["preprocess"]:
-                ds = preprocess(ds)
-            return make_npc(ds, c_hat=p["c_hat"], c_target=p["c_target"],
-                            kappa=p["kappa"], box_halfwidth=p["box_halfwidth"])
-        if kind == "npc_synthetic":
-            ds = make_synthetic_dataset(p["d"], p["n_pos"], p["n_neg"],
-                                        seed=p["instance_seed"],
-                                        separation=p["separation"])
+        if kind in ("npc", "npc_synthetic"):
+            ds = (load_dataset(p["data"], fmt=p["format"]) if kind == "npc" else
+                  make_synthetic_dataset(p["d"], p["n_pos"], p["n_neg"],
+                                         seed=p["instance_seed"], separation=p["separation"]))
             if p["preprocess"]:
                 ds = preprocess(ds)
             return make_npc(ds, c_hat=p["c_hat"], c_target=p["c_target"],
@@ -99,53 +93,32 @@ def problem_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def _build_schedule(cfg) -> StepSchedule:
-    a = cfg.algorithm
-    kind = a["schedule"]
-    build = {"constant": StepSchedule.constant, "sqrt_log": StepSchedule.sqrt_log,
-             "sqrt": StepSchedule.sqrt}[kind]
-    return build(a["alpha"], a["rho"], cfg.run["horizon"], a["beta1"])
-
-
-def _checkpoint_list(cfg):
+def _run_cell(problem, cfg, seed, f0_ref, timing):
+    """One (algorithm, seed) execution; returns a list of RunResults (the
+    switching baseline yields two trajectories). ``[algorithm]`` keys are
+    the params' keyword names; ``schedule`` names the StepSchedule
+    constructor. Run loops are module globals, looked up on every call."""
+    name = cfg.algorithm_name
+    a = {k: v for k, v in cfg.algorithm.items() if k != "name"}
+    horizon = cfg.run["horizon"]
     cps = cfg.run["checkpoints"]
     if len(cps) == 1:
-        return log_spaced_checkpoints(cfg.run["horizon"], count=cps[0])
-    return list(cps)
-
-
-def _run_cell(problem, cfg, seed, f0_ref, timing):
-    """One (algorithm, seed) execution; returns a list of RunResults
-    (the switching baseline yields two trajectories)."""
-    name = cfg.algorithm_name
-    a = cfg.algorithm
-    horizon = cfg.run["horizon"]
+        cps = log_spaced_checkpoints(horizon, count=cps[0])
     batches = BatchSizes(j0=cfg.run["j0"], j1=cfg.run["j1"], jg=cfg.run["jg"])
-    cps = _checkpoint_list(cfg)
-    if name == "aprid":
-        params = SolverParams(_build_schedule(cfg), beta2=a["beta2"], theta=a["theta"],
-                              divergence_cap=a["divergence_cap"])
-        return [aprid_run(problem, params, batches, seed, checkpoints=cps,
-                          f0_ref=f0_ref, timing=timing)]
-    if name == "apriad":
-        params = SolverParams(_build_schedule(cfg), beta2=a["beta2"], theta=a["theta"])
-        return [apriad_run(problem, params, seed, checkpoints=cps, timing=timing)]
+    common = dict(checkpoints=cps, f0_ref=f0_ref, timing=timing)
+    if name in ("aprid", "apriad"):
+        schedule = getattr(StepSchedule, a.pop("schedule"))(
+            a.pop("alpha"), a.pop("rho"), horizon, a.pop("beta1"))
+        params = SolverParams(schedule, **a)
+        if name == "apriad":
+            return [apriad_run(problem, params, seed, checkpoints=cps, timing=timing)]
+        return [aprid_run(problem, params, batches, seed, **common)]
     if name == "msa":
-        params = MsaParams(horizon=horizon, alpha=a["alpha"], rho=a["rho"],
-                           z_cap=a["z_cap"])
-        return [msa_run(problem, params, batches, seed, checkpoints=cps,
-                        f0_ref=f0_ref, timing=timing)]
+        return [msa_run(problem, MsaParams(horizon, **a), batches, seed, **common)]
     if name == "csa":
-        params = CsaParams(horizon=horizon, gamma=a["gamma"], eta_tol=a["eta_tol"],
-                           s=a["s"])
-        return list(csa_run(problem, params, batches, seed, checkpoints=cps,
-                            f0_ref=f0_ref, timing=timing))
+        return list(csa_run(problem, CsaParams(horizon, **a), batches, seed, **common))
     if name == "pdsg_adp":
-        params = PdsgAdpParams(horizon=horizon, alpha=a["alpha"], rho=a["rho"],
-                               eta_scale=a["eta_scale"],
-                               divergence_cap=a["divergence_cap"])
-        return [pdsg_adp_run(problem, params, batches, seed, checkpoints=cps,
-                             f0_ref=f0_ref, timing=timing)]
+        return [pdsg_adp_run(problem, PdsgAdpParams(horizon, **a), batches, seed, **common)]
     raise ConfigError([f"algorithm.name: unhandled algorithm {name!r}"])
 
 
@@ -164,10 +137,13 @@ class ExperimentOutput:
 def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
                    extra_manifest=None) -> ExperimentOutput:
     """Run every (algorithm, seed) cell of an experiment and persist it."""
-    os.makedirs(out_dir, exist_ok=True)
     seeds = [int(s) for s in (seeds if seeds is not None else cfg.run["seeds"])]
     if not seeds:
         raise ConfigError(["run.seeds: need at least one seed"])
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError([f"run.seeds: repeated seed in {seeds}; "
+                           "each seed writes one trajectory file"])
+    os.makedirs(out_dir, exist_ok=True)
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
     problem = build_problem(cfg)
@@ -376,6 +352,9 @@ def sweep(cfg: ExperimentConfig, param, values, out_root, seeds=None):
     """
     if not values:
         raise ConfigError(["sweep needs at least one value"])
+    if len({str(v) for v in values}) < len(values):
+        raise ConfigError([f"sweep: repeated value in {list(values)}; "
+                           "each value writes one run directory"])
     os.makedirs(out_root, exist_ok=True)
     outputs = []
     for value in values:

@@ -80,6 +80,24 @@ def test_bad_seeds_exit_code(good_ini, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_duplicate_seeds_exit_code(good_ini, tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    code = main(["run", "--config", good_ini, "--out", str(out_dir), "--seeds", "1,1"])
+    assert code == 2
+    assert "repeated seed" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("values", ["1,1", "1, 1"])
+def test_sweep_duplicate_values_exit_code(good_ini, tmp_path, capsys, values):
+    out_root = tmp_path / "sw"
+    code = main(["sweep", "--config", good_ini, "--param", "algorithm.theta",
+                 "--values", values, "--out", str(out_root), "--seeds", "1"])
+    assert code == 2
+    assert "repeated value" in capsys.readouterr().err
+    assert not out_root.exists()
+
+
 def test_invalid_config_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.ini"
     path.write_text("[problem]\nkind = qcqp_finite_sum\nn = 4\n"

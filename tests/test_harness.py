@@ -1,0 +1,104 @@
+"""Config-to-solver wiring: every [algorithm] key reaches its solver, and
+the harness rejects what it cannot dispatch or would write twice."""
+
+import math
+
+import pytest
+
+from aprid import BatchSizes, ConfigError, ExperimentConfig, harness, resolve_config, run_experiment
+from aprid.config import _ALGORITHM_KEYS
+from aprid.results import log_spaced_checkpoints
+
+FINITE_SUM = {"kind": "qcqp_finite_sum", "n": "4", "p": "2", "num_objective_terms": "12",
+              "num_constraints": "6", "instance_seed": "1"}
+BILINEAR = {"kind": "bilinear", "n": "3", "m": "3", "instance_seed": "2", "noise_sigma": "0.1"}
+RUN = {"horizon": "30", "j0": "3", "j1": "4", "jg": "7", "checkpoints": "5", "seeds": "2",
+       "timing": "none", "reference": "none"}
+
+SQRT_LOG_1 = math.sqrt(2.0) * math.log(2.0)  # sqrt(k+1) log(k+1) at k = 1
+
+# name -> (every key at a non-default value, expected (kind, beta1, alpha_1, rho_1)
+# of the schedule, or None for the baselines, which take no schedule)
+WIRING = {
+    "aprid": ({"alpha": "3", "rho": "0.5", "beta1": "0.8", "beta2": "0.95", "theta": "5",
+               "schedule": "sqrt_log", "divergence_cap": "1e7"},
+              ("sqrt_log", 0.8, 3 / SQRT_LOG_1, 0.5 / SQRT_LOG_1)),
+    "apriad": ({"alpha": "0.5", "rho": "0.25", "beta1": "0.7", "beta2": "0.9", "theta": "3",
+                "schedule": "sqrt"},
+               ("sqrt", 0.7, 0.5 / math.sqrt(2.0), 0.25 / math.sqrt(2.0))),
+    "msa": ({"alpha": "3", "rho": "0.5", "z_cap": "50"}, None),
+    "csa": ({"gamma": "2", "eta_tol": "0.1", "s": "3"}, None),
+    "pdsg_adp": ({"alpha": "5", "rho": "2", "eta_scale": "0.2", "divergence_cap": "1e7"}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRING))
+def test_every_algorithm_key_reaches_its_solver(name, monkeypatch, tmp_path):
+    keys, schedule = WIRING[name]
+    schema = _ALGORITHM_KEYS[name]
+    assert set(keys) == set(schema), "the test must set every key the schema has"
+    cfg = resolve_config({"problem": BILINEAR if name == "apriad" else FINITE_SUM,
+                          "algorithm": {"name": name, **keys}, "run": RUN})
+    for key in keys:
+        assert cfg.algorithm[key] != schema[key].default, key
+
+    # the harness looks the loop up by name on every call, so a patched
+    # module global sees the call (the traced benchmark relies on this)
+    calls = []
+    loop = getattr(harness, f"{name}_run")
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(harness, f"{name}_run", recorder)
+    out = run_experiment(cfg, tmp_path / "out")
+    assert not out.diverged
+    [(args, kwargs)] = calls
+    assert args[-1] == 2  # the seed
+    assert kwargs["checkpoints"] == log_spaced_checkpoints(30, count=5)
+    params = args[1]
+    rest = {k: cfg.algorithm[k] for k in keys}
+    if schedule is None:
+        assert args[2] == BatchSizes(j0=3, j1=4, jg=7)
+        assert params.horizon == 30
+    else:
+        if name == "aprid":
+            assert args[2] == BatchSizes(j0=3, j1=4, jg=7)
+        kind, beta1, alpha_1, rho_1 = schedule
+        sched = params.schedule
+        assert (sched.kind, sched.beta1, sched.horizon) == (kind, beta1, 30)
+        assert sched.alpha_sequence()[0] == pytest.approx(alpha_1, rel=1e-15)
+        assert sched.rho_sequence()[0] == pytest.approx(rho_1, rel=1e-15)
+        for key in ("schedule", "alpha", "rho", "beta1"):
+            del rest[key]
+    for key, value in rest.items():
+        assert getattr(params, key) == value, key
+
+
+def _hand_built(algorithm, kind):
+    # skips resolve_config, as a caller of the Python API may
+    problem = dict(kind=kind, n=4, p=2, num_objective_terms=12, num_constraints=6,
+                   instance_seed=1, h_normalization="fro", max_elements=10_000)
+    run = dict(horizon=10, j0=2, j1=2, jg=2, seeds=[1], checkpoints=[5, 10],
+               reference="none", timing="none")
+    return ExperimentConfig(problem=problem, algorithm={"name": algorithm}, run=run)
+
+
+def test_unhandled_algorithm_or_kind_in_a_hand_built_config(tmp_path):
+    with pytest.raises(ConfigError, match="algorithm.name: unhandled algorithm 'sgd'"):
+        run_experiment(_hand_built("sgd", "qcqp_finite_sum"), tmp_path / "a")
+    with pytest.raises(ConfigError, match="problem.kind: unhandled kind 'lasso'"):
+        run_experiment(_hand_built("msa", "lasso"), tmp_path / "b")
+
+
+def test_duplicate_seeds_are_rejected(tmp_path):
+    cfg = resolve_config({"problem": FINITE_SUM, "algorithm": {"name": "msa"},
+                          "run": {**RUN, "seeds": "1, 1"}})
+    assert cfg.run["seeds"] == [1, 1]
+    with pytest.raises(ConfigError, match="run.seeds: repeated seed"):
+        run_experiment(cfg, tmp_path / "config_seeds")
+    with pytest.raises(ConfigError, match="run.seeds: repeated seed"):
+        run_experiment(cfg.with_override("run.seeds", "3"), tmp_path / "api", seeds=[4, 5, 4])
+    assert not (tmp_path / "config_seeds").exists()
+    assert not (tmp_path / "api").exists()

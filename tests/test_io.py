@@ -246,6 +246,12 @@ def test_checkpoint_and_seed_parsing():
         resolve_config(qcqp_raw(seeds="1 -2"))
 
 
+def test_zero_checkpoint_count_is_rejected():
+    with pytest.raises(ConfigError, match="run.checkpoints: a checkpoint count must be at least 1"):
+        resolve_config(qcqp_raw(checkpoints="0"))
+    assert resolve_config(qcqp_raw(checkpoints="1")).run["checkpoints"] == [1]
+
+
 def test_momentum_bounds_checked():
     raw = qcqp_raw()
     raw["algorithm"]["beta1"] = "1.0"

@@ -399,3 +399,28 @@ def test_snapshot_round_trip_frozen(tmp_path):
     back = load_instance(path)
     x = np.full(3, 0.6)
     assert back.full_objective(x) == pytest.approx(frozen.full_objective(x), rel=1e-15)
+
+
+def test_snapshot_round_trip_expectation(tmp_path):
+    prob = ExpectationQcqpProblem(4, 3, eval_samples=500, h_normalization="spectral")
+    path = tmp_path / "e.npz"
+    save_instance(prob, path)
+    back = load_instance(path)
+    assert (back.kind, back.n, back.p) == ("qcqp_expectation", 4, 3)
+    assert (back.eval_samples, back.h_normalization) == (500, "spectral")
+    # no stored data: the same stream gives the same draws
+    x = np.full(4, 0.3)
+    g = prob.sample_objective_grad(x, 5, np.random.default_rng(9))
+    assert np.array_equal(back.sample_objective_grad(x, 5, np.random.default_rng(9)), g)
+
+
+def test_snapshot_rejects_unknown_kinds(tmp_path):
+    class Unknown:
+        kind = "lasso"
+
+    with pytest.raises(ValueError, match="cannot snapshot problem kind 'lasso'"):
+        save_instance(Unknown(), tmp_path / "u.npz")
+    path = tmp_path / "u.npz"
+    np.savez(path, kind="lasso")
+    with pytest.raises(ValueError, match="unknown snapshot kind 'lasso'"):
+        load_instance(path)
