@@ -222,6 +222,7 @@ class ExperimentConfig:
     run: dict
     resolved: dict = field(default_factory=dict)
     digest: str = ""
+    _raw: dict | None = field(default=None, compare=False, repr=False)  # set by resolve_config
 
     @property
     def algorithm_name(self) -> str:
@@ -232,6 +233,8 @@ class ExperimentConfig:
         sec, _, key = param.partition(".")
         if sec not in ("problem", "algorithm", "run") or not key:
             raise ConfigError([f"override target {param!r} must look like section.key"])
+        if self._raw is None:
+            raise ConfigError(["with_override needs a config made by resolve_config"])
         raw = {name: dict(section) for name, section in self._raw.items()}
         raw[sec][key] = str(value)
         return resolve_config(raw)
@@ -353,12 +356,11 @@ def resolve_config(raw) -> ExperimentConfig:
     for sec_name, sec in (("problem", problem), ("algorithm", algorithm), ("run", run)):
         for key, value in sec.items():
             resolved[f"{sec_name}.{key}"] = _canonical(value)
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         problem=problem, algorithm=algorithm, run=run,
         resolved=resolved, digest=config_digest(resolved),
+        _raw={"problem": praw, "algorithm": araw, "run": rraw},
     )
-    cfg._raw = {"problem": praw, "algorithm": araw, "run": rraw}
-    return cfg
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -107,7 +107,10 @@ def _run_cell(problem, cfg, seed, f0_ref, timing):
     batches = BatchSizes(j0=cfg.run["j0"], j1=cfg.run["j1"], jg=cfg.run["jg"])
     common = dict(checkpoints=cps, f0_ref=f0_ref, timing=timing)
     if name in ("aprid", "apriad"):
-        schedule = getattr(StepSchedule, a.pop("schedule"))(
+        kind = a.pop("schedule")
+        if kind not in StepSchedule.CLOSED_FORMS:
+            raise ConfigError([f"algorithm.schedule: {kind!r} names no StepSchedule constructor"])
+        schedule = getattr(StepSchedule, kind)(
             a.pop("alpha"), a.pop("rho"), horizon, a.pop("beta1"))
         params = SolverParams(schedule, **a)
         if name == "apriad":
@@ -147,6 +150,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
     problem = build_problem(cfg)
+    t_built = time.perf_counter()
 
     ref_lines = {"reference.mode": cfg.run["reference"]}
     f0_ref = None
@@ -169,6 +173,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
         if not getattr(problem, "deterministic", False):
             ref_lines["reference.frozen_samples"] = str(cfg.run["freeze_samples"])
             ref_lines["reference.freeze_seed"] = str(cfg.run["freeze_seed"])
+    t_referenced = time.perf_counter()
 
     timing = cfg.run["timing"]
     run_timing = "algo" if timing == "none" else timing
@@ -227,6 +232,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
     manifest["python_version"] = platform.python_version()
     manifest["started_at"] = started_at
     manifest["total_wall_s"] = format(total_wall, ".3f")
+    manifest["setup.build_s"] = format(t_built - t0, ".3f")
+    manifest["setup.reference_s"] = format(t_referenced - t_built, ".3f")
     manifest["seeds"] = ",".join(str(s) for s in seeds)
     manifest.update(ref_lines)
     manifest.update(cell_lines)

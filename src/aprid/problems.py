@@ -408,10 +408,15 @@ def _draw_objective_terms(rng, count, p, n, h_normalization):
 
 
 def _draw_constraint_terms(rng, count, n):
-    g = rng.standard_normal((count, n, n))
-    q = np.matmul(g.transpose(0, 2, 1), g)
-    del g  # at most two count x n x n arrays live at once
-    q /= np.maximum(np.linalg.eigvalsh(q)[:, -1], 1e-300)[:, None, None]
+    # G is drawn _EVAL_CHUNK rows at a time (the same stream as one draw) and each
+    # block's normalised Gram matrices go straight into q: q plus one block live at once
+    q = None
+    for lo in range(0, count, _EVAL_CHUNK):
+        g = rng.standard_normal((min(_EVAL_CHUNK, count - lo), n, n))
+        q = np.empty((count, n, n)) if q is None else q  # after the first draw: lower peak
+        block = np.matmul(g.transpose(0, 2, 1), g, out=q[lo:lo + len(g)])
+        del g
+        block /= np.maximum(np.linalg.eigvalsh(block)[:, -1], 1e-300)[:, None, None]
     a = _unit_2norm(rng.standard_normal((count, n)))
     b = rng.uniform(0.1, 1.1, size=count)
     return q, a, b
@@ -655,8 +660,9 @@ def make_qcqp_finite_sum(n, p, num_objective_terms, num_constraints, seed,
                          h_normalization="fro", max_elements=250_000_000):
     """Draw a finite-sum QCQP instance; generation is seed-deterministic.
 
-    Refuses instances whose stored arrays would exceed ``max_elements``
-    floats (the constraint tensor alone is M * n^2).
+    Refuses instances whose stored arrays would exceed ``max_elements`` floats (the
+    constraint tensor alone is M * n^2). Constraints are drawn a block at a time, so the
+    budget bounds peak build memory too: the stored arrays plus one block.
     """
     n, p = int(n), int(p)
     nn, mm = int(num_objective_terms), int(num_constraints)

@@ -8,6 +8,7 @@ and penalty growth whenever feasibility stalls. Convergence is declared by an
 independent KKT residual check, never by the loop's own progress measures.
 Constraint values are computed once per distinct point (by value), shared by
 the inner objective and gradient and by the post-round update and KKT check.
+The M x n constraint-gradient matrix is formed only when a multiplier is nonzero.
 
 Saddle problems are solved by the extragradient method with a fixed step
 sized from the coupling norm; for affine operators over boxes the last
@@ -61,9 +62,17 @@ def kkt_residuals(problem, x, z) -> KktResiduals:
     return _kkt_at(problem, x, np.asarray(z, dtype=float), problem.full_constraint_values(x))
 
 
+def _weighted_constraint_grad(problem, x, weights, transposed=False):
+    """``weights @ G`` (``G.T @ weights`` if transposed), or 0.0 if every weight is zero."""
+    if not weights.any():
+        return 0.0
+    grads = problem.full_constraint_grads(x)
+    return grads.T @ weights if transposed else weights @ grads
+
+
 def _kkt_at(problem, x, z, f):
     """``kkt_residuals`` given the constraint values ``f`` at ``x``."""
-    grad = problem.full_objective_grad(x) + problem.full_constraint_grads(x).T @ z
+    grad = problem.full_objective_grad(x) + _weighted_constraint_grad(problem, x, z, True)
     stationarity = float(np.linalg.norm(x - problem.box.project(x - grad)))
     feasibility = float(np.max(np.maximum(f, 0.0)))
     complementarity = float(np.max(np.abs(z * f)))
@@ -138,7 +147,7 @@ def _augmented_lagrangian(problem, values, z, beta):
     def grad(x):
         f = values(x)
         shifted = np.maximum(z + beta * f, 0.0)
-        return problem.full_objective_grad(x) + shifted @ problem.full_constraint_grads(x)
+        return problem.full_objective_grad(x) + _weighted_constraint_grad(problem, x, shifted)
 
     return fun, grad
 

@@ -70,7 +70,8 @@ class StepSchedule:
       primal sequence, dual steps from the recursion.
     """
 
-    KINDS = ("constant", "sqrt_log", "sqrt", "custom")
+    CLOSED_FORMS = ("constant", "sqrt_log", "sqrt")  # (alpha, rho, horizon, beta1) constructors
+    KINDS = CLOSED_FORMS + ("custom",)
 
     def __init__(self, kind, beta1, alphas, rhos, etas):
         if kind not in self.KINDS:

@@ -76,13 +76,14 @@ def test_every_algorithm_key_reaches_its_solver(name, monkeypatch, tmp_path):
         assert getattr(params, key) == value, key
 
 
-def _hand_built(algorithm, kind):
+def _hand_built(algorithm, kind, **algorithm_keys):
     # skips resolve_config, as a caller of the Python API may
     problem = dict(kind=kind, n=4, p=2, num_objective_terms=12, num_constraints=6,
                    instance_seed=1, h_normalization="fro", max_elements=10_000)
     run = dict(horizon=10, j0=2, j1=2, jg=2, seeds=[1], checkpoints=[5, 10],
                reference="none", timing="none")
-    return ExperimentConfig(problem=problem, algorithm={"name": algorithm}, run=run)
+    return ExperimentConfig(problem=problem, algorithm={"name": algorithm, **algorithm_keys},
+                            run=run)
 
 
 def test_unhandled_algorithm_or_kind_in_a_hand_built_config(tmp_path):
@@ -90,6 +91,29 @@ def test_unhandled_algorithm_or_kind_in_a_hand_built_config(tmp_path):
         run_experiment(_hand_built("sgd", "qcqp_finite_sum"), tmp_path / "a")
     with pytest.raises(ConfigError, match="problem.kind: unhandled kind 'lasso'"):
         run_experiment(_hand_built("msa", "lasso"), tmp_path / "b")
+    # a hand-built config keeps no raw sections to re-resolve
+    with pytest.raises(ConfigError, match="with_override needs a config made by resolve_config"):
+        _hand_built("msa", "qcqp_finite_sum").with_override("algorithm.alpha", 1)
+    # "custom" is a schedule kind and "fresh" a method, but neither is a constructor
+    for name in ("custom", "fresh", "linear"):
+        cfg = _hand_built("aprid", "qcqp_finite_sum", schedule=name, alpha=1.0, rho=1.0,
+                          beta1=0.9, beta2=0.99, theta=10.0, divergence_cap=1e8)
+        with pytest.raises(ConfigError, match=f"algorithm.schedule: '{name}' names no "
+                                              "StepSchedule constructor"):
+            run_experiment(cfg, tmp_path / name)
+
+
+def test_manifest_splits_out_the_set_up_time(tmp_path):
+    cfg = resolve_config({"problem": FINITE_SUM, "algorithm": {"name": "msa"},
+                          "run": {**RUN, "reference": "exact"}})
+    manifest = harness.read_manifest(run_experiment(cfg, tmp_path / "out").manifest_path)
+    keys = list(manifest)
+    at = keys.index("total_wall_s")
+    assert keys[at + 1:at + 3] == ["setup.build_s", "setup.reference_s"]
+    total = float(manifest["total_wall_s"])
+    for key in ("setup.build_s", "setup.reference_s"):
+        value = manifest[key]
+        assert value == format(float(value), ".3f") and 0.0 <= float(value) <= total, key
 
 
 def test_duplicate_seeds_are_rejected(tmp_path):

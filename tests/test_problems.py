@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from aprid import (
     training_rng,
 )
 
+from aprid.problems import _EVAL_CHUNK, _draw_constraint_terms, _unit_2norm
 from brute import central_difference_gradient, logistic_losses, saddle_gap_grid
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -254,6 +256,46 @@ def test_qcqp_determinism_and_memory_guard():
     assert np.array_equal(a.h, b.h) and np.array_equal(a.q, b.q)
     with pytest.raises(ValueError, match="budget"):
         make_qcqp_finite_sum(100, 50, 10_000, 10_000, seed=0, max_elements=10_000)
+
+
+def _one_shot_constraint_terms(rng, count, n):
+    # the draw as it was before the block-wise build, kept verbatim as the oracle
+    g = rng.standard_normal((count, n, n))
+    q = np.matmul(g.transpose(0, 2, 1), g)
+    del g  # at most two count x n x n arrays live at once
+    q /= np.maximum(np.linalg.eigvalsh(q)[:, -1], 1e-300)[:, None, None]
+    a = _unit_2norm(rng.standard_normal((count, n)))
+    b = rng.uniform(0.1, 1.1, size=count)
+    return q, a, b
+
+
+@pytest.mark.parametrize("count", [1, 10, _EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1,
+                                   2 * _EVAL_CHUNK + 3])
+def test_block_wise_constraint_draw_is_the_one_shot_draw_bitwise(count):
+    for seed in (0, 1, 2):
+        rng_blocks, rng_once = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_constraint_terms(rng_blocks, count, 4)
+        want = _one_shot_constraint_terms(rng_once, count, 4)
+        for name, g, w in zip("qab", got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), (name, seed)
+        # the generator stands at the same place in its stream
+        assert rng_blocks.standard_normal(5).tobytes() == rng_once.standard_normal(5).tobytes()
+
+
+def test_finite_sum_build_never_holds_the_whole_gaussian_tensor():
+    n, m = 10, 20_000
+    block_bytes = _EVAL_CHUNK * n * n * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        prob = make_qcqp_finite_sum(n, 5, 100, m, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(arr.nbytes for arr in (prob.h, prob.c, prob.q, prob.a, prob.b))
+    # materialising G whole would add m * n * n * 8 = 16 MB, more than the two blocks
+    assert m * n * n * 8 > 2 * block_bytes
+    assert peak < stored + 2 * block_bytes, (peak, stored)
 
 
 def test_qcqp_evaluate_full_summarizes_violations(qcqp):

@@ -30,6 +30,7 @@ from aprid import (
     solve_reference,
     solve_saddle_reference,
 )
+from aprid import reference
 from test_golden_trajectories import FINITE_SUM, FINITE_SUM_FULL, GOLDEN, NPC, _config
 
 # (label, problem section) of the golden trajectory instances
@@ -184,6 +185,61 @@ def test_reference_is_bitwise_golden_and_evaluates_each_point_once(label, proble
     assert len(set(seen)) == len(seen), "a point was evaluated more than once"
     # the values the final KKT check used are those at the returned point
     assert np.array_equal(sol.constraint_values, full_values(sol.x))
+
+
+def _dense_weighted_constraint_grad(problem, x, weights, transposed=False):
+    # the products as formed before zero weights were skipped
+    grads = problem.full_constraint_grads(x)
+    return grads.T @ weights if transposed else weights @ grads
+
+
+SKIP_INSTANCES = [("finite_sum", FINITE_SUM, 2), ("npc", NPC, 1),
+                  ("finite_sum_inactive", FINITE_SUM_FULL, 0)]
+
+
+@pytest.mark.parametrize("label,problem,active", SKIP_INSTANCES, ids=[c[0] for c in SKIP_INSTANCES])
+def test_zero_weight_skip_keeps_every_reference_bit(label, problem, active, monkeypatch):
+    prob = _golden_problem(problem)
+    calls = []
+    full_grads = prob.full_constraint_grads
+
+    def counting(x):
+        calls.append(1)
+        return full_grads(x)
+
+    prob.full_constraint_grads = counting
+    skipped = solve_reference(prob, tol=1e-6)
+    skipped_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(reference, "_weighted_constraint_grad", _dense_weighted_constraint_grad)
+    dense = solve_reference(prob, tol=1e-6)
+    assert np.count_nonzero(dense.z) == active
+    for field in ("x", "z", "objective", "constraint_values"):
+        want = np.asarray(getattr(dense, field))
+        assert np.asarray(getattr(skipped, field)).tobytes() == want.tobytes(), field
+    assert skipped_calls < len(calls)
+    if active == 0:
+        assert skipped_calls == 0
+
+
+def test_zero_weights_add_the_same_bits_as_the_product():
+    prob = _golden_problem(FINITE_SUM)
+    x = np.array([0.3, -0.2, 0.1, -0.5])
+    grads = prob.full_constraint_grads(x)
+    assert (grads < 0).any() and (grads > 0).any()  # so 0 * g takes both signs
+    bases = (prob.full_objective_grad(x), np.array([-0.0, 0.0, -1.5, 2.0]))
+
+    def unreachable(x):
+        raise AssertionError("formed the constraint gradients for all-zero weights")
+
+    prob.full_constraint_grads = unreachable
+    for zero in (np.zeros(prob.num_constraints), -np.zeros(prob.num_constraints)):
+        for transposed, product in ((False, zero @ grads), (True, grads.T @ zero)):
+            # the product is +0.0 in every entry, whatever the signs of the zeros
+            assert not product.any() and not np.signbit(product).any()
+            got = reference._weighted_constraint_grad(prob, x, zero, transposed)
+            for base in bases:
+                assert (base + got).tobytes() == (base + product).tobytes()
 
 
 @pytest.mark.parametrize("problem,active", [(NPC, 1), (FINITE_SUM, 2)], ids=["npc", "finite_sum"])
