@@ -29,7 +29,7 @@ from .reference import (KktResiduals, ReferenceSolution, SaddleSolution,
                         kkt_residuals, solve_reference, solve_saddle_reference)
 from .results import (CheckpointRecord, RunResult, log_spaced_checkpoints,
                       read_run_csv, write_run_csv)
-from .rng import eval_seed, freeze_seed, stream_seed, training_rng
+from .rng import eval_seed, stream_seed, training_rng
 from .schedules import ErgodicAverager, StepSchedule
 from .solvers import (DualState, MinimaxState, PrimalState, SolverParams,
                       apriad_run, apriad_step, aprid_run, aprid_step,
@@ -48,7 +48,7 @@ __all__ = [
     "SolverParams", "StepSchedule", "apriad_run", "apriad_step", "aprid_run",
     "aprid_step", "build_problem", "clip_gradient", "compare_report",
     "constraint_step_direction", "csa_run", "estimate_constraint_value",
-    "eval_seed", "format_report", "freeze_seed", "kkt_residuals",
+    "eval_seed", "format_report", "kkt_residuals",
     "load_dataset", "load_instance", "log_spaced_checkpoints",
     "make_bilinear_saddle", "make_npc", "make_qcqp_expectation",
     "make_qcqp_finite_sum", "make_synthetic_dataset", "msa_run", "parse_config",

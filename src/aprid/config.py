@@ -239,6 +239,24 @@ class ExperimentConfig:
         raw[sec][key] = str(value)
         return resolve_config(raw)
 
+    def check_keys(self):
+        """Raise one ConfigError naming each missing or unknown [problem] and
+        [algorithm] key. resolve_config fills in every key, so only a config
+        built by hand can fail here."""
+        errors = []
+        for sec, tag, label, schemas in (("problem", "kind", "kind", _PROBLEM_KEYS),
+                                         ("algorithm", "name", "algorithm", _ALGORITHM_KEYS)):
+            section = getattr(self, sec)
+            schema = schemas.get(section.get(tag))
+            if schema is None:
+                errors.append(f"{sec}.{tag}: unhandled {label} {section.get(tag)!r}")
+                continue
+            errors += [f"{sec}.{key}: missing key" for key in schema if key not in section]
+            errors += [f"{sec}.{key}: unknown key" for key in section
+                       if key not in schema and key != tag]
+        if errors:
+            raise ConfigError(errors)
+
 
 def _resolve_section(section_name, raw, schema, errors):
     out = {}

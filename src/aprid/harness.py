@@ -56,34 +56,34 @@ def _package_version() -> str:
         return "unknown"
 
 
+def _npc(dataset, **keys):
+    # both NPC kinds: the dataset, prepared unless preprocess is off, at the keys' level
+    return make_npc(preprocess(dataset) if keys.pop("preprocess") else dataset, **keys)
+
+
+# kind -> factory taking the [problem] keys by name, instance_seed as seed
+_PROBLEM_FACTORIES = {
+    "npc": lambda data, format, **rest: _npc(load_dataset(data, fmt=format), **rest),
+    "npc_synthetic": lambda d, n_pos, n_neg, separation, seed, **rest: _npc(
+        make_synthetic_dataset(d, n_pos, n_neg, seed=seed, separation=separation), **rest),
+    "qcqp_expectation": make_qcqp_expectation,
+    "qcqp_finite_sum": make_qcqp_finite_sum,
+    "bilinear": make_bilinear_saddle,
+}
+
+
 def build_problem(cfg: ExperimentConfig):
     """Instantiate the problem described by the config's [problem] section."""
-    p = cfg.problem
-    kind = p["kind"]
+    keys = dict(cfg.problem)
+    kind = keys.pop("kind")
+    if "instance_seed" in keys:
+        keys["seed"] = keys.pop("instance_seed")
+    if kind not in _PROBLEM_FACTORIES:
+        raise ConfigError([f"problem.kind: unhandled kind {kind!r}"])
     try:
-        if kind in ("npc", "npc_synthetic"):
-            ds = (load_dataset(p["data"], fmt=p["format"]) if kind == "npc" else
-                  make_synthetic_dataset(p["d"], p["n_pos"], p["n_neg"],
-                                         seed=p["instance_seed"], separation=p["separation"]))
-            if p["preprocess"]:
-                ds = preprocess(ds)
-            return make_npc(ds, c_hat=p["c_hat"], c_target=p["c_target"],
-                            kappa=p["kappa"], box_halfwidth=p["box_halfwidth"])
-        if kind == "qcqp_expectation":
-            return make_qcqp_expectation(p["n"], p["p"],
-                                         eval_samples=p["eval_samples"],
-                                         h_normalization=p["h_normalization"])
-        if kind == "qcqp_finite_sum":
-            return make_qcqp_finite_sum(p["n"], p["p"], p["num_objective_terms"],
-                                        p["num_constraints"], seed=p["instance_seed"],
-                                        h_normalization=p["h_normalization"],
-                                        max_elements=p["max_elements"])
-        if kind == "bilinear":
-            return make_bilinear_saddle(p["n"], p["m"], seed=p["instance_seed"],
-                                        noise_sigma=p["noise_sigma"])
+        return _PROBLEM_FACTORIES[kind](**keys)
     except (ValueError, OSError) as exc:
         raise ConfigError([f"problem.{kind}: {exc}"]) from exc
-    raise ConfigError([f"problem.kind: unhandled kind {kind!r}"])
 
 
 def problem_digest(cfg: ExperimentConfig) -> str:
@@ -120,9 +120,8 @@ def _run_cell(problem, cfg, seed, f0_ref, timing):
         return [msa_run(problem, MsaParams(horizon, **a), batches, seed, **common)]
     if name == "csa":
         return list(csa_run(problem, CsaParams(horizon, **a), batches, seed, **common))
-    if name == "pdsg_adp":
-        return [pdsg_adp_run(problem, PdsgAdpParams(horizon, **a), batches, seed, **common)]
-    raise ConfigError([f"algorithm.name: unhandled algorithm {name!r}"])
+    # pdsg_adp, the one name left after run_experiment's check_keys
+    return [pdsg_adp_run(problem, PdsgAdpParams(horizon, **a), batches, seed, **common)]
 
 
 @dataclass
@@ -146,6 +145,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
     if len(set(seeds)) < len(seeds):
         raise ConfigError([f"run.seeds: repeated seed in {seeds}; "
                            "each seed writes one trajectory file"])
+    cfg.check_keys()
     os.makedirs(out_dir, exist_ok=True)
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()

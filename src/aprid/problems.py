@@ -27,7 +27,10 @@ contract (see ``BilinearSaddleProblem``).
 Sampling determinism: each sampling method consumes its generator in a fixed
 documented order (objective draws: matrices then vectors; constraint draws:
 quadratic terms, then linear terms, then offsets), so one seed reproduces a
-run bit for bit.
+run bit for bit. The expectation QCQP's sampled evaluation and its freeze
+read their draws from one chunked generator, ``ExpectationQcqpProblem._draws``,
+so that order is written once; finite families subsample through
+``_subsample``.
 """
 
 import csv
@@ -75,6 +78,11 @@ class FullEval(NamedTuple):
 def _full_eval(objective, raw_constraint_values):
     v = np.maximum(np.asarray(raw_constraint_values, dtype=float), 0.0)
     return FullEval(float(objective), v, float(v.mean()), float(v.max()))
+
+
+def _subsample(rng, total, size):
+    """``min(size, total)`` distinct indices of ``range(total)``, uniformly at random."""
+    return rng.choice(total, size=min(int(size), total), replace=False)
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +346,21 @@ class NeymanPearsonProblem:
         t = self._neg @ x
         return ((expit(t) @ self._neg) / self._neg.shape[0])[None, :]
 
+    @property
+    def dataset(self) -> Dataset:
+        """The positive rows, then the negative ones, as one labelled dataset."""
+        labels = np.repeat([1, -1], [len(self._pos), len(self._neg)])
+        return Dataset(features=np.vstack([self._pos, self._neg]), labels=labels)
+
     # sampled quantities
 
-    def _batch(self, rows, size, rng):
-        take = min(int(size), rows.shape[0])
-        idx = rng.choice(rows.shape[0], size=take, replace=False)
-        return rows[idx]
-
     def sample_objective_grad(self, x, j0, rng):
-        rows = self._batch(self._pos, j0, rng)
+        rows = self._pos[_subsample(rng, len(self._pos), j0)]
         t = rows @ x
         return -(expit(-t) @ rows) / rows.shape[0]
 
     def sample_constraint_block(self, x, j1, rng):
-        rows = self._batch(self._neg, j1, rng)
+        rows = self._neg[_subsample(rng, len(self._neg), j1)]
         t = rows @ x
         value = float(np.mean(_softplus(t))) - self.c_hat
         grad = (expit(t) @ rows) / rows.shape[0]
@@ -362,7 +371,7 @@ class NeymanPearsonProblem:
         return support, self.full_constraint_values(x), grads
 
     def constraint_value_estimate(self, x, jg, rng) -> float:
-        rows = self._batch(self._neg, jg, rng)
+        rows = self._neg[_subsample(rng, len(self._neg), jg)]
         return float(np.mean(_softplus(rows @ x))) - self.c_hat
 
     def evaluate_full(self, x, seed=None) -> FullEval:
@@ -487,20 +496,24 @@ class ExpectationQcqpProblem:
         q, a, b = _draw_constraint_terms(rng, int(jg), self.n)
         return float(_constraint_values_at(q, a, b, x).mean())
 
+    def _draws(self, rng, total):
+        """``(h, c, q, a, b)`` for ``total`` fresh draws, ``_EVAL_CHUNK`` at a time: the
+        one draw order that ``evaluate_full`` and ``freeze`` share."""
+        for lo in range(0, total, _EVAL_CHUNK):
+            take = min(_EVAL_CHUNK, total - lo)
+            h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
+            yield (h, c, *_draw_constraint_terms(rng, take, self.n))
+
     def evaluate_full(self, x, seed=None) -> FullEval:
-        rng = np.random.default_rng(seed)
         x = np.asarray(x, dtype=float)
         f0_sum = 0.0
         f1_sum = 0.0
-        done = 0
-        while done < self.eval_samples:
-            take = min(_EVAL_CHUNK, self.eval_samples - done)
-            h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
+        total = self.eval_samples
+        for h, c, q, a, b in self._draws(np.random.default_rng(seed), total):
             f0_sum += _objective_values_at(h, c, x).sum()
-            q, a, b = _draw_constraint_terms(rng, take, self.n)
             f1_sum += _constraint_values_at(q, a, b, x).sum()
-            done += take
-        return _full_eval(f0_sum / done, np.array([f1_sum / done]))
+            del h, c  # not held through the next chunk's constraint draw
+        return _full_eval(f0_sum / total, np.array([f1_sum / total]))
 
     def freeze(self, n_samples=100_000, seed=0) -> "FrozenQcqpProblem":
         """Exact sample-average instance over ``n_samples`` fresh draws.
@@ -508,7 +521,6 @@ class ExpectationQcqpProblem:
         Both sampled functions are quadratics, so their sample averages are
         captured exactly by streaming aggregate matrices; no draw is stored.
         """
-        rng = np.random.default_rng(seed)
         n = self.n
         amat = np.zeros((n, n))
         rvec = np.zeros(n)
@@ -516,26 +528,34 @@ class ExpectationQcqpProblem:
         qbar = np.zeros((n, n))
         abar = np.zeros(n)
         bbar = 0.0
-        done = 0
-        while done < n_samples:
-            take = min(_EVAL_CHUNK, n_samples - done)
-            h, c = _draw_objective_terms(rng, take, self.p, n, self.h_normalization)
+        for h, c, q, a, b in self._draws(np.random.default_rng(seed), n_samples):
             amat += np.einsum("spn,spm->nm", h, h)
             rvec += np.einsum("spn,sp->n", h, c)
             s0 += 0.5 * float(np.sum(c * c))
-            q, a, b = _draw_constraint_terms(rng, take, n)
             qbar += q.sum(axis=0)
             abar += a.sum(axis=0)
             bbar += float(b.sum())
-            done += take
+            del h, c  # not held through the next chunk's constraint draw
         return FrozenQcqpProblem(
-            amat / done, rvec / done, s0 / done,
-            qbar / done, abar / done, bbar / done,
+            amat / n_samples, rvec / n_samples, s0 / n_samples,
+            qbar / n_samples, abar / n_samples, bbar / n_samples,
             box=self.box,
         )
 
 
-class FrozenQcqpProblem:
+class _AggregatedQuadratic:
+    """The exact objective ``f0(x) = 0.5 x'Ax - r.x + s0`` of a QCQP that holds its
+    aggregates ``amat``, ``rvec`` and ``s0``."""
+
+    def full_objective(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        return float(0.5 * x @ self.amat @ x - self.rvec @ x + self.s0)
+
+    def full_objective_grad(self, x):
+        return self.amat @ x - self.rvec
+
+
+class FrozenQcqpProblem(_AggregatedQuadratic):
     """Deterministic aggregated QCQP: the exact sample average of an
     expectation-form instance, in closed form.
 
@@ -559,13 +579,6 @@ class FrozenQcqpProblem:
         self.n = self.rvec.size
         self.box = box
 
-    def full_objective(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.amat @ x - self.rvec @ x + self.s0)
-
-    def full_objective_grad(self, x):
-        return self.amat @ x - self.rvec
-
     def full_constraint_values(self, x):
         x = np.asarray(x, dtype=float)
         return np.array([0.5 * x @ self.q @ x + self.a @ x - self.b])
@@ -582,7 +595,7 @@ def make_qcqp_expectation(n, p, eval_samples=100_000, h_normalization="fro"):
     return ExpectationQcqpProblem(n, p, eval_samples=eval_samples, h_normalization=h_normalization)
 
 
-class FiniteSumQcqpProblem:
+class FiniteSumQcqpProblem(_AggregatedQuadratic):
     """Finite-sum QCQP with N objective terms and M quadratic constraints.
 
         f0(x) = (1/N) sum_i 0.5 ||H_i x - c_i||^2
@@ -612,18 +625,11 @@ class FiniteSumQcqpProblem:
         self.n = self.h.shape[2]
         self.box = box if box is not None else BoxSet.symmetric(self.n, 10.0)
         # exact aggregates: f0 is itself a quadratic
-        self._amat = np.einsum("ipn,ipm->nm", self.h, self.h) / self.num_objective_terms
-        self._rvec = np.einsum("ipn,ip->n", self.h, self.c) / self.num_objective_terms
-        self._s0 = 0.5 * float(np.mean(np.sum(self.c * self.c, axis=1)))
+        self.amat = np.einsum("ipn,ipm->nm", self.h, self.h) / self.num_objective_terms
+        self.rvec = np.einsum("ipn,ip->n", self.h, self.c) / self.num_objective_terms
+        self.s0 = 0.5 * float(np.mean(np.sum(self.c * self.c, axis=1)))
 
     # exact full quantities
-
-    def full_objective(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self._amat @ x - self._rvec @ x + self._s0)
-
-    def full_objective_grad(self, x):
-        return self._amat @ x - self._rvec
 
     def full_constraint_values(self, x):
         return _constraint_values_at(self.q, self.a, self.b, np.asarray(x, dtype=float))
@@ -634,23 +640,20 @@ class FiniteSumQcqpProblem:
     # sampled quantities
 
     def sample_objective_grad(self, x, j0, rng):
-        take = min(int(j0), self.num_objective_terms)
-        idx = rng.choice(self.num_objective_terms, size=take, replace=False)
+        idx = _subsample(rng, self.num_objective_terms, j0)
         return _objective_grad_at(self.h[idx], self.c[idx], x)
 
     def sample_constraint_block(self, x, j1, rng):
-        take = min(int(j1), self.num_constraints)
-        idx = rng.choice(self.num_constraints, size=take, replace=False)
+        idx = _subsample(rng, self.num_constraints, j1)
         q, a = self.q[idx], self.a[idx]
         return idx, _constraint_values_at(q, a, self.b[idx], x), _constraint_grads_at(q, a, x)
 
     sample_constraint_block_exact = sample_constraint_block
 
     def constraint_value_estimate(self, x, jg, rng) -> float:
-        take = min(int(jg), self.num_constraints)
-        idx = rng.choice(self.num_constraints, size=take, replace=False)
+        idx = _subsample(rng, self.num_constraints, jg)
         values = _constraint_values_at(self.q[idx], self.a[idx], self.b[idx], x)
-        return float(np.sum(np.maximum(values, 0.0)) * (self.num_constraints / take))
+        return float(np.sum(np.maximum(values, 0.0)) * (self.num_constraints / idx.size))
 
     def evaluate_full(self, x, seed=None) -> FullEval:
         return _full_eval(self.full_objective(x), self.full_constraint_values(x))
@@ -757,63 +760,49 @@ def make_bilinear_saddle(n, m, seed, noise_sigma=0.0) -> BilinearSaddleProblem:
 # instance snapshots
 
 
+# kind -> (class, constructor arguments). Each argument is an attribute of the problem
+# and an archive key, except that a box* BoxSet is stored as <name>_lower and
+# <name>_upper, and the dataset as features and labels.
+_SNAPSHOT = {
+    "qcqp_finite_sum": (FiniteSumQcqpProblem, ("h", "c", "q", "a", "b", "box")),
+    "bilinear_saddle": (BilinearSaddleProblem,
+                        ("a_mat", "b", "c", "noise_sigma", "box_x", "box_z")),
+    "npc_finite_sum": (NeymanPearsonProblem, ("dataset", "c_hat", "box")),
+    "qcqp_frozen": (FrozenQcqpProblem, ("amat", "rvec", "s0", "q", "a", "b", "box")),
+    "qcqp_expectation": (ExpectationQcqpProblem, ("n", "p", "eval_samples", "h_normalization")),
+}
+
+
 def save_instance(problem, path):
     """Dump a problem instance to a .npz archive for exact replay."""
-    kind = problem.kind
-    if kind == "qcqp_finite_sum":
-        np.savez(path, kind=kind, h=problem.h, c=problem.c, q=problem.q,
-                 a=problem.a, b=problem.b,
-                 box_lower=problem.box.lower, box_upper=problem.box.upper)
-    elif kind == "bilinear_saddle":
-        np.savez(path, kind=kind, a_mat=problem.a_mat, b=problem.b, c=problem.c,
-                 noise_sigma=problem.noise_sigma,
-                 box_x_lower=problem.box_x.lower, box_x_upper=problem.box_x.upper,
-                 box_z_lower=problem.box_z.lower, box_z_upper=problem.box_z.upper)
-    elif kind == "npc_finite_sum":
-        pos, neg = problem._pos, problem._neg
-        features = np.vstack([pos, neg])
-        labels = np.concatenate([np.ones(len(pos), dtype=int), -np.ones(len(neg), dtype=int)])
-        np.savez(path, kind=kind, features=features, labels=labels, c_hat=problem.c_hat,
-                 box_lower=problem.box.lower, box_upper=problem.box.upper)
-    elif kind == "qcqp_frozen":
-        np.savez(path, kind=kind, amat=problem.amat, rvec=problem.rvec, s0=problem.s0,
-                 q=problem.q, a=problem.a, b=problem.b,
-                 box_lower=problem.box.lower, box_upper=problem.box.upper)
-    elif kind == "qcqp_expectation":
-        np.savez(path, kind=kind, n=problem.n, p=problem.p,
-                 eval_samples=problem.eval_samples,
-                 h_normalization=np.asarray(problem.h_normalization))
-    else:
-        raise ValueError(f"cannot snapshot problem kind {kind!r}")
+    if problem.kind not in _SNAPSHOT:
+        raise ValueError(f"cannot snapshot problem kind {problem.kind!r}")
+    fields = {"kind": problem.kind}
+    for name in _SNAPSHOT[problem.kind][1]:
+        value = getattr(problem, name)
+        if name.startswith("box"):
+            fields.update({f"{name}_lower": value.lower, f"{name}_upper": value.upper})
+        elif name == "dataset":
+            fields.update(features=value.features, labels=value.labels)
+        else:
+            fields[name] = value
+    np.savez(path, **fields)
 
 
 def load_instance(path):
     """Rebuild a problem from a snapshot written by save_instance."""
     with np.load(path, allow_pickle=False) as data:
         kind = str(data["kind"])
-        if kind == "qcqp_finite_sum":
-            return FiniteSumQcqpProblem(
-                data["h"], data["c"], data["q"], data["a"], data["b"],
-                box=BoxSet(data["box_lower"], data["box_upper"]))
-        if kind == "bilinear_saddle":
-            return BilinearSaddleProblem(
-                data["a_mat"], data["b"], data["c"],
-                noise_sigma=float(data["noise_sigma"]),
-                box_x=BoxSet(data["box_x_lower"], data["box_x_upper"]),
-                box_z=BoxSet(data["box_z_lower"], data["box_z_upper"]))
-        if kind == "npc_finite_sum":
-            ds = Dataset(features=data["features"], labels=data["labels"])
-            return NeymanPearsonProblem(
-                ds, c_hat=float(data["c_hat"]),
-                box=BoxSet(data["box_lower"], data["box_upper"]))
-        if kind == "qcqp_frozen":
-            return FrozenQcqpProblem(
-                data["amat"], data["rvec"], float(data["s0"]),
-                data["q"], data["a"], float(data["b"]),
-                box=BoxSet(data["box_lower"], data["box_upper"]))
-        if kind == "qcqp_expectation":
-            return ExpectationQcqpProblem(
-                int(data["n"]), int(data["p"]),
-                eval_samples=int(data["eval_samples"]),
-                h_normalization=str(data["h_normalization"]))
-        raise ValueError(f"unknown snapshot kind {kind!r}")
+        if kind not in _SNAPSHOT:
+            raise ValueError(f"unknown snapshot kind {kind!r}")
+        cls, names = _SNAPSHOT[kind]
+        args = {}
+        for name in names:
+            if name.startswith("box"):
+                args[name] = BoxSet(data[f"{name}_lower"], data[f"{name}_upper"])
+            elif name == "dataset":
+                args[name] = Dataset(features=data["features"], labels=data["labels"])
+            else:
+                value = data[name]
+                args[name] = value.item() if value.ndim == 0 else value
+        return cls(**args)

@@ -80,9 +80,7 @@ class RunResult:
     def check_monotone(self):
         """Iteration counters must strictly increase and wall time must not
         decrease along a trajectory."""
-        its = [r.iteration for r in self.records]
-        if any(b <= a for a, b in zip(its, its[1:])):
-            raise ValueError(f"checkpoint iterations not strictly increasing: {its}")
+        _check_iterations(self.records)
         walls = [r.wall_s for r in self.records]
         if any(b < a for a, b in zip(walls, walls[1:])):
             raise ValueError("wall_s decreased along the trajectory")
@@ -100,6 +98,12 @@ def log_spaced_checkpoints(horizon, count=50):
     return [int(v) for v in np.unique(raw)]
 
 
+def _check_iterations(records):
+    its = [r.iteration for r in records]
+    if any(b <= a for a, b in zip(its, its[1:])):
+        raise ValueError(f"checkpoint iterations not strictly increasing: {its}")
+
+
 def _fmt(x) -> str:
     x = float(x)
     if math.isnan(x):
@@ -112,9 +116,7 @@ def _fmt(x) -> str:
 def write_run_csv(path, records, zero_wall=False):
     """Write checkpoint records; enforces the trajectory monotonicity
     invariants and the flags column being comma-free."""
-    its = [r.iteration for r in records]
-    if any(b <= a for a, b in zip(its, its[1:])):
-        raise ValueError(f"checkpoint iterations not strictly increasing: {its}")
+    _check_iterations(records)
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
         if "," in rec.flags or "\n" in rec.flags:

@@ -4,20 +4,21 @@ Every run expands a single master seed into named, non-overlapping streams
 through numpy's ``SeedSequence`` spawning-by-key mechanism:
 
 * training draws (oracle sampling) use ``(seed, TRAIN_TAG)``,
-* the evaluation draw at checkpoint ``k`` uses ``(seed, EVAL_TAG, k, lane)``,
-* instance freezing (sample-average approximations) uses ``(seed, FREEZE_TAG)``.
+* the evaluation draw at checkpoint ``k`` uses ``(seed, EVAL_TAG, k, lane)``.
 
 Training and evaluation therefore never share a stream, and re-running with
-the same master seed reproduces every draw bit for bit.
+the same master seed reproduces every draw bit for bit. Freezing an
+expectation problem into its sample-average instance is not one of these
+streams: ``ExpectationQcqpProblem.freeze`` seeds ``default_rng(seed)``
+directly, with ``seed`` the ``run.freeze_seed`` config value.
 """
 
 import numpy as np
 
-__all__ = ["TRAIN_TAG", "EVAL_TAG", "FREEZE_TAG", "stream_seed", "training_rng", "eval_seed", "freeze_seed"]
+__all__ = ["TRAIN_TAG", "EVAL_TAG", "stream_seed", "training_rng", "eval_seed"]
 
 TRAIN_TAG = 1
 EVAL_TAG = 2
-FREEZE_TAG = 3
 
 
 def stream_seed(master_seed, *tags) -> np.random.SeedSequence:
@@ -40,8 +41,3 @@ def eval_seed(master_seed, iteration, lane=0) -> np.random.SeedSequence:
     emitting two candidate trajectories evaluates each on its own stream).
     """
     return stream_seed(master_seed, EVAL_TAG, iteration, lane)
-
-
-def freeze_seed(master_seed) -> np.random.SeedSequence:
-    """Seed for drawing a sample-average instance from an expectation problem."""
-    return stream_seed(master_seed, FREEZE_TAG)

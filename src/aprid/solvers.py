@@ -15,7 +15,9 @@ with the 0/0 = 0 convention for untouched coordinates. The momentum uses the
 raw gradient while the second moment uses the clipped one; the clip bounds
 every vhat coordinate by theta^2. The minimax solver applies the same
 adaptive scaling blockwise to a descent step in x and an ascent step in z,
-both projected onto their boxes.
+both projected onto their boxes. That update is written once, in
+``_adaptive_direction``, which ``aprid_step`` calls with one block and
+``apriad_step`` with two.
 
 Solvers report the ergodic averages of their iterates, weighted by
 ``sum_{k=j}^t alpha_k beta1^(k-j)``, via streaming averagers. aprid's
@@ -135,26 +137,26 @@ class DualState:
         return cls(z=np.zeros(int(num_constraints)))
 
 
-def _scaled_direction(m, v_hat):
+def _adaptive_direction(state, g, blocks, params):
+    """Update ``state.m`` from the raw gradient ``g`` and, when adaptive, ``state.v``
+    and ``state.v_hat`` from ``g``'s ``blocks``, each clipped to theta on its own;
+    return the projection weights and the step direction."""
+    b1, b2 = params.schedule.beta1, params.beta2
+    state.m = b1 * state.m + (1.0 - b1) * g
+    if not params.adaptive:
+        return np.ones_like(state.m), state.m
+    g_hat = np.concatenate([clip_gradient(block, params.theta) for block in blocks])
+    state.v = b2 * state.v + (1.0 - b2) * (g_hat * g_hat)
+    state.v_hat = np.maximum(state.v_hat, state.v)
     # 0/0 = 0: coordinates never touched by gradient energy do not move.
-    root = np.sqrt(v_hat)
-    return root, np.divide(m, root, out=np.zeros_like(m), where=root > 0)
+    root = np.sqrt(state.v_hat)
+    return root, np.divide(state.m, root, out=np.zeros_like(state.m), where=root > 0)
 
 
 def aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, box):
     """One primal-dual update in place; returns the sampled multipliers
     ``z[sample.w_support]`` before and after it."""
-    b1, b2 = params.schedule.beta1, params.beta2
-    u = sample.u
-    pstate.m = b1 * pstate.m + (1.0 - b1) * u
-    if params.adaptive:
-        u_hat = clip_gradient(u, params.theta)
-        pstate.v = b2 * pstate.v + (1.0 - b2) * (u_hat * u_hat)
-        pstate.v_hat = np.maximum(pstate.v_hat, pstate.v)
-        root, direction = _scaled_direction(pstate.m, pstate.v_hat)
-    else:
-        root = np.ones_like(pstate.m)
-        direction = pstate.m
+    root, direction = _adaptive_direction(pstate, sample.u, (sample.u,), params)
     pstate.x = project_box_weighted(pstate.x - alpha_k * direction, box, root)
     # only the sampled multipliers move, so only they can turn non-finite
     z_old = dstate.z[sample.w_support]
@@ -264,20 +266,9 @@ class MinimaxState:
 
 def apriad_step(state, sample, alpha_k, rho_k, params, box_x, box_z):
     """One adaptive descent-ascent update in place; returns the state."""
-    b1, b2 = params.schedule.beta1, params.beta2
     n = state.x.size
     g = np.concatenate([sample.u, sample.w])
-    state.m = b1 * state.m + (1.0 - b1) * g
-    if params.adaptive:
-        # each block is clipped to theta separately
-        g_hat = np.concatenate([clip_gradient(sample.u, params.theta),
-                                clip_gradient(sample.w, params.theta)])
-        state.v = b2 * state.v + (1.0 - b2) * (g_hat * g_hat)
-        state.v_hat = np.maximum(state.v_hat, state.v)
-        root, direction = _scaled_direction(state.m, state.v_hat)
-    else:
-        root = np.ones_like(state.m)
-        direction = state.m
+    root, direction = _adaptive_direction(state, g, (sample.u, sample.w), params)
     state.x = project_box_weighted(state.x - alpha_k * direction[:n], box_x, root[:n])
     state.z = project_box_weighted(state.z + rho_k * direction[n:], box_z, root[n:])
     return state

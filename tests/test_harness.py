@@ -1,12 +1,16 @@
-"""Config-to-solver wiring: every [algorithm] key reaches its solver, and
-the harness rejects what it cannot dispatch or would write twice."""
+"""Config-to-solver wiring: every [problem] key reaches its problem and every
+[algorithm] key its solver, and the harness rejects what it cannot dispatch or
+would write twice."""
 
 import math
 
+import numpy as np
 import pytest
 
-from aprid import BatchSizes, ConfigError, ExperimentConfig, harness, resolve_config, run_experiment
-from aprid.config import _ALGORITHM_KEYS
+from aprid import (BatchSizes, ConfigError, ExperimentConfig, harness, load_dataset,
+                   make_bilinear_saddle, make_qcqp_finite_sum, make_synthetic_dataset,
+                   resolve_config, run_experiment)
+from aprid.config import _ALGORITHM_KEYS, _PROBLEM_KEYS
 from aprid.results import log_spaced_checkpoints
 
 FINITE_SUM = {"kind": "qcqp_finite_sum", "n": "4", "p": "2", "num_objective_terms": "12",
@@ -126,3 +130,87 @@ def test_duplicate_seeds_are_rejected(tmp_path):
         run_experiment(cfg.with_override("run.seeds", "3"), tmp_path / "api", seeds=[4, 5, 4])
     assert not (tmp_path / "config_seeds").exists()
     assert not (tmp_path / "api").exists()
+
+
+def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):
+    misspelt_problem = _hand_built("msa", "qcqp_finite_sum", alpha=1.0, rho=1.0, z_cap=3.0)
+    misspelt_problem.problem["instance_sed"] = misspelt_problem.problem.pop("instance_seed")
+    cases = {
+        "bare": (_hand_built("aprid", "qcqp_finite_sum"),
+                 [f"algorithm.{key}: missing key" for key in _ALGORITHM_KEYS["aprid"]]),
+        "algorithm": (_hand_built("msa", "qcqp_finite_sum", alpha=1.0, rho=1.0, zcap=3),
+                      ["algorithm.z_cap: missing key", "algorithm.zcap: unknown key"]),
+        "problem": (misspelt_problem,
+                    ["problem.instance_seed: missing key", "problem.instance_sed: unknown key"]),
+    }
+    for name, (cfg, problems) in cases.items():
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg, tmp_path / name)
+        assert info.value.problems == problems, name
+        assert not (tmp_path / name).exists(), name
+    complete = _hand_built("msa", "qcqp_finite_sum", alpha=1.0, rho=1.0, z_cap=3.0)
+    assert len(run_experiment(complete, tmp_path / "complete").csv_paths) == 1
+
+
+def _built(problem, algorithm="msa"):
+    cfg = resolve_config({"problem": problem, "algorithm": {"name": algorithm},
+                          "run": {"horizon": "5"}})
+    return harness.build_problem(cfg)
+
+
+def _sets_every_key(problem, but=()):
+    return set(problem) - {"kind"} == set(_PROBLEM_KEYS[problem["kind"]]) - set(but)
+
+
+def test_every_npc_problem_key_reaches_its_problem(tmp_path):
+    data = tmp_path / "rows.txt"
+    data.write_text("+1 1:0.5 2:1.0 3:-0.2\n-1 1:1.5 3:0.7\n+1 2:-0.4 3:0.1\n"
+                    "-1 1:-0.3 2:0.9\n-1 1:0.2 2:0.2 3:0.2\n")
+    # c_hat is the other way to give the constraint level; the two exclude each other
+    npc = {"kind": "npc", "data": str(data), "format": "sparse-index-value",
+           "preprocess": "false", "c_target": "0.8", "kappa": "0.5", "box_halfwidth": "7"}
+    assert _sets_every_key(npc, but=["c_hat"])
+    prob = _built(npc)
+    raw = load_dataset(data)
+    assert np.array_equal(prob._pos, raw.positives()) and np.array_equal(prob._neg, raw.negatives())
+    assert prob.c_hat == 0.8 - 0.5 / math.sqrt(3)
+    assert np.array_equal(prob.box.upper, [7.0] * 3)
+    with pytest.raises(ConfigError, match="problem.npc: line 2: need at least one feature"):
+        _built({**npc, "format": "dense-csv"})
+
+    synthetic = {"kind": "npc_synthetic", "d": "3", "n_pos": "7", "n_neg": "9",
+                 "separation": "3.5", "instance_seed": "4", "preprocess": "false",
+                 "c_target": "0.9", "kappa": "0.3", "box_halfwidth": "2.5"}
+    assert _sets_every_key(synthetic, but=["c_hat"])
+    prob = _built(synthetic)
+    raw = make_synthetic_dataset(3, 7, 9, seed=4, separation=3.5)
+    assert np.array_equal(prob._pos, raw.positives()) and np.array_equal(prob._neg, raw.negatives())
+    assert prob.c_hat == 0.9 - 0.3 / 3.0
+    assert np.array_equal(prob.box.lower, [-2.5] * 3)
+
+
+def test_every_qcqp_and_bilinear_problem_key_reaches_its_problem():
+    expectation = {"kind": "qcqp_expectation", "n": "3", "p": "2", "eval_samples": "123",
+                   "h_normalization": "spectral"}
+    assert _sets_every_key(expectation)
+    prob = _built(expectation)
+    assert (prob.n, prob.p, prob.eval_samples, prob.h_normalization) == (3, 2, 123, "spectral")
+
+    finite_sum = {"kind": "qcqp_finite_sum", "n": "3", "p": "2", "num_objective_terms": "11",
+                  "num_constraints": "6", "instance_seed": "5", "h_normalization": "spectral",
+                  "max_elements": "1000"}
+    assert _sets_every_key(finite_sum)
+    prob = _built(finite_sum)
+    want = make_qcqp_finite_sum(3, 2, 11, 6, seed=5, h_normalization="spectral")
+    assert (prob.n, prob.num_objective_terms, prob.num_constraints) == (3, 11, 6)
+    assert np.array_equal(prob.h, want.h) and np.array_equal(prob.q, want.q)
+    # 11*2*3 + 11*2 + 6*9 + 6*3 + 6 = 166 stored floats
+    with pytest.raises(ConfigError, match="166 floats .* over the 165 budget"):
+        _built({**finite_sum, "max_elements": "165"})
+
+    bilinear = {"kind": "bilinear", "n": "3", "m": "4", "instance_seed": "6",
+                "noise_sigma": "0.3"}
+    assert _sets_every_key(bilinear)
+    prob = _built(bilinear, algorithm="apriad")
+    assert (prob.n, prob.m, prob.noise_sigma) == (3, 4, 0.3)
+    assert np.array_equal(prob.a_mat, make_bilinear_saddle(3, 4, seed=6).a_mat)

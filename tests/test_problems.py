@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from aprid import (
+    BilinearSaddleProblem,
     BoxSet,
     Dataset,
     ExpectationQcqpProblem,
     FiniteSumQcqpProblem,
+    FrozenQcqpProblem,
+    NeymanPearsonProblem,
     load_dataset,
     load_instance,
     make_bilinear_saddle,
@@ -22,7 +25,8 @@ from aprid import (
     training_rng,
 )
 
-from aprid.problems import _EVAL_CHUNK, _draw_constraint_terms, _unit_2norm
+from aprid.problems import (_EVAL_CHUNK, _constraint_values_at, _draw_constraint_terms,
+                            _draw_objective_terms, _objective_values_at, _unit_2norm)
 from brute import central_difference_gradient, logistic_losses, saddle_gap_grid
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -466,3 +470,164 @@ def test_snapshot_rejects_unknown_kinds(tmp_path):
     np.savez(path, kind="lasso")
     with pytest.raises(ValueError, match="unknown snapshot kind 'lasso'"):
         load_instance(path)
+
+
+# the archive layout of each kind: key names in order, with their dtypes
+SNAPSHOT_LAYOUT = {
+    "qcqp_finite_sum": [("kind", "<U15"), ("h", "float64"), ("c", "float64"), ("q", "float64"),
+                        ("a", "float64"), ("b", "float64"), ("box_lower", "float64"),
+                        ("box_upper", "float64")],
+    "npc_finite_sum": [("kind", "<U14"), ("features", "float64"), ("labels", "int64"),
+                       ("c_hat", "float64"), ("box_lower", "float64"), ("box_upper", "float64")],
+    "bilinear_saddle": [("kind", "<U15"), ("a_mat", "float64"), ("b", "float64"), ("c", "float64"),
+                        ("noise_sigma", "float64"), ("box_x_lower", "float64"),
+                        ("box_x_upper", "float64"), ("box_z_lower", "float64"),
+                        ("box_z_upper", "float64")],
+    "qcqp_frozen": [("kind", "<U11"), ("amat", "float64"), ("rvec", "float64"), ("s0", "float64"),
+                    ("q", "float64"), ("a", "float64"), ("b", "float64"),
+                    ("box_lower", "float64"), ("box_upper", "float64")],
+    "qcqp_expectation": [("kind", "<U16"), ("n", "int64"), ("p", "int64"),
+                         ("eval_samples", "int64"), ("h_normalization", "<U8")],
+}
+
+
+def _snapshot_problems(qcqp, npc):
+    return {
+        "qcqp_finite_sum": qcqp,
+        "npc_finite_sum": npc,
+        "bilinear_saddle": make_bilinear_saddle(3, 2, seed=5, noise_sigma=0.2),
+        "qcqp_frozen": ExpectationQcqpProblem(3, 2).freeze(n_samples=200, seed=7),
+        "qcqp_expectation": ExpectationQcqpProblem(4, 3, eval_samples=500,
+                                                   h_normalization="spectral"),
+    }
+
+
+def _archive(path):
+    with np.load(path, allow_pickle=False) as data:
+        return {key: data[key] for key in data.files}
+
+
+@pytest.mark.parametrize("kind", sorted(SNAPSHOT_LAYOUT))
+def test_snapshot_layout_and_round_trip_per_kind(tmp_path, qcqp, npc, kind):
+    prob = _snapshot_problems(qcqp, npc)[kind]
+    save_instance(prob, tmp_path / "first.npz")
+    first = _archive(tmp_path / "first.npz")
+    assert [(key, str(v.dtype)) for key, v in first.items()] == SNAPSHOT_LAYOUT[kind]
+    back = load_instance(tmp_path / "first.npz")
+    assert type(back) is type(prob) and back.kind == kind
+    save_instance(back, tmp_path / "again.npz")
+    again = _archive(tmp_path / "again.npz")
+    assert list(again) == list(first)
+    for key, value in first.items():
+        assert again[key].dtype == value.dtype and np.array_equal(again[key], value), key
+
+
+def test_snapshot_stores_the_npc_rows_positives_first(tmp_path, npc):
+    save_instance(npc, tmp_path / "n.npz")
+    data = _archive(tmp_path / "n.npz")
+    n_pos = len(npc._pos)
+    assert np.array_equal(data["features"][:n_pos], npc._pos)
+    assert np.array_equal(data["features"][n_pos:], npc._neg)
+    assert np.array_equal(data["labels"], [1] * n_pos + [-1] * len(npc._neg))
+
+
+def test_snapshot_written_by_hand_in_the_stored_layout_loads(tmp_path):
+    rng = np.random.default_rng(3)
+    box = dict(box_lower=-np.ones(2), box_upper=2 * np.ones(2))
+    h, c, q = rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3)), np.eye(2)[None]
+    features = rng.standard_normal((5, 2))
+    labels = np.array([1, 1, -1, -1, -1])
+    archives = {
+        "finite_sum": dict(kind="qcqp_finite_sum", h=h, c=c, q=q, a=np.ones((1, 2)),
+                           b=np.array([0.5]), **box),
+        "npc": dict(kind="npc_finite_sum", features=features, labels=labels, c_hat=0.3, **box),
+        "bilinear": dict(kind="bilinear_saddle", a_mat=np.eye(2), b=np.ones(2), c=np.ones(2),
+                         noise_sigma=0.25, box_x_lower=-np.ones(2), box_x_upper=np.ones(2),
+                         box_z_lower=-np.ones(2), box_z_upper=3 * np.ones(2)),
+        "frozen": dict(kind="qcqp_frozen", amat=np.eye(2), rvec=np.ones(2), s0=0.75, q=np.eye(2),
+                       a=np.zeros(2), b=0.4, **box),
+        "expectation": dict(kind="qcqp_expectation", n=4, p=3, eval_samples=700,
+                            h_normalization=np.asarray("spectral")),
+    }
+    for name, fields in archives.items():
+        np.savez(tmp_path / f"{name}.npz", **fields)
+    fs = load_instance(tmp_path / "finite_sum.npz")
+    assert isinstance(fs, FiniteSumQcqpProblem)
+    assert np.array_equal(fs.h, h) and np.array_equal(fs.b, [0.5])
+    assert np.array_equal(fs.box.upper, [2.0, 2.0])
+    npc = load_instance(tmp_path / "npc.npz")
+    assert isinstance(npc, NeymanPearsonProblem) and npc.c_hat == 0.3
+    assert np.array_equal(npc._pos, features[:2]) and np.array_equal(npc._neg, features[2:])
+    bil = load_instance(tmp_path / "bilinear.npz")
+    assert isinstance(bil, BilinearSaddleProblem) and bil.noise_sigma == 0.25
+    assert np.array_equal(bil.box_z.upper, [3.0, 3.0])
+    frozen = load_instance(tmp_path / "frozen.npz")
+    assert isinstance(frozen, FrozenQcqpProblem)
+    assert (frozen.s0, frozen.b) == (0.75, 0.4) and type(frozen.b) is float
+    exp = load_instance(tmp_path / "expectation.npz")
+    assert isinstance(exp, ExpectationQcqpProblem)
+    assert (exp.n, exp.p, exp.eval_samples, exp.h_normalization) == (4, 3, 700, "spectral")
+    assert type(exp.h_normalization) is str and type(exp.n) is int
+
+
+# -- the expectation problem's chunked draw loop ------------------------------
+
+
+def _evaluate_full_oracle(self, x, seed=None):
+    # the sampled evaluation as it was before the shared draw generator, verbatim
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x, dtype=float)
+    f0_sum = 0.0
+    f1_sum = 0.0
+    done = 0
+    while done < self.eval_samples:
+        take = min(_EVAL_CHUNK, self.eval_samples - done)
+        h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
+        f0_sum += _objective_values_at(h, c, x).sum()
+        q, a, b = _draw_constraint_terms(rng, take, self.n)
+        f1_sum += _constraint_values_at(q, a, b, x).sum()
+        done += take
+    return f0_sum / done, np.array([f1_sum / done])
+
+
+def _freeze_oracle(self, n_samples, seed):
+    # the freeze as it was before the shared draw generator, verbatim
+    rng = np.random.default_rng(seed)
+    n = self.n
+    amat = np.zeros((n, n))
+    rvec = np.zeros(n)
+    s0 = 0.0
+    qbar = np.zeros((n, n))
+    abar = np.zeros(n)
+    bbar = 0.0
+    done = 0
+    while done < n_samples:
+        take = min(_EVAL_CHUNK, n_samples - done)
+        h, c = _draw_objective_terms(rng, take, self.p, n, self.h_normalization)
+        amat += np.einsum("spn,spm->nm", h, h)
+        rvec += np.einsum("spn,sp->n", h, c)
+        s0 += 0.5 * float(np.sum(c * c))
+        q, a, b = _draw_constraint_terms(rng, take, n)
+        qbar += q.sum(axis=0)
+        abar += a.sum(axis=0)
+        bbar += float(b.sum())
+        done += take
+    return amat / done, rvec / done, s0 / done, qbar / done, abar / done, bbar / done
+
+
+@pytest.mark.parametrize("count", [1, _EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1,
+                                   2 * _EVAL_CHUNK + 3])
+@pytest.mark.parametrize("h_normalization", ["fro", "spectral"])
+def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normalization):
+    prob = ExpectationQcqpProblem(3, 2, eval_samples=count, h_normalization=h_normalization)
+    x = np.array([0.4, -1.3, 2.2])
+    got = prob.evaluate_full(x, seed=count)
+    f0, f1 = _evaluate_full_oracle(prob, x, seed=count)
+    assert np.float64(got.objective).tobytes() == np.float64(f0).tobytes()
+    assert got.violations.tobytes() == np.maximum(f1, 0.0).tobytes()
+    frozen = prob.freeze(n_samples=count, seed=5)
+    want = _freeze_oracle(prob, count, 5)
+    for name, g, w in zip(("amat", "rvec", "s0", "q", "a", "b"),
+                          (frozen.amat, frozen.rvec, frozen.s0, frozen.q, frozen.a, frozen.b),
+                          want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
