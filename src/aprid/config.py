@@ -239,13 +239,15 @@ class ExperimentConfig:
         raw[sec][key] = str(value)
         return resolve_config(raw)
 
-    def check_keys(self):
-        """Raise one ConfigError naming each missing or unknown [problem] and
-        [algorithm] key. resolve_config fills in every key, so only a config
-        built by hand can fail here."""
+    def check_keys(self, sections=("problem", "algorithm")):
+        """Raise one ConfigError naming each missing or unknown key of the named
+        sections. resolve_config fills in every key, so only a config built by
+        hand can fail here."""
         errors = []
         for sec, tag, label, schemas in (("problem", "kind", "kind", _PROBLEM_KEYS),
                                          ("algorithm", "name", "algorithm", _ALGORITHM_KEYS)):
+            if sec not in sections:
+                continue
             section = getattr(self, sec)
             schema = schemas.get(section.get(tag))
             if schema is None:

@@ -73,13 +73,13 @@ _PROBLEM_FACTORIES = {
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Instantiate the problem described by the config's [problem] section."""
+    """Instantiate the problem described by the config's [problem] section,
+    checked against its kind's keys first."""
+    cfg.check_keys(("problem",))
     keys = dict(cfg.problem)
     kind = keys.pop("kind")
     if "instance_seed" in keys:
         keys["seed"] = keys.pop("instance_seed")
-    if kind not in _PROBLEM_FACTORIES:
-        raise ConfigError([f"problem.kind: unhandled kind {kind!r}"])
     try:
         return _PROBLEM_FACTORIES[kind](**keys)
     except (ValueError, OSError) as exc:

@@ -30,7 +30,9 @@ quadratic terms, then linear terms, then offsets), so one seed reproduces a
 run bit for bit. The expectation QCQP's sampled evaluation and its freeze
 read their draws from one chunked generator, ``ExpectationQcqpProblem._draws``,
 so that order is written once; finite families subsample through
-``_subsample``.
+``_subsample``. Each drawn Q = G'G is scaled to unit spectral norm, by
+``_certified_top`` in evaluation and freeze draws and by ``eigvalsh`` in
+training draws and finite-sum instances.
 """
 
 import csv
@@ -416,16 +418,53 @@ def _draw_objective_terms(rng, count, p, n, h_normalization):
     return h, c
 
 
-def _draw_constraint_terms(rng, count, n):
-    # G is drawn _EVAL_CHUNK rows at a time (the same stream as one draw) and each
-    # block's normalised Gram matrices go straight into q: q plus one block live at once
+def _eigvalsh_top(q):
+    return np.linalg.eigvalsh(q)[:, -1]
+
+
+def _certified_top(q):
+    """Top eigenvalues of a stack of PSD matrices, each certified to a relative 1e-14.
+
+    ``mu = v'Qv / v'v`` at ``v = P e_k``: P is Q squared 8 times (P ~ Q^256, scaled by
+    its largest diagonal before the 1st and the 5th) and k indexes P's largest diagonal.
+    With ``nu = v'Pv / (v'v tr P)`` and ``r = 1 - nu``, ``(lambda_max - mu) / lambda_max
+    <= r^2 / (nu (1/n - r))`` if ``r < 1/n`` (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4, 10). Matrices left above 1e-14 (~3 % of Wishart draws, a repeated top
+    eigenvalue, zeros) take ``eigvalsh``. A matrix's result depends on it alone.
+    """
+    top = np.empty(len(q))
+    n = q.shape[-1]
+    for lo in range(0, len(q), 512):
+        s = q[lo:lo + 512]  # slabs keep the temporaries small
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero matrices fall back
+            p = s / np.einsum("sii->si", s).max(axis=1)[:, None, None]
+            for i in range(8):
+                p = p @ p
+                if i == 3:
+                    p /= np.einsum("sii->si", p).max(axis=1)[:, None, None]
+            d = np.einsum("sii->si", p)
+            v = p[np.arange(len(p)), d.argmax(axis=1)][:, :, None]
+            vt = v.transpose(0, 2, 1)
+            vv = (vt @ v)[:, 0, 0]
+            mu = (vt @ s @ v)[:, 0, 0] / vv
+            nu = (vt @ p @ v)[:, 0, 0] / (vv * d.sum(axis=1))
+            r = 1.0 - nu
+            certified = (r < 1.0 / n) & (r * r <= 1e-14 * nu * (1.0 / n - r))
+        mu[~certified] = _eigvalsh_top(s[~certified])
+        top[lo:lo + len(s)] = mu
+    return top
+
+
+def _draw_constraint_terms(rng, count, n, top=_eigvalsh_top):
+    # G is drawn _EVAL_CHUNK rows at a time (the same stream as one draw) and each block's
+    # Gram matrices go into q, scaled by ``top``'s eigenvalues: q plus one block live at once
     q = None
     for lo in range(0, count, _EVAL_CHUNK):
         g = rng.standard_normal((min(_EVAL_CHUNK, count - lo), n, n))
         q = np.empty((count, n, n)) if q is None else q  # after the first draw: lower peak
         block = np.matmul(g.transpose(0, 2, 1), g, out=q[lo:lo + len(g)])
         del g
-        block /= np.maximum(np.linalg.eigvalsh(block)[:, -1], 1e-300)[:, None, None]
+        block /= np.maximum(top(block), 1e-300)[:, None, None]
     a = _unit_2norm(rng.standard_normal((count, n)))
     b = rng.uniform(0.1, 1.1, size=count)
     return q, a, b
@@ -464,6 +503,8 @@ class ExpectationQcqpProblem:
 
     There is no finite instance: every oracle call draws new data, and full
     evaluation uses a fresh batch of ``eval_samples`` draws per function.
+    Evaluation and freeze scale each Q by ``_certified_top`` (within a relative
+    1e-14 of ``eigvalsh``, faster in bulk), training draws by ``eigvalsh``.
     """
 
     kind = "qcqp_expectation"
@@ -498,11 +539,11 @@ class ExpectationQcqpProblem:
 
     def _draws(self, rng, total):
         """``(h, c, q, a, b)`` for ``total`` fresh draws, ``_EVAL_CHUNK`` at a time: the
-        one draw order that ``evaluate_full`` and ``freeze`` share."""
+        one draw order that ``evaluate_full`` and ``freeze`` share, Q by ``_certified_top``."""
         for lo in range(0, total, _EVAL_CHUNK):
             take = min(_EVAL_CHUNK, total - lo)
             h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
-            yield (h, c, *_draw_constraint_terms(rng, take, self.n))
+            yield (h, c, *_draw_constraint_terms(rng, take, self.n, top=_certified_top))
 
     def evaluate_full(self, x, seed=None) -> FullEval:
         x = np.asarray(x, dtype=float)
@@ -521,6 +562,8 @@ class ExpectationQcqpProblem:
         Both sampled functions are quadratics, so their sample averages are
         captured exactly by streaming aggregate matrices; no draw is stored.
         """
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be positive, got {n_samples!r}")
         n = self.n
         amat = np.zeros((n, n))
         rvec = np.zeros(n)

@@ -152,6 +152,25 @@ def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):
     assert len(run_experiment(complete, tmp_path / "complete").csv_paths) == 1
 
 
+def test_build_problem_checks_the_keys_of_a_hand_built_config():
+    # a missing key used to build with the factory default, a misspelt one to raise
+    # TypeError from the factory
+    bilinear = {"kind": "bilinear", "n": 3, "m": 4, "instance_seed": 6}
+    cases = {
+        "missing": (bilinear, ["problem.noise_sigma: missing key"]),
+        "misspelt": ({**bilinear, "noise_sigmaa": 0.3},
+                     ["problem.noise_sigma: missing key", "problem.noise_sigmaa: unknown key"]),
+    }
+    for name, (problem, problems) in cases.items():
+        cfg = ExperimentConfig(problem=problem, algorithm={"name": "apriad"}, run={})
+        with pytest.raises(ConfigError) as info:
+            harness.build_problem(cfg)
+        assert info.value.problems == problems, name
+    complete = ExperimentConfig(problem={**bilinear, "noise_sigma": 0.3},
+                                algorithm={"name": "apriad"}, run={})
+    assert harness.build_problem(complete).noise_sigma == 0.3
+
+
 def _built(problem, algorithm="msa"):
     cfg = resolve_config({"problem": problem, "algorithm": {"name": algorithm},
                           "run": {"horizon": "5"}})

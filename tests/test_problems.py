@@ -25,8 +25,10 @@ from aprid import (
     training_rng,
 )
 
-from aprid.problems import (_EVAL_CHUNK, _constraint_values_at, _draw_constraint_terms,
-                            _draw_objective_terms, _objective_values_at, _unit_2norm)
+from aprid import problems
+from aprid.problems import (_EVAL_CHUNK, _certified_top, _constraint_values_at,
+                            _draw_constraint_terms, _draw_objective_terms, _eigvalsh_top,
+                            _objective_values_at, _unit_2norm)
 from brute import central_difference_gradient, logistic_losses, saddle_gap_grid
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -573,8 +575,9 @@ def test_snapshot_written_by_hand_in_the_stored_layout_loads(tmp_path):
 # -- the expectation problem's chunked draw loop ------------------------------
 
 
-def _evaluate_full_oracle(self, x, seed=None):
-    # the sampled evaluation as it was before the shared draw generator, verbatim
+def _evaluate_full_oracle(self, x, seed=None, top=_certified_top):
+    # the sampled evaluation as it was before the shared draw generator, verbatim,
+    # with Q scaled by the top eigenvalues from ``top``
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     f0_sum = 0.0
@@ -584,14 +587,15 @@ def _evaluate_full_oracle(self, x, seed=None):
         take = min(_EVAL_CHUNK, self.eval_samples - done)
         h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
         f0_sum += _objective_values_at(h, c, x).sum()
-        q, a, b = _draw_constraint_terms(rng, take, self.n)
+        q, a, b = _draw_constraint_terms(rng, take, self.n, top=top)
         f1_sum += _constraint_values_at(q, a, b, x).sum()
         done += take
     return f0_sum / done, np.array([f1_sum / done])
 
 
-def _freeze_oracle(self, n_samples, seed):
-    # the freeze as it was before the shared draw generator, verbatim
+def _freeze_oracle(self, n_samples, seed, top=_certified_top):
+    # the freeze as it was before the shared draw generator, verbatim, with Q
+    # scaled by the top eigenvalues from ``top``
     rng = np.random.default_rng(seed)
     n = self.n
     amat = np.zeros((n, n))
@@ -607,7 +611,7 @@ def _freeze_oracle(self, n_samples, seed):
         amat += np.einsum("spn,spm->nm", h, h)
         rvec += np.einsum("spn,sp->n", h, c)
         s0 += 0.5 * float(np.sum(c * c))
-        q, a, b = _draw_constraint_terms(rng, take, n)
+        q, a, b = _draw_constraint_terms(rng, take, n, top=top)
         qbar += q.sum(axis=0)
         abar += a.sum(axis=0)
         bbar += float(b.sum())
@@ -631,3 +635,64 @@ def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normali
                           (frozen.amat, frozen.rvec, frozen.s0, frozen.q, frozen.a, frozen.b),
                           want):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_evaluation_and_freeze_hold_the_eigvalsh_scaling_to_1e13(n):
+    # the certified top eigenvalue against eigvalsh's, over the same draws
+    count = 2 * _EVAL_CHUNK + 3
+    prob = ExpectationQcqpProblem(n, 2, eval_samples=count)
+    x = np.full(n, 2.0)
+    got = prob.evaluate_full(x, seed=3)
+    f0, f1 = _evaluate_full_oracle(prob, x, seed=3, top=_eigvalsh_top)
+    assert f1[0] > 0.5 and np.float64(got.objective).tobytes() == np.float64(f0).tobytes()
+    assert abs(got.violations[0] - f1[0]) <= 1e-13 * f1[0]
+    frozen = prob.freeze(n_samples=count, seed=5)
+    want = _freeze_oracle(prob, count, 5, top=_eigvalsh_top)
+    for name, g, w in zip(("q", "a", "b"), (frozen.q, frozen.a, frozen.b), want[3:]):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name
+
+
+def test_certified_top_eigenvalue_matches_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(0)
+    wishart = {}
+    for n, count in ((10, 100_000), (1, 2000), (2, 2000), (3, 2000)):
+        g = rng.standard_normal((count, n, n))
+        wishart[n] = q = np.matmul(g.transpose(0, 2, 1), g)
+        want = _eigvalsh_top(q)
+        assert np.max(np.abs(_certified_top(q) - want) / want) <= 1e-13, n
+    # a stack gives the same bits as its slices, whatever the slab boundaries
+    q = wishart[10][:2000]
+    sliced = np.concatenate([_certified_top(q[:700]), _certified_top(q[700:])])
+    assert _certified_top(q).tobytes() == sliced.tobytes()
+
+    # a repeated top eigenvalue, rank one, and a Wishart draw at scales 1e+-150
+    u, g = rng.standard_normal(6), rng.standard_normal((6, 6))
+    special = np.stack([np.eye(6), np.outer(u, u), 1e150 * g.T @ g, 1e-150 * g.T @ g])
+    want = _eigvalsh_top(special)
+    assert np.all(np.abs(_certified_top(special) - want) <= 1e-13 * want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero = np.zeros((2, 4, 4))
+        top = _certified_top(zero)
+        assert np.array_equal(top, [0.0, 0.0])
+        assert np.array_equal(zero / np.maximum(top, 1e-300)[:, None, None], zero)
+
+    # a near-degenerate top pair (1 and 1 - 1e-9) cannot be certified: eigvalsh decides
+    basis = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    close = (basis * [1.0, 1.0 - 1e-9, 0.5, 0.3, 0.2, 0.1]) @ basis.T
+    separated = (basis * [1.0, 0.2, 0.1, 0.05, 0.02, 0.01]) @ basis.T
+    seen = []
+    monkeypatch.setattr(problems, "_eigvalsh_top",
+                        lambda s: seen.append(s.copy()) or _eigvalsh_top(s))
+    top = _certified_top(np.stack([separated, close]))
+    assert len(seen) == 1 and seen[0].tobytes() == close[None].tobytes()
+    assert top[1] == _eigvalsh_top(close[None])[0]
+    assert abs(top[0] - 1.0) <= 1e-14
+
+
+def test_freeze_rejects_a_sample_count_below_one():
+    prob = ExpectationQcqpProblem(3, 2)
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match=f"n_samples must be positive, got {bad}"):
+            prob.freeze(n_samples=bad)
