@@ -93,35 +93,33 @@ def problem_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
+def _adaptive_params(horizon, schedule, alpha, rho, beta1, **keys):
+    if schedule not in StepSchedule.CLOSED_FORMS:
+        raise ConfigError([f"algorithm.schedule: {schedule!r} names no StepSchedule constructor"])
+    return SolverParams(getattr(StepSchedule, schedule)(alpha, rho, horizon, beta1), **keys)
+
+
+# [algorithm] name -> (its params, called with the horizon and the other keys by name;
+# its run loop's name, a module global looked up on every call)
+_ALGORITHMS = {"aprid": (_adaptive_params, "aprid_run"), "msa": (MsaParams, "msa_run"),
+               "apriad": (_adaptive_params, "apriad_run"), "csa": (CsaParams, "csa_run"),
+               "pdsg_adp": (PdsgAdpParams, "pdsg_adp_run")}
+
+
 def _run_cell(problem, cfg, seed, f0_ref, timing):
     """One (algorithm, seed) execution; returns a list of RunResults (the
-    switching baseline yields two trajectories). ``[algorithm]`` keys are
-    the params' keyword names; ``schedule`` names the StepSchedule
-    constructor. Run loops are module globals, looked up on every call."""
-    name = cfg.algorithm_name
-    a = {k: v for k, v in cfg.algorithm.items() if k != "name"}
-    horizon = cfg.run["horizon"]
-    cps = cfg.run["checkpoints"]
+    switching baseline yields two trajectories)."""
+    horizon, cps = cfg.run["horizon"], cfg.run["checkpoints"]
     if len(cps) == 1:
         cps = log_spaced_checkpoints(horizon, count=cps[0])
     batches = BatchSizes(j0=cfg.run["j0"], j1=cfg.run["j1"], jg=cfg.run["jg"])
-    common = dict(checkpoints=cps, f0_ref=f0_ref, timing=timing)
-    if name in ("aprid", "apriad"):
-        kind = a.pop("schedule")
-        if kind not in StepSchedule.CLOSED_FORMS:
-            raise ConfigError([f"algorithm.schedule: {kind!r} names no StepSchedule constructor"])
-        schedule = getattr(StepSchedule, kind)(
-            a.pop("alpha"), a.pop("rho"), horizon, a.pop("beta1"))
-        params = SolverParams(schedule, **a)
-        if name == "apriad":
-            return [apriad_run(problem, params, seed, checkpoints=cps, timing=timing)]
-        return [aprid_run(problem, params, batches, seed, **common)]
-    if name == "msa":
-        return [msa_run(problem, MsaParams(horizon, **a), batches, seed, **common)]
-    if name == "csa":
-        return list(csa_run(problem, CsaParams(horizon, **a), batches, seed, **common))
-    # pdsg_adp, the one name left after run_experiment's check_keys
-    return [pdsg_adp_run(problem, PdsgAdpParams(horizon, **a), batches, seed, **common)]
+    build, loop = _ALGORITHMS[cfg.algorithm_name]
+    params = build(horizon, **{k: v for k, v in cfg.algorithm.items() if k != "name"})
+    if loop == "apriad_run":  # the saddle loop takes no batches and no reference
+        return [apriad_run(problem, params, seed, checkpoints=cps, timing=timing)]
+    out = globals()[loop](problem, params, batches, seed,
+                          checkpoints=cps, f0_ref=f0_ref, timing=timing)
+    return list(out) if isinstance(out, tuple) else [out]
 
 
 @dataclass

@@ -32,7 +32,9 @@ read their draws from one chunked generator, ``ExpectationQcqpProblem._draws``,
 so that order is written once; finite families subsample through
 ``_subsample``. Each drawn Q = G'G is scaled to unit spectral norm, by
 ``_certified_top`` in evaluation and freeze draws and by ``eigvalsh`` in
-training draws and finite-sum instances.
+training draws and finite-sum instances. A sampled evaluation at a point whose
+violation a Q-free bound certifies to be zero forms no Q at all: it draws each
+G only to advance the stream (``ExpectationQcqpProblem._certified_eval``).
 """
 
 import csv
@@ -457,10 +459,13 @@ def _certified_top(q):
 
 def _draw_constraint_terms(rng, count, n, top=_eigvalsh_top):
     # G is drawn _EVAL_CHUNK rows at a time (the same stream as one draw) and each block's
-    # Gram matrices go into q, scaled by ``top``'s eigenvalues: q plus one block live at once
+    # Gram matrices go into q, scaled by ``top``'s eigenvalues: q plus one block live at once.
+    # ``top=None`` draws G only to advance the stream and returns q as None.
     q = None
     for lo in range(0, count, _EVAL_CHUNK):
         g = rng.standard_normal((min(_EVAL_CHUNK, count - lo), n, n))
+        if top is None:
+            continue
         q = np.empty((count, n, n)) if q is None else q  # after the first draw: lower peak
         block = np.matmul(g.transpose(0, 2, 1), g, out=q[lo:lo + len(g)])
         del g
@@ -503,8 +508,11 @@ class ExpectationQcqpProblem:
 
     There is no finite instance: every oracle call draws new data, and full
     evaluation uses a fresh batch of ``eval_samples`` draws per function.
-    Evaluation and freeze scale each Q by ``_certified_top`` (within a relative
+    Freeze and evaluation scale each Q by ``_certified_top`` (within a relative
     1e-14 of ``eigvalsh``, faster in bulk), training draws by ``eigvalsh``.
+    Evaluation reads its draws without forming Q first, and stops there when
+    ``sum_i (0.5 ||x||^2 + a_i.x - b_i)`` certifies the violation to be zero;
+    otherwise it rewinds the generator and reads the same draws with Q.
     """
 
     kind = "qcqp_expectation"
@@ -537,24 +545,67 @@ class ExpectationQcqpProblem:
         q, a, b = _draw_constraint_terms(rng, int(jg), self.n)
         return float(_constraint_values_at(q, a, b, x).mean())
 
-    def _draws(self, rng, total):
+    def _draws(self, rng, total, gram=True):
         """``(h, c, q, a, b)`` for ``total`` fresh draws, ``_EVAL_CHUNK`` at a time: the
-        one draw order that ``evaluate_full`` and ``freeze`` share, Q by ``_certified_top``."""
+        one draw order that ``evaluate_full`` and ``freeze`` share, Q by ``_certified_top``.
+        ``gram=False`` reads the same stream but forms no Q (q is None)."""
         for lo in range(0, total, _EVAL_CHUNK):
             take = min(_EVAL_CHUNK, total - lo)
             h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
-            yield (h, c, *_draw_constraint_terms(rng, take, self.n, top=_certified_top))
+            top = _certified_top if gram else None
+            yield (h, c, *_draw_constraint_terms(rng, take, self.n, top=top))
 
     def evaluate_full(self, x, seed=None) -> FullEval:
         x = np.asarray(x, dtype=float)
+        rng = np.random.default_rng(seed)
+        start = rng.bit_generator.state
+        certified = self._certified_eval(x, rng)
+        if certified is not None:
+            return certified
+        rng.bit_generator.state = start  # rewound, not re-seeded: a passed Generator too
+        return self._sampled_eval(x, rng)
+
+    def _sampled_eval(self, x, rng) -> FullEval:
         f0_sum = 0.0
         f1_sum = 0.0
         total = self.eval_samples
-        for h, c, q, a, b in self._draws(np.random.default_rng(seed), total):
+        for h, c, q, a, b in self._draws(rng, total):
             f0_sum += _objective_values_at(h, c, x).sum()
             f1_sum += _constraint_values_at(q, a, b, x).sum()
             del h, c  # not held through the next chunk's constraint draw
         return _full_eval(f0_sum / total, np.array([f1_sum / total]))
+
+    def _certified_eval(self, x, rng):
+        """``_sampled_eval``'s result, read from the same draws without forming Q, when
+        their mean f1 is certified negative; None otherwise.
+
+        Each scaled Q has spectral norm at most 1 + 1e-13 (its normaliser is within 1e-14
+        of the top eigenvalue, the divide adds sqrt(n) eps/2), so the sum of f1 is at most
+        U + 1e-13 S, where U = sum_i (0.5 ||x||^2 + a_i.x - b_i) needs no Q and
+        S = sum_i (0.5 sqrt(n) ||x||^2 + ||x|| + b_i). Each term of either sum has size at
+        most its term of S (|x|'|Q||x| <= ||Q||_F ||x||^2) and passes through at most
+        k = n^2 + n + _EVAL_CHUNK + chunks + 4 roundings, so each computed sum lies within
+        k eps/2 S of its exact value. A computed U < -tau S, tau = 100 (1e-13 + k eps)
+        (1.0e-10 at n = 10 and 1e5 draws), so leaves the full pass's mean f1 negative and
+        its violation max(f1, 0) exactly 0.0.
+        """
+        n, total = self.n, self.eval_samples
+        xx = x @ x
+        # E[f1] <= 0.5 ||x||^2 - E[b] with E[b] = 0.6, so no other point tries (and draws
+        # nothing). A NaN or infinite x fails this `<` too
+        if not 0.5 * xx < 0.6:
+            return None
+        f0_sum = u_sum = b_sum = 0.0
+        for h, c, _, a, b in self._draws(rng, total, gram=False):
+            f0_sum += _objective_values_at(h, c, x).sum()
+            u_sum += (0.5 * xx + a @ x - b).sum()
+            b_sum += b.sum()
+            del h, c
+        k = n * n + n + _EVAL_CHUNK + -(-total // _EVAL_CHUNK) + 4
+        tau = 100 * (1e-13 + k * np.finfo(float).eps)
+        if not u_sum < -tau * (total * (0.5 * np.sqrt(n) * xx + np.sqrt(xx)) + b_sum):
+            return None  # a NaN bound certifies nothing
+        return _full_eval(f0_sum / total, np.array([u_sum / total]))  # its max(., 0) is 0.0
 
     def freeze(self, n_samples=100_000, seed=0) -> "FrozenQcqpProblem":
         """Exact sample-average instance over ``n_samples`` fresh draws.

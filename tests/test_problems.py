@@ -622,19 +622,99 @@ def _freeze_oracle(self, n_samples, seed, top=_certified_top):
 @pytest.mark.parametrize("count", [1, _EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1,
                                    2 * _EVAL_CHUNK + 3])
 @pytest.mark.parametrize("h_normalization", ["fro", "spectral"])
-def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normalization):
+def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normalization,
+                                                                monkeypatch):
     prob = ExpectationQcqpProblem(3, 2, eval_samples=count, h_normalization=h_normalization)
-    x = np.array([0.4, -1.3, 2.2])
-    got = prob.evaluate_full(x, seed=count)
-    f0, f1 = _evaluate_full_oracle(prob, x, seed=count)
-    assert np.float64(got.objective).tobytes() == np.float64(f0).tobytes()
-    assert got.violations.tobytes() == np.maximum(f1, 0.0).tobytes()
+    passes = []  # one entry per pass over the draws: True where it forms Q
+    draws = ExpectationQcqpProblem._draws
+    monkeypatch.setattr(ExpectationQcqpProblem, "_draws", lambda self, rng, total, gram=True:
+                        passes.append(gram) or draws(self, rng, total, gram))
+    # 0.5 ||x||^2 = 3.3: the full pass only; 7e-4: certified from the Q-free pass; 0.599 at
+    # seed count + 18, inside the band: the bound fails there at every count, and one
+    # replay with Q follows
+    for x, seed, want in ((np.array([0.4, -1.3, 2.2]), count, [True]),
+                          (np.array([0.02, -0.03, 0.01]), count, [False]),
+                          (np.array([0.0, 0.911, 0.607]), count + 18, [False, True])):
+        passes.clear()
+        got = prob.evaluate_full(x, seed=seed)
+        assert passes == want, x
+        f0, f1 = _evaluate_full_oracle(prob, x, seed=seed)
+        assert np.float64(got.objective).tobytes() == np.float64(f0).tobytes()
+        assert got.violations.tobytes() == np.maximum(f1, 0.0).tobytes()
     frozen = prob.freeze(n_samples=count, seed=5)
     want = _freeze_oracle(prob, count, 5)
     for name, g, w in zip(("amat", "rvec", "s0", "q", "a", "b"),
                           (frozen.amat, frozen.rvec, frozen.s0, frozen.q, frozen.a, frozen.b),
                           want):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
+
+
+def test_evaluation_forms_no_q_where_certified_and_never_certifies_a_non_finite_point(
+        monkeypatch):
+    prob = ExpectationQcqpProblem(3, 2, eval_samples=2 * _EVAL_CHUNK + 3)
+    calls = {"_certified_top": 0, "matmul": 0, "_draws": 0}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(problems, "_certified_top")
+    spy(np, "matmul")  # only the Gram product calls it by name; the rest use @ or einsum
+    spy(ExpectationQcqpProblem, "_draws")
+
+    prob.evaluate_full(np.array([0.02, -0.03, 0.01]), seed=1)
+    assert calls == {"_certified_top": 0, "matmul": 0, "_draws": 1}
+    # 0.5 ||x||^2 >= 0.6 = E[b] (one ulp past it, then beyond), NaN and infinite points: one
+    # pass over the draws, with Q, and today's result bit for bit (NaN and inf included)
+    edge = np.array([np.nextafter(np.sqrt(1.2), 2.0), 0.0, 0.0])
+    assert 0.6 <= 0.5 * (edge @ edge) < 0.6 + 1e-15
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in (edge, np.array([1.2, 0.0, 0.0]), np.array([0.1, np.nan, 0.2]),
+                  np.array([np.inf, 0.0, 0.1]), np.array([0.0, -np.inf, 0.0])):
+            calls.update(dict.fromkeys(calls, 0))
+            got = prob.evaluate_full(x, seed=2)
+            assert calls["_draws"] == 1 and calls["matmul"] == 3 and calls["_certified_top"] == 3
+            f0, f1 = _evaluate_full_oracle(prob, x, seed=2)
+            assert np.float64(got.objective).tobytes() == np.float64(f0).tobytes(), x
+            assert got.violations.tobytes() == np.maximum(f1, 0.0).tobytes(), x
+
+
+@pytest.mark.parametrize("kind", ["None", "int", "SeedSequence", "Generator"])
+def test_evaluation_replay_keeps_every_seed_kind(kind, monkeypatch):
+    # whichever path it takes, an evaluation reads the stream of the generator that
+    # default_rng(seed) gives, as the reference loop does from that generator's starting
+    # state, and leaves it where the reference loop does: a passed Generator included
+    prob = ExpectationQcqpProblem(3, 2, eval_samples=2 * _EVAL_CHUNK + 3)
+    real_rng, real_certified = np.random.default_rng, ExpectationQcqpProblem._certified_eval
+    made = []
+
+    def default_rng(seed=None):
+        rng = real_rng(seed)
+        made.append((rng, rng.bit_generator.state))
+        return rng
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    small, far = np.array([0.02, -0.03, 0.01]), np.array([0.4, -1.3, 2.2])
+    for x, forced_replay in ((small, False), (small, True), (far, False)):
+        # a forced replay reads the Q-free pass to its end, then finds no certificate
+        monkeypatch.setattr(ExpectationQcqpProblem, "_certified_eval",
+                            (lambda self, *a: real_certified(self, *a) and None)
+                            if forced_replay else real_certified)
+        seed = {"None": None, "int": 11, "SeedSequence": np.random.SeedSequence(11),
+                "Generator": real_rng(11)}[kind]
+        made.clear()
+        got = prob.evaluate_full(x, seed=seed)
+        [(used, start)] = made
+        assert kind != "Generator" or used is seed
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = start
+        f0, f1 = _evaluate_full_oracle(prob, x, seed=twin)
+        assert np.float64(got.objective).tobytes() == np.float64(f0).tobytes()
+        assert got.violations.tobytes() == np.maximum(f1, 0.0).tobytes()
+        assert used.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [3, 10])
