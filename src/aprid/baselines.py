@@ -32,7 +32,7 @@ from .oracles import (constraint_step_direction, estimate_constraint_value,
                       sample_lagrangian_subgradient)
 from .results import RunResult
 from .rng import training_rng
-from .schedules import ErgodicAverager
+from .schedules import ErgodicAverager, _check_positive
 from .solvers import Lane, _NormWatch, _initial_x, drive
 
 __all__ = [
@@ -43,12 +43,6 @@ __all__ = [
     "csa_run",
     "pdsg_adp_run",
 ]
-
-
-def _check_positive(**kwargs):
-    for name, v in kwargs.items():
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v!r}")
 
 
 @dataclass

@@ -5,13 +5,14 @@
     aprid-bench sweep  --config exp.ini --param algorithm.theta \
                        --values 1,10,100 --out runs/theta [--seeds 1,2]
 
-Exit codes: 0 success, 2 configuration error, 3 solver divergence.
+Exit codes: 0 success, 1 reference solver failure, 2 configuration error,
+3 solver divergence.
 """
 
 import argparse
 import sys
 
-from .errors import ConfigError, DivergenceError, ReferenceError
+from .errors import ConfigError, ReferenceError
 from .config import _int_list, parse_config
 from .harness import compare_report, format_report, run_experiment, sweep
 
@@ -95,9 +96,6 @@ def main(argv=None) -> int:
         print("configuration error:", file=sys.stderr)
         print(exc.itemized(), file=sys.stderr)
         return 2
-    except DivergenceError as exc:
-        print(f"solver diverged: {exc}", file=sys.stderr)
-        return 3
     except ReferenceError as exc:
         print(f"reference solver failed: {exc}", file=sys.stderr)
         return 1

@@ -35,49 +35,36 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
+@dataclass(frozen=True)
+class _Number:
+    """Parser of one finite ``kind`` (int or float) value in [low, high), or in
+    (low, high) with ``open_low``. A range without ``high`` is a sign (``low`` 0)."""
+
+    kind: type
+    low: float = -math.inf
+    high: float = math.inf
+    open_low: bool = False
+
+    def __call__(self, text):
+        noun = "integer" if self.kind is int else "number"
+        try:
+            v = self.kind(text)
+        except ValueError:
+            raise ValueError(f"expected {'an' if self.kind is int else 'a'} {noun}, "
+                             f"got {text!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        if (v <= self.low if self.open_low else v < self.low) or v >= self.high:
+            if self.high < math.inf:
+                raise ValueError(f"must lie in {'(' if self.open_low else '['}{self.low}, "
+                                 f"{self.high}), got {v}")
+            raise ValueError(f"expected a {'positive' if self.open_low else 'non-negative'} "
+                             f"{noun}, got {v}")
+        return v
 
 
-def _parse_float(text):
-    try:
-        v = float(text)
-    except ValueError:
-        raise ValueError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(v):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return v
-
-
-def _pos_int(text):
-    v = _parse_int(text)
-    if v < 1:
-        raise ValueError(f"expected a positive integer, got {v}")
-    return v
-
-
-def _nonneg_int(text):
-    v = _parse_int(text)
-    if v < 0:
-        raise ValueError(f"expected a non-negative integer, got {v}")
-    return v
-
-
-def _pos_float(text):
-    v = _parse_float(text)
-    if not v > 0:
-        raise ValueError(f"expected a positive number, got {v}")
-    return v
-
-
-def _nonneg_float(text):
-    v = _parse_float(text)
-    if v < 0:
-        raise ValueError(f"expected a non-negative number, got {v}")
-    return v
+_pos_int, _nonneg_int = _Number(int, 0, open_low=True), _Number(int, 0)
+_pos_float, _nonneg_float = _Number(float, 0, open_low=True), _Number(float, 0)
 
 
 def _enum(*choices):
@@ -113,13 +100,14 @@ class _Key:
     parse: object
     default: object = None
     required: bool = False
+    mode: str | None = None  # the one reference mode whose run reads this [run] key
 
 
 # the dataset preparation and constraint level both NPC kinds share
 _NPC_KEYS = {
     "preprocess": _Key(_parse_bool, True),
-    "c_hat": _Key(_parse_float),
-    "c_target": _Key(_parse_float),
+    "c_hat": _Key(_Number(float)),
+    "c_target": _Key(_Number(float)),
     "kappa": _Key(_nonneg_float, 0.0),
     "box_halfwidth": _Key(_pos_float, 100.0),
 }
@@ -165,8 +153,8 @@ _ALGORITHM_KEYS = {
     "aprid": {
         "alpha": _Key(_pos_float, 10.0),
         "rho": _Key(_pos_float, 1.0),
-        "beta1": _Key(_nonneg_float, 0.9),
-        "beta2": _Key(_pos_float, 0.99),
+        "beta1": _Key(_Number(float, 0, 1), 0.9),
+        "beta2": _Key(_Number(float, 0, 1, open_low=True), 0.99),
         "theta": _Key(_pos_float, 10.0),
         "schedule": _Key(_enum("constant", "sqrt_log"), "constant"),
         "divergence_cap": _Key(_pos_float, 1e8),
@@ -174,8 +162,8 @@ _ALGORITHM_KEYS = {
     "apriad": {
         "alpha": _Key(_pos_float, 1.0),
         "rho": _Key(_pos_float, 1.0),
-        "beta1": _Key(_nonneg_float, 0.9),
-        "beta2": _Key(_pos_float, 0.99),
+        "beta1": _Key(_Number(float, 0, 1), 0.9),
+        "beta2": _Key(_Number(float, 0, 1, open_low=True), 0.99),
         "theta": _Key(_pos_float, 10.0),
         "schedule": _Key(_enum("constant", "sqrt"), "constant"),
     },
@@ -205,12 +193,16 @@ _RUN_KEYS = {
     "seeds": _Key(_int_list, [0]),
     "checkpoints": _Key(_checkpoints, [50]),
     "reference": _Key(_enum("exact", "best_feasible", "none"), None),
-    "reference_tol": _Key(_pos_float, 1e-6),
-    "feasible_tol": _Key(_pos_float, 1e-6),
-    "freeze_samples": _Key(_pos_int, 100_000),
-    "freeze_seed": _Key(_nonneg_int, 0),
+    "reference_tol": _Key(_pos_float, 1e-6, mode="exact"),
+    "feasible_tol": _Key(_pos_float, 1e-6, mode="best_feasible"),
+    "freeze_samples": _Key(_pos_int, 100_000, mode="exact"),
+    "freeze_seed": _Key(_nonneg_int, 0, mode="exact"),
     "timing": _Key(_enum("algo", "total", "none"), "algo"),
 }
+
+# the sections whose key table a tag selects: (section, tag, what it names, tables)
+_TAGGED = (("problem", "kind", "kind", _PROBLEM_KEYS),
+           ("algorithm", "name", "algorithm", _ALGORITHM_KEYS))
 
 
 @dataclass
@@ -239,13 +231,13 @@ class ExperimentConfig:
         raw[sec][key] = str(value)
         return resolve_config(raw)
 
-    def check_keys(self, sections=("problem", "algorithm")):
+    def check_keys(self, sections=("problem", "algorithm", "run")):
         """Raise one ConfigError naming each missing or unknown key of the named
-        sections. resolve_config fills in every key, so only a config built by
-        hand can fail here."""
+        sections. Of [run], a reference mode's own keys are needed only under that
+        mode. resolve_config fills in every key, so only a config built by hand
+        can fail here."""
         errors = []
-        for sec, tag, label, schemas in (("problem", "kind", "kind", _PROBLEM_KEYS),
-                                         ("algorithm", "name", "algorithm", _ALGORITHM_KEYS)):
+        for sec, tag, label, schemas in _TAGGED:
             if sec not in sections:
                 continue
             section = getattr(self, sec)
@@ -256,11 +248,16 @@ class ExperimentConfig:
             errors += [f"{sec}.{key}: missing key" for key in schema if key not in section]
             errors += [f"{sec}.{key}: unknown key" for key in section
                        if key not in schema and key != tag]
+        if "run" in sections:
+            mode = self.run.get("reference")
+            errors += [f"run.{key}: missing key" for key, spec in _RUN_KEYS.items()
+                       if key not in self.run and spec.mode in (None, mode)]
+            errors += [f"run.{key}: unknown key" for key in self.run if key not in _RUN_KEYS]
         if errors:
             raise ConfigError(errors)
 
 
-def _resolve_section(section_name, raw, schema, errors):
+def _resolve_section(section_name, raw, schema, errors, tag=None):
     out = {}
     for key, spec in schema.items():
         if key in raw:
@@ -273,7 +270,7 @@ def _resolve_section(section_name, raw, schema, errors):
         else:
             out[key] = spec.default
     for key in raw:
-        if key not in schema:
+        if key not in schema and key != tag:
             errors.append(f"{section_name}.{key}: unknown key")
     return out
 
@@ -306,30 +303,16 @@ def resolve_config(raw) -> ExperimentConfig:
     araw = dict(raw.get("algorithm", {}))
     rraw = dict(raw.get("run", {}))
 
-    kind = praw.get("kind")
-    if kind not in _PROBLEM_KEYS:
-        errors.append(
-            f"problem.kind: expected one of {tuple(_PROBLEM_KEYS)}, got {kind!r}"
-        )
-        raise ConfigError(errors)
-    name = araw.get("name")
-    if name not in _ALGORITHM_KEYS:
-        errors.append(
-            f"algorithm.name: expected one of {tuple(_ALGORITHM_KEYS)}, got {name!r}"
-        )
-        raise ConfigError(errors)
+    for sec, tag, _, schemas in _TAGGED:
+        value = raw.get(sec, {}).get(tag)
+        if value not in schemas:
+            raise ConfigError(errors + [
+                f"{sec}.{tag}: expected one of {tuple(schemas)}, got {value!r}"])
+    kind, name = praw["kind"], araw["name"]
 
-    problem = _resolve_section(
-        "problem", {k: v for k, v in praw.items() if k != "kind"},
-        _PROBLEM_KEYS[kind], errors)
-    problem["kind"] = kind
-    algorithm = _resolve_section(
-        "algorithm", {k: v for k, v in araw.items() if k != "name"},
-        _ALGORITHM_KEYS[name], errors)
-    algorithm["name"] = name
-    run = _resolve_section("run", rraw, _RUN_KEYS, errors)
-
-    # cross-field rules
+    problem = {**_resolve_section("problem", praw, _PROBLEM_KEYS[kind], errors, "kind"),
+               "kind": kind}
+    # cross-field rules; the level rule reads only a [problem] section that parsed
     if kind in ("npc", "npc_synthetic") and not errors:
         has_hat = problem.get("c_hat") is not None
         has_target = problem.get("c_target") is not None
@@ -337,6 +320,9 @@ def resolve_config(raw) -> ExperimentConfig:
             errors.append("problem.c_hat: give exactly one of c_hat or c_target")
         if has_hat and problem.get("kappa"):
             errors.append("problem.kappa: kappa only applies together with c_target")
+    algorithm = {**_resolve_section("algorithm", araw, _ALGORITHM_KEYS[name], errors, "name"),
+                 "name": name}
+    run = _resolve_section("run", rraw, _RUN_KEYS, errors)
     saddle_problem = kind == "bilinear"
     saddle_algorithm = name == "apriad"
     if saddle_problem != saddle_algorithm:
@@ -356,13 +342,6 @@ def resolve_config(raw) -> ExperimentConfig:
     if saddle_algorithm and run.get("reference") != "none":
         errors.append(
             "run.reference: saddle runs report the exact gap; set reference = none")
-    if name in ("aprid", "apriad"):
-        b1 = algorithm.get("beta1")
-        if b1 is not None and not 0 <= b1 < 1:
-            errors.append(f"algorithm.beta1: must lie in [0, 1), got {b1}")
-        b2 = algorithm.get("beta2")
-        if b2 is not None and not 0 < b2 < 1:
-            errors.append(f"algorithm.beta2: must lie in (0, 1), got {b2}")
     cps = run.get("checkpoints")
     horizon = run.get("horizon")
     if cps and horizon and len(cps) > 1:

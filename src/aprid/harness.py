@@ -11,7 +11,6 @@ identical configs and seeds reproduce identical bytes (exactly true in
 """
 
 import datetime
-import hashlib
 import os
 import platform
 import time
@@ -22,7 +21,7 @@ from statistics import median
 import numpy as np
 
 from .baselines import CsaParams, MsaParams, PdsgAdpParams, csa_run, msa_run, pdsg_adp_run
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, config_digest
 from .errors import DivergenceError
 from .oracles import BatchSizes
 from .problems import (load_dataset, make_bilinear_saddle, make_npc,
@@ -31,7 +30,7 @@ from .problems import (load_dataset, make_bilinear_saddle, make_npc,
 from .reference import solve_reference
 from .results import CheckpointRecord, log_spaced_checkpoints, read_run_csv, write_run_csv
 from .schedules import StepSchedule
-from .solvers import SolverParams, apriad_run, aprid_run
+from .solvers import SolverParams, _resolve_checkpoints, apriad_run, aprid_run
 
 __all__ = [
     "ExperimentOutput",
@@ -72,6 +71,14 @@ _PROBLEM_FACTORIES = {
 }
 
 
+def _as_config_error(where, build, *args, **keys):
+    """``build(*args, **keys)``, raising its ValueError or OSError as a ConfigError."""
+    try:
+        return build(*args, **keys)
+    except (ValueError, OSError) as exc:
+        raise ConfigError([f"{where}: {exc}"]) from exc
+
+
 def build_problem(cfg: ExperimentConfig):
     """Instantiate the problem described by the config's [problem] section,
     checked against its kind's keys first."""
@@ -80,17 +87,13 @@ def build_problem(cfg: ExperimentConfig):
     kind = keys.pop("kind")
     if "instance_seed" in keys:
         keys["seed"] = keys.pop("instance_seed")
-    try:
-        return _PROBLEM_FACTORIES[kind](**keys)
-    except (ValueError, OSError) as exc:
-        raise ConfigError([f"problem.{kind}: {exc}"]) from exc
+    return _as_config_error(f"problem.{kind}", _PROBLEM_FACTORIES[kind], **keys)
 
 
 def problem_digest(cfg: ExperimentConfig) -> str:
     """Digest of the [problem] section only; runs over the same instance
     share it regardless of algorithm or run settings."""
-    lines = sorted(f"{k}={v}" for k, v in cfg.resolved.items() if k.startswith("problem."))
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return config_digest({k: v for k, v in cfg.resolved.items() if k.startswith("problem.")})
 
 
 def _adaptive_params(horizon, schedule, alpha, rho, beta1, **keys):
@@ -106,15 +109,25 @@ _ALGORITHMS = {"aprid": (_adaptive_params, "aprid_run"), "msa": (MsaParams, "msa
                "pdsg_adp": (PdsgAdpParams, "pdsg_adp_run")}
 
 
-def _run_cell(problem, cfg, seed, f0_ref, timing):
+def _plan(cfg):
+    """(run loop name, params, batch sizes, checkpoint list) of every cell of
+    ``cfg``, built before any work, so that a bad value fails as a ConfigError."""
+    name, run = cfg.algorithm_name, cfg.run
+    build, loop = _ALGORITHMS[name]
+    params = _as_config_error(f"algorithm.{name}", build, run["horizon"],
+                              **{k: v for k, v in cfg.algorithm.items() if k != "name"})
+    batches = _as_config_error("run", BatchSizes, j0=run["j0"], j1=run["j1"], jg=run["jg"])
+    cps = run["checkpoints"]
+    if len(cps) == 1:  # a count; the params have checked the horizon
+        return loop, params, batches, log_spaced_checkpoints(run["horizon"], count=cps[0])
+    return loop, params, batches, _as_config_error("run.checkpoints", _resolve_checkpoints,
+                                                   cps, run["horizon"])
+
+
+def _run_cell(problem, plan, seed, f0_ref, timing):
     """One (algorithm, seed) execution; returns a list of RunResults (the
     switching baseline yields two trajectories)."""
-    horizon, cps = cfg.run["horizon"], cfg.run["checkpoints"]
-    if len(cps) == 1:
-        cps = log_spaced_checkpoints(horizon, count=cps[0])
-    batches = BatchSizes(j0=cfg.run["j0"], j1=cfg.run["j1"], jg=cfg.run["jg"])
-    build, loop = _ALGORITHMS[cfg.algorithm_name]
-    params = build(horizon, **{k: v for k, v in cfg.algorithm.items() if k != "name"})
+    loop, params, batches, cps = plan
     if loop == "apriad_run":  # the saddle loop takes no batches and no reference
         return [apriad_run(problem, params, seed, checkpoints=cps, timing=timing)]
     out = globals()[loop](problem, params, batches, seed,
@@ -144,6 +157,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
         raise ConfigError([f"run.seeds: repeated seed in {seeds}; "
                            "each seed writes one trajectory file"])
     cfg.check_keys()
+    plan = _plan(cfg)
     os.makedirs(out_dir, exist_ok=True)
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -180,7 +194,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
     diverged = False
     for seed in seeds:
         try:
-            for res in _run_cell(problem, cfg, seed, f0_ref, run_timing):
+            for res in _run_cell(problem, plan, seed, f0_ref, run_timing):
                 cell_results.append((res, "ok"))
         except DivergenceError as exc:
             # every lane keeps its completed rows and ends on the failing step
@@ -212,7 +226,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
     csv_paths = []
     cell_lines = {}
     for idx, (res, status) in enumerate(cell_results):
-        res.config_digest = cfg.digest
         fname = f"{res.algorithm}_seed{res.seed}.csv"
         path = os.path.join(out_dir, fname)
         write_run_csv(path, res.records, zero_wall=(timing == "none"))

@@ -115,10 +115,6 @@ class Dataset:
             raise ValueError(f"labels must be +1/-1, found {sorted(bad)}")
 
     @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.features.shape[1]
 

@@ -152,8 +152,8 @@ def _augmented_lagrangian(problem, values, z, beta):
     return fun, grad
 
 
-def solve_reference(problem, tol=1e-6, max_outer=100, inner_max_iters=5000,
-                    freeze_samples=100_000, freeze_seed=0) -> ReferenceSolution:
+def solve_reference(problem, tol=1e-6, max_outer=100, freeze_samples=100_000,
+                    freeze_seed=0) -> ReferenceSolution:
     """Solve a constrained problem to KKT residuals at most ``tol``.
 
     Expectation-form problems are first replaced by their exact
@@ -179,7 +179,7 @@ def solve_reference(problem, tol=1e-6, max_outer=100, inner_max_iters=5000,
     best = None
     for outer in range(1, max_outer + 1):
         fun, grad = _augmented_lagrangian(problem, values, z, beta)
-        x = _spg_minimize(fun, grad, x, box, inner_tol, inner_max_iters)
+        x = _spg_minimize(fun, grad, x, box, inner_tol)
         f = values(x)
         z = np.maximum(z + beta * f, 0.0)
         res = _kkt_at(problem, x, z, f)

@@ -70,7 +70,6 @@ class RunResult:
     x_bar: np.ndarray | None = None
     z_bar: np.ndarray | None = None
     wall_total: float = 0.0
-    config_digest: str = ""
 
     def final_record(self) -> CheckpointRecord:
         if not self.records:

@@ -123,8 +123,7 @@ class StepSchedule:
     def from_sequence(cls, alphas, rho1, beta1):
         alphas = _check_alphas(alphas)
         beta1 = _check_beta1(beta1)
-        if not rho1 > 0:
-            raise ValueError(f"rho1 must be positive, got {rho1!r}")
+        _check_positive(rho1=rho1)
         etas = _tail_sums(alphas, beta1)
         rhos = _recursion_rhos(alphas, etas, float(rho1), beta1)
         return cls("custom", beta1, alphas, rhos, etas)
@@ -189,6 +188,13 @@ class StepSchedule:
         )
 
 
+def _check_positive(**values):
+    """Raise ValueError naming the first of ``values`` that is not positive."""
+    for name, v in values.items():
+        if not v > 0:
+            raise ValueError(f"{name} must be positive, got {v!r}")
+
+
 def _check_horizon(horizon):
     if int(horizon) != horizon or horizon < 1:
         raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
@@ -214,10 +220,7 @@ def _check_alphas(alphas):
 
 def _check_closed_form(alpha, rho, horizon, beta1):
     horizon = _check_horizon(horizon)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho!r}")
+    _check_positive(alpha=alpha, rho=rho)
     return horizon, _check_beta1(beta1)
 
 

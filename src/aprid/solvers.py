@@ -51,7 +51,7 @@ from .kernels import clip_gradient, project_box_weighted
 from .oracles import sample_lagrangian_subgradient, sample_minimax_subgradient
 from .results import CheckpointRecord, RunResult, log_spaced_checkpoints
 from .rng import eval_seed, training_rng
-from .schedules import ErgodicAverager, LazyErgodicAverager, StepSchedule
+from .schedules import ErgodicAverager, LazyErgodicAverager, StepSchedule, _check_positive
 
 __all__ = [
     "SolverParams",
@@ -89,10 +89,7 @@ class SolverParams:
     def __post_init__(self):
         if not 0 < self.beta2 < 1:
             raise ValueError(f"beta2 must lie in (0, 1), got {self.beta2!r}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta!r}")
-        if not self.divergence_cap > 0:
-            raise ValueError(f"divergence_cap must be positive, got {self.divergence_cap!r}")
+        _check_positive(theta=self.theta, divergence_cap=self.divergence_cap)
 
     @property
     def horizon(self) -> int:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from aprid import harness
 from aprid.cli import main
+from aprid.errors import ReferenceError
 
 GOOD_CONFIG = """\
 [problem]
@@ -124,6 +126,37 @@ def test_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
     # the partial trajectory is still on disk
     assert os.path.exists(os.path.join(str(tmp_path / "o"), "aprid_seed1.csv"))
+
+
+def test_reference_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise ReferenceError("no KKT point within tolerance")
+
+    monkeypatch.setattr(harness, "solve_reference", failing)
+    path = tmp_path / "exact.ini"
+    path.write_text(GOOD_CONFIG.replace("reference = none", "reference = exact"))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "reference solver failed: no KKT point" in capsys.readouterr().err
+
+
+def test_diverged_sweep_exit_code(tmp_path, capsys):
+    path = tmp_path / "div.ini"
+    path.write_text(DIVERGING_CONFIG)
+    code = main(["sweep", "--config", str(path), "--param", "algorithm.theta",
+                 "--values", "1,10", "--out", str(tmp_path / "sw")])
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
+    assert os.path.exists(str(tmp_path / "sw" / "algorithm-theta_1" / "aprid_seed1.csv"))
+
+
+def test_empty_sweep_values_exit_code(good_ini, tmp_path, capsys):
+    out_root = tmp_path / "sw"
+    code = main(["sweep", "--config", good_ini, "--param", "algorithm.theta",
+                 "--values", ",", "--out", str(out_root)])
+    assert code == 2
+    assert "--values: expected a comma-separated list" in capsys.readouterr().err
+    assert not out_root.exists()
 
 
 def test_report_subcommand(good_ini, tmp_path, capsys):

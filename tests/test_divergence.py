@@ -121,3 +121,20 @@ def test_pdsg_adp_stops_at_poisoned_step(qcqp, monkeypatch):
                                  checkpoints=CHECKPOINTS, f0_ref=0.5)
     check_stops_at_k(run, qcqp, monkeypatch, "sample_objective_grad", poisoned,
                      r"iterate diverged \(multiplier norm \d\.\d{3}e[+-]\d\d\)")
+
+
+def test_aprid_stops_at_a_non_finite_multiplier(qcqp, monkeypatch):
+    params = SolverParams.constant(20, alpha=3.0, rho=1.0)
+    run = lambda p: aprid_run(p, params, BATCHES, seed=3, checkpoints=CHECKPOINTS,  # noqa: E731
+                              f0_ref=0.5)
+    check_stops_at_k(run, qcqp, monkeypatch, "sample_constraint_block",
+                     lambda block: (block[0], block[1] * np.nan, block[2]),
+                     r"non-finite multiplier after update")
+
+
+def test_csa_stops_at_a_non_finite_iterate(qcqp, monkeypatch):
+    # a tolerance every step clears makes the K-th objective draw step K's
+    run = lambda p: csa_run(p, CsaParams(horizon=20, eta_tol=1e6), BATCHES,  # noqa: E731
+                            seed=3, checkpoints=CHECKPOINTS, f0_ref=0.5)
+    check_stops_at_k(run, qcqp, monkeypatch, "sample_objective_grad", poisoned,
+                     r"non-finite iterate")

@@ -90,6 +90,11 @@ def _hand_built(algorithm, kind, **algorithm_keys):
                             run=run)
 
 
+def _with_run(cfg, **run_keys):
+    cfg.run.update(run_keys)
+    return cfg
+
+
 def test_unhandled_algorithm_or_kind_in_a_hand_built_config(tmp_path):
     with pytest.raises(ConfigError, match="algorithm.name: unhandled algorithm 'sgd'"):
         run_experiment(_hand_built("sgd", "qcqp_finite_sum"), tmp_path / "a")
@@ -135,6 +140,9 @@ def test_duplicate_seeds_are_rejected(tmp_path):
 def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):
     misspelt_problem = _hand_built("msa", "qcqp_finite_sum", alpha=1.0, rho=1.0, z_cap=3.0)
     misspelt_problem.problem["instance_sed"] = misspelt_problem.problem.pop("instance_seed")
+    msa = dict(alpha=1.0, rho=1.0, z_cap=3.0)
+    aprid = dict(alpha=1.0, rho=1.0, beta1=0.9, beta2=0.99, theta=10.0, schedule="constant",
+                 divergence_cap=1e8)
     cases = {
         "bare": (_hand_built("aprid", "qcqp_finite_sum"),
                  [f"algorithm.{key}: missing key" for key in _ALGORITHM_KEYS["aprid"]]),
@@ -142,6 +150,21 @@ def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):
                       ["algorithm.z_cap: missing key", "algorithm.zcap: unknown key"]),
         "problem": (misspelt_problem,
                     ["problem.instance_seed: missing key", "problem.instance_sed: unknown key"]),
+        "run": (_with_run(_hand_built("msa", "qcqp_finite_sum", **msa), reference="exact",
+                          horizn=10),
+                ["run.reference_tol: missing key", "run.freeze_samples: missing key",
+                 "run.freeze_seed: missing key", "run.horizn: unknown key"]),
+        "value": (_hand_built("msa", "qcqp_finite_sum", **{**msa, "alpha": -1.0}),
+                  ["algorithm.msa: alpha must be positive, got -1.0"]),
+        "momentum": (_hand_built("aprid", "qcqp_finite_sum", **{**aprid, "beta1": 1.5}),
+                     ["algorithm.aprid: beta1 must lie in [0, 1), got 1.5"]),
+        "schedule": (_hand_built("aprid", "qcqp_finite_sum", **{**aprid, "schedule": "custom"}),
+                     ["algorithm.schedule: 'custom' names no StepSchedule constructor"]),
+        "batches": (_with_run(_hand_built("aprid", "qcqp_finite_sum", **aprid), j0=0),
+                    ["run: batch size j0 must be a positive integer, got 0"]),
+        "checkpoints": (_with_run(_hand_built("msa", "qcqp_finite_sum", **msa),
+                                  checkpoints=[5, 11]),
+                        ["run.checkpoints: checkpoints must lie in [1, 10], got 5..11"]),
     }
     for name, (cfg, problems) in cases.items():
         with pytest.raises(ConfigError) as info:

@@ -22,6 +22,7 @@ from aprid import (
     sweep,
     write_run_csv,
 )
+from aprid.config import _ALGORITHM_KEYS, _PROBLEM_KEYS, _RUN_KEYS, _Number
 from aprid.harness import build_problem, problem_digest
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -261,6 +262,47 @@ def test_momentum_bounds_checked():
     raw["algorithm"]["beta2"] = "1.0"
     with pytest.raises(ConfigError, match="beta2"):
         resolve_config(raw)
+
+
+# each range a numeric key uses -> (text, message) pairs that fall outside it
+OUT_OF_RANGE = {
+    _Number(float): [],
+    _Number(int, 0, open_low=True): [("0", "expected a positive integer, got 0")],
+    _Number(int, 0): [("-1", "expected a non-negative integer, got -1")],
+    _Number(float, 0, open_low=True): [("0", "expected a positive number, got 0.0")],
+    _Number(float, 0): [("-1", "expected a non-negative number, got -1.0")],
+    _Number(float, 0, 1): [("-0.5", "must lie in [0, 1), got -0.5"),
+                           ("1", "must lie in [0, 1), got 1.0")],
+    _Number(float, 0, 1, open_low=True): [("0", "must lie in (0, 1), got 0.0"),
+                                          ("1", "must lie in (0, 1), got 1.0")],
+}
+
+NUMERIC_KEYS = [
+    (sec, owner, key, spec.parse)
+    for sec, tables in (("problem", _PROBLEM_KEYS), ("algorithm", _ALGORITHM_KEYS),
+                        ("run", {None: _RUN_KEYS}))
+    for owner, table in tables.items()
+    for key, spec in table.items() if isinstance(spec.parse, _Number)
+]
+
+
+@pytest.mark.parametrize("sec, owner, key, number", NUMERIC_KEYS,
+                         ids=[f"{s}.{o}.{k}" if o else f"{s}.{k}" for s, o, k, _ in NUMERIC_KEYS])
+def test_every_numeric_key_rejects_unreadable_non_finite_and_out_of_range_text(
+        sec, owner, key, number):
+    noun = "an integer" if number.kind is int else "a number"
+    non_finite = "expected an integer" if number.kind is int else "expected a finite number"
+    cases = [("ten", f"expected {noun}, got 'ten'"),
+             ("nan", f"{non_finite}, got 'nan'"), ("inf", f"{non_finite}, got 'inf'"),
+             *OUT_OF_RANGE[number]]
+    for text, message in cases:
+        raw = {"problem": {"kind": "qcqp_finite_sum"}, "algorithm": {"name": "msa"}, "run": {}}
+        if owner is not None:
+            raw[sec] = {"kind" if sec == "problem" else "name": owner}
+        raw[sec][key] = text
+        with pytest.raises(ConfigError) as info:
+            resolve_config(raw)
+        assert f"{sec}.{key}: {message}" in info.value.problems, text
 
 
 def test_schedule_enums_per_algorithm():

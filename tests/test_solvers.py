@@ -166,6 +166,8 @@ def test_checkpoint_validation(qcqp):
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1, checkpoints=[0, 10])
     with pytest.raises(ValueError):
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1, checkpoints=[10, 21])
+    with pytest.raises(ValueError, match="checkpoint list is empty"):
+        aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1, checkpoints=[])
     with pytest.raises(ValueError):
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1, timing="sometimes")
 
