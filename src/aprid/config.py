@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .results import _resolve_checkpoints
 
 __all__ = ["ExperimentConfig", "parse_config", "resolve_config", "config_digest"]
 
@@ -207,18 +208,26 @@ _TAGGED = (("problem", "kind", "kind", _PROBLEM_KEYS),
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved, validated experiment description."""
+    """Typed [problem], [algorithm] and [run] sections; manifest lines derive from them."""
 
     problem: dict
     algorithm: dict
     run: dict
-    resolved: dict = field(default_factory=dict)
-    digest: str = ""
     _raw: dict | None = field(default=None, compare=False, repr=False)  # set by resolve_config
 
     @property
     def algorithm_name(self) -> str:
         return self.algorithm["name"]
+
+    @property
+    def resolved(self) -> dict:
+        """Each ``section.key`` with its value's canonical string: the manifest's lines."""
+        return {f"{sec}.{key}": _canonical(value) for sec in ("problem", "algorithm", "run")
+                for key, value in getattr(self, sec).items()}
+
+    @property
+    def digest(self) -> str:
+        return config_digest(self.resolved)
 
     def with_override(self, param, value):
         """New config with one ``section.key`` replaced by ``value``."""
@@ -233,9 +242,9 @@ class ExperimentConfig:
 
     def check_keys(self, sections=("problem", "algorithm", "run")):
         """Raise one ConfigError naming each missing or unknown key of the named
-        sections. Of [run], a reference mode's own keys are needed only under that
-        mode. resolve_config fills in every key, so only a config built by hand
-        can fail here."""
+        sections (of [run], a reference mode's keys only under that mode), then,
+        with all three complete, each broken cross-key rule. resolve_config holds
+        a config to both, so only a config built by hand can fail here."""
         errors = []
         for sec, tag, label, schemas in _TAGGED:
             if sec not in sections:
@@ -253,8 +262,39 @@ class ExperimentConfig:
             errors += [f"run.{key}: missing key" for key, spec in _RUN_KEYS.items()
                        if key not in self.run and spec.mode in (None, mode)]
             errors += [f"run.{key}: unknown key" for key in self.run if key not in _RUN_KEYS]
+        if not errors and set(sections) == {"problem", "algorithm", "run"}:
+            errors = _cross_key_errors(self.problem, self.algorithm, self.run)
         if errors:
             raise ConfigError(errors)
+
+
+def _cross_key_errors(problem, algorithm, run):
+    """Messages of the rules that tie keys of typed sections together; a rule
+    skips a key that is absent because it failed to parse."""
+    errors = []
+    level = {key: problem[key] is not None for key in ("c_hat", "c_target") if key in problem}
+    if len(level) == 2 and level["c_hat"] == level["c_target"]:
+        errors.append("problem.c_hat: give exactly one of c_hat or c_target")
+    if level.get("c_hat") and problem.get("kappa"):
+        errors.append("problem.kappa: kappa only applies together with c_target")
+    kind, name = problem["kind"], algorithm["name"]
+    if kind == "bilinear" and name != "apriad":
+        errors.append(f"algorithm.name: bilinear problems need the minimax solver, not {name!r}")
+    if name == "apriad" and kind != "bilinear":
+        errors.append(
+            f"algorithm.name: the minimax solver only runs on bilinear problems, not {kind!r}")
+    if name == "pdsg_adp" and kind == "qcqp_expectation":
+        errors.append("algorithm.name: pdsg_adp needs exact per-constraint values; "
+                      "qcqp_expectation cannot provide them")
+    if name == "apriad" and run.get("reference", "none") != "none":
+        errors.append("run.reference: saddle runs report the exact gap; set reference = none")
+    cps = run.get("checkpoints")
+    if cps is not None and len(cps) != 1 and "horizon" in run:  # one value is a count
+        try:
+            _resolve_checkpoints(cps, run["horizon"])
+        except ValueError as exc:
+            errors.append(f"run.checkpoints: {exc}")
+    return errors
 
 
 def _resolve_section(section_name, raw, schema, errors, tag=None):
@@ -279,9 +319,9 @@ def _canonical(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float prints as its Python float
     if isinstance(value, list):
-        return ",".join(str(v) for v in value)
+        return ",".join(_canonical(v) for v in value)
     if value is None:
         return ""
     return str(value)
@@ -312,54 +352,16 @@ def resolve_config(raw) -> ExperimentConfig:
 
     problem = {**_resolve_section("problem", praw, _PROBLEM_KEYS[kind], errors, "kind"),
                "kind": kind}
-    # cross-field rules; the level rule reads only a [problem] section that parsed
-    if kind in ("npc", "npc_synthetic") and not errors:
-        has_hat = problem.get("c_hat") is not None
-        has_target = problem.get("c_target") is not None
-        if has_hat == has_target:
-            errors.append("problem.c_hat: give exactly one of c_hat or c_target")
-        if has_hat and problem.get("kappa"):
-            errors.append("problem.kappa: kappa only applies together with c_target")
     algorithm = {**_resolve_section("algorithm", araw, _ALGORITHM_KEYS[name], errors, "name"),
                  "name": name}
     run = _resolve_section("run", rraw, _RUN_KEYS, errors)
-    saddle_problem = kind == "bilinear"
-    saddle_algorithm = name == "apriad"
-    if saddle_problem != saddle_algorithm:
-        if saddle_problem:
-            errors.append(
-                f"algorithm.name: bilinear problems need the minimax solver, not {name!r}")
-        else:
-            errors.append(
-                f"algorithm.name: the minimax solver only runs on bilinear problems, "
-                f"not {kind!r}")
-    if name == "pdsg_adp" and kind == "qcqp_expectation":
-        errors.append(
-            "algorithm.name: pdsg_adp needs exact per-constraint values; "
-            "qcqp_expectation cannot provide them")
     if run.get("reference") is None:
-        run["reference"] = "none" if saddle_problem else "exact"
-    if saddle_algorithm and run.get("reference") != "none":
-        errors.append(
-            "run.reference: saddle runs report the exact gap; set reference = none")
-    cps = run.get("checkpoints")
-    horizon = run.get("horizon")
-    if cps and horizon and len(cps) > 1:
-        if cps[0] < 1 or cps[-1] > horizon:
-            errors.append(
-                f"run.checkpoints: explicit checkpoints must lie in [1, {horizon}]")
+        run["reference"] = "none" if kind == "bilinear" else "exact"
+    errors += _cross_key_errors(problem, algorithm, run)
     if errors:
         raise ConfigError(errors)
-
-    resolved = {}
-    for sec_name, sec in (("problem", problem), ("algorithm", algorithm), ("run", run)):
-        for key, value in sec.items():
-            resolved[f"{sec_name}.{key}"] = _canonical(value)
-    return ExperimentConfig(
-        problem=problem, algorithm=algorithm, run=run,
-        resolved=resolved, digest=config_digest(resolved),
-        _raw={"problem": praw, "algorithm": araw, "run": rraw},
-    )
+    return ExperimentConfig(problem=problem, algorithm=algorithm, run=run,
+                            _raw={"problem": praw, "algorithm": araw, "run": rraw})
 
 
 def parse_config(path) -> ExperimentConfig:

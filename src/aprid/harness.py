@@ -30,7 +30,7 @@ from .problems import (load_dataset, make_bilinear_saddle, make_npc,
 from .reference import solve_reference
 from .results import CheckpointRecord, log_spaced_checkpoints, read_run_csv, write_run_csv
 from .schedules import StepSchedule
-from .solvers import SolverParams, _resolve_checkpoints, apriad_run, aprid_run
+from .solvers import SolverParams, apriad_run, aprid_run
 
 __all__ = [
     "ExperimentOutput",
@@ -117,11 +117,10 @@ def _plan(cfg):
     params = _as_config_error(f"algorithm.{name}", build, run["horizon"],
                               **{k: v for k, v in cfg.algorithm.items() if k != "name"})
     batches = _as_config_error("run", BatchSizes, j0=run["j0"], j1=run["j1"], jg=run["jg"])
-    cps = run["checkpoints"]
+    cps = run["checkpoints"]  # check_keys has held an explicit list to [1, horizon]
     if len(cps) == 1:  # a count; the params have checked the horizon
-        return loop, params, batches, log_spaced_checkpoints(run["horizon"], count=cps[0])
-    return loop, params, batches, _as_config_error("run.checkpoints", _resolve_checkpoints,
-                                                   cps, run["horizon"])
+        cps = log_spaced_checkpoints(run["horizon"], count=cps[0])
+    return loop, params, batches, cps
 
 
 def _run_cell(problem, plan, seed, f0_ref, timing):

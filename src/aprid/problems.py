@@ -112,7 +112,7 @@ class Dataset:
             )
         bad = set(np.unique(self.labels)) - {-1, 1}
         if bad:
-            raise ValueError(f"labels must be +1/-1, found {sorted(bad)}")
+            raise ValueError(f"labels must be +1/-1, found {sorted(int(v) for v in bad)}")
 
     @property
     def n_features(self) -> int:

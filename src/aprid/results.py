@@ -97,6 +97,18 @@ def log_spaced_checkpoints(horizon, count=50):
     return [int(v) for v in np.unique(raw)]
 
 
+def _resolve_checkpoints(checkpoints, horizon):
+    """Sorted distinct explicit checkpoints, each in [1, horizon]; None gives the default."""
+    if checkpoints is None:
+        return log_spaced_checkpoints(horizon)
+    cps = sorted(set(int(c) for c in checkpoints))
+    if not cps:
+        raise ValueError("checkpoint list is empty")
+    if cps[0] < 1 or cps[-1] > horizon:
+        raise ValueError(f"checkpoints must lie in [1, {horizon}], got {cps[0]}..{cps[-1]}")
+    return cps
+
+
 def _check_iterations(records):
     its = [r.iteration for r in records]
     if any(b <= a for a, b in zip(its, its[1:])):

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import DivergenceError
 from .kernels import clip_gradient, project_box_weighted
 from .oracles import sample_lagrangian_subgradient, sample_minimax_subgradient
-from .results import CheckpointRecord, RunResult, log_spaced_checkpoints
+from .results import CheckpointRecord, RunResult, _resolve_checkpoints
 from .rng import eval_seed, training_rng
 from .schedules import ErgodicAverager, LazyErgodicAverager, StepSchedule, _check_positive
 
@@ -341,17 +341,6 @@ class Lane:
     z_bar: Callable[[], np.ndarray] | None = None
     eval_lane: int = 0
     gap: bool = False
-
-
-def _resolve_checkpoints(checkpoints, horizon):
-    if checkpoints is None:
-        return log_spaced_checkpoints(horizon)
-    cps = sorted(set(int(c) for c in checkpoints))
-    if not cps:
-        raise ValueError("checkpoint list is empty")
-    if cps[0] < 1 or cps[-1] > horizon:
-        raise ValueError(f"checkpoints must lie in [1, {horizon}], got {cps[0]}..{cps[-1]}")
-    return cps
 
 
 def _score(problem, lane, k, seed, f0_ref) -> CheckpointRecord:

@@ -46,6 +46,8 @@ from aprid import (
 )
 from aprid.cli import main as cli_main
 
+pytestmark = pytest.mark.slow
+
 # shared desk-scale instance: built once, reused by the solve, ordering, and
 # rate tests (the reference solve is paid inside the first test's budget)
 _DESK = {}

@@ -111,6 +111,24 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "  - " in err  # itemized problem list
 
 
+def test_run_prints_the_reference_objective(tmp_path, capsys):
+    path = tmp_path / "exact.ini"
+    path.write_text(GOOD_CONFIG.replace("reference = none", "reference = exact"))
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+    f0 = float(harness.read_manifest(out_dir / "manifest.txt")["reference.f0"])
+    assert f"reference objective: {f0:.12g}\n" in capsys.readouterr().out
+
+
+def test_unparseable_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "broken.ini"
+    path.write_text("[problem\nkind = bilinear\n")
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert f"cannot parse config file {path}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")])

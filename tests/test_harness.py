@@ -2,14 +2,16 @@
 [algorithm] key its solver, and the harness rejects what it cannot dispatch or
 would write twice."""
 
+import hashlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from aprid import (BatchSizes, ConfigError, ExperimentConfig, harness, load_dataset,
                    make_bilinear_saddle, make_qcqp_finite_sum, make_synthetic_dataset,
-                   resolve_config, run_experiment)
+                   parse_config, resolve_config, run_experiment)
 from aprid.config import _ALGORITHM_KEYS, _PROBLEM_KEYS
 from aprid.results import log_spaced_checkpoints
 
@@ -95,6 +97,11 @@ def _with_run(cfg, **run_keys):
     return cfg
 
 
+def _with_problem(cfg, **problem):
+    cfg.problem = problem
+    return cfg
+
+
 def test_unhandled_algorithm_or_kind_in_a_hand_built_config(tmp_path):
     with pytest.raises(ConfigError, match="algorithm.name: unhandled algorithm 'sgd'"):
         run_experiment(_hand_built("sgd", "qcqp_finite_sum"), tmp_path / "a")
@@ -135,6 +142,9 @@ def test_duplicate_seeds_are_rejected(tmp_path):
         run_experiment(cfg.with_override("run.seeds", "3"), tmp_path / "api", seeds=[4, 5, 4])
     assert not (tmp_path / "config_seeds").exists()
     assert not (tmp_path / "api").exists()
+    with pytest.raises(ConfigError, match="run.seeds: need at least one seed"):
+        run_experiment(cfg, tmp_path / "no_seeds", seeds=[])
+    assert not (tmp_path / "no_seeds").exists()
 
 
 def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):
@@ -143,6 +153,12 @@ def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):
     msa = dict(alpha=1.0, rho=1.0, z_cap=3.0)
     aprid = dict(alpha=1.0, rho=1.0, beta1=0.9, beta2=0.99, theta=10.0, schedule="constant",
                  divergence_cap=1e8)
+    apriad = {k: v for k, v in aprid.items() if k != "divergence_cap"}
+    pdsg = dict(alpha=1.0, rho=1.0, eta_scale=0.1, divergence_cap=1e8)
+    bilinear = dict(kind="bilinear", n=3, m=3, instance_seed=2, noise_sigma=0.1)
+    expectation = dict(kind="qcqp_expectation", n=4, p=2, eval_samples=100,
+                       h_normalization="fro")
+    exact = dict(reference="exact", reference_tol=1e-6, freeze_samples=100, freeze_seed=0)
     cases = {
         "bare": (_hand_built("aprid", "qcqp_finite_sum"),
                  [f"algorithm.{key}: missing key" for key in _ALGORITHM_KEYS["aprid"]]),
@@ -165,6 +181,17 @@ def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):
         "checkpoints": (_with_run(_hand_built("msa", "qcqp_finite_sum", **msa),
                                   checkpoints=[5, 11]),
                         ["run.checkpoints: checkpoints must lie in [1, 10], got 5..11"]),
+        # the cross-key rules resolve_config holds a parsed config to
+        "pairing": (_with_problem(_hand_built("aprid", "bilinear", **aprid), **bilinear),
+                    ["algorithm.name: bilinear problems need the minimax solver, not 'aprid'"]),
+        "exact values": (_with_problem(_hand_built("pdsg_adp", "qcqp_expectation", **pdsg),
+                                       **expectation),
+                         ["algorithm.name: pdsg_adp needs exact per-constraint values; "
+                          "qcqp_expectation cannot provide them"]),
+        "saddle reference": (_with_run(_with_problem(_hand_built("apriad", "bilinear", **apriad),
+                                                     **bilinear), **exact),
+                             ["run.reference: saddle runs report the exact gap; "
+                              "set reference = none"]),
     }
     for name, (cfg, problems) in cases.items():
         with pytest.raises(ConfigError) as info:
@@ -173,6 +200,77 @@ def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):
         assert not (tmp_path / name).exists(), name
     complete = _hand_built("msa", "qcqp_finite_sum", alpha=1.0, rho=1.0, z_cap=3.0)
     assert len(run_experiment(complete, tmp_path / "complete").csv_paths) == 1
+
+
+CONFIG_DIR = pathlib.Path(__file__).parent.parent / "configs"
+# a short run of each shipped config; the expectation instance draws fewer samples
+SHORT = {"run.horizon": 20, "run.checkpoints": 3, "run.seeds": 1, "run.timing": "none"}
+FEWER_DRAWS = {"problem.eval_samples": 2000, "run.freeze_samples": 2000}
+# manifest lines that hold the clock
+CLOCK = ("started_at", "total_wall_s", "setup.")
+
+
+def _short(path):
+    cfg = parse_config(path)
+    for param, value in SHORT.items():
+        cfg = cfg.with_override(param, value)
+    if cfg.problem["kind"] == "qcqp_expectation":
+        for param, value in FEWER_DRAWS.items():
+            cfg = cfg.with_override(param, value)
+    return cfg
+
+
+def _as_numpy(value):
+    # the numpy scalar a caller may hand in for a Python int or float
+    if isinstance(value, list):
+        return [_as_numpy(v) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    return np.int64(value) if isinstance(value, int) else np.float64(value)
+
+
+# the shipped QCQP instances have no active constraint (ROADMAP item 4d)
+@pytest.mark.filterwarnings("ignore:no constraint is active at the reference")
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
+def test_a_hand_built_config_writes_what_its_parsed_config_writes(path, tmp_path):
+    parsed = _short(path)
+    sections = ("problem", "algorithm", "run")
+    hand = ExperimentConfig(**{sec: dict(getattr(parsed, sec)) for sec in sections})
+    numpy_typed = ExperimentConfig(**{sec: {key: _as_numpy(value) for key, value
+                                            in getattr(parsed, sec).items()}
+                                      for sec in sections})
+    assert isinstance(numpy_typed.run["horizon"], np.int64)
+    for cfg in (hand, numpy_typed):
+        assert cfg.resolved == parsed.resolved
+        assert cfg.digest == parsed.digest
+        assert harness.problem_digest(cfg) == harness.problem_digest(parsed)
+
+    outs = [run_experiment(cfg, tmp_path / name) for name, cfg in
+            (("parsed", parsed), ("hand", hand))]
+    manifests = [{k: v for k, v in harness.read_manifest(out.manifest_path).items()
+                  if not k.startswith(CLOCK)} for out in outs]
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["config_digest"] == parsed.digest
+    assert manifests[0]["config.run.horizon"] == "20"
+    assert [pathlib.Path(p).name for p in outs[0].csv_paths] == \
+        [pathlib.Path(p).name for p in outs[1].csv_paths]
+    for a, b in zip(outs[0].csv_paths, outs[1].csv_paths):
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
+
+
+def test_hand_built_runs_over_different_instances_are_not_compared(tmp_path):
+    msa = dict(alpha=1.0, rho=1.0, z_cap=3.0)
+    dirs = []
+    for seed in (1, 2):
+        cfg = _hand_built("msa", "qcqp_finite_sum", **msa)
+        cfg.problem["instance_seed"] = seed
+        dirs.append(run_experiment(cfg, tmp_path / f"instance{seed}").out_dir)
+    digests = [harness.read_manifest(pathlib.Path(d) / "manifest.txt")["problem_digest"]
+               for d in dirs]
+    assert digests[0] != digests[1]
+    assert hashlib.sha256(b"").hexdigest() not in digests
+    with pytest.raises(ValueError, match="refusing to compare runs over different problems"):
+        harness.compare_report(dirs)
 
 
 def test_build_problem_checks_the_keys_of_a_hand_built_config():

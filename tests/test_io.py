@@ -166,6 +166,23 @@ def test_error_collection_is_all_at_once():
     assert itemized.count("  - ") == len(msgs)
 
 
+def test_bad_booleans_empty_lists_and_unknown_sections_are_named():
+    raw = qcqp_raw(seeds=" , ")
+    raw["extra"] = {"x": "1"}
+    with pytest.raises(ConfigError) as info:
+        resolve_config(raw)
+    assert info.value.problems == ["extra: unknown section",
+                                   "run.seeds: expected a comma-separated list of integers"]
+    npc = {"problem": {"kind": "npc_synthetic", "d": "5", "n_pos": "20", "n_neg": "20",
+                       "preprocess": "maybe"},
+           "algorithm": {"name": "aprid"}, "run": {"horizon": "10"}}
+    with pytest.raises(ConfigError) as info:
+        resolve_config(npc)
+    # the level rule reads the level keys, which parsed, whatever else failed
+    assert info.value.problems == ["problem.preprocess: expected a boolean, got 'maybe'",
+                                   "problem.c_hat: give exactly one of c_hat or c_target"]
+
+
 def test_unknown_kind_and_algorithm():
     raw = qcqp_raw()
     raw["problem"]["kind"] = "sudoku"
@@ -384,6 +401,21 @@ def test_run_experiment_best_feasible_reanchors(tmp_path):
             assert rec.obj_err == pytest.approx(abs(rec.objective - out.f0_ref))
 
 
+def test_run_experiment_best_feasible_without_a_feasible_record(tmp_path):
+    # no averaged iterate meets a level this far below the achievable loss
+    raw = {"problem": {"kind": "npc_synthetic", "d": "6", "n_pos": "40", "n_neg": "40",
+                       "c_hat": "0.01"},
+           "algorithm": {"name": "msa"},
+           "run": {"horizon": "20", "checkpoints": "5 20", "seeds": "1", "timing": "none",
+                   "reference": "best_feasible"}}
+    out = run_experiment(resolve_config(raw), tmp_path / "bf")
+    manifest = read_manifest(out.manifest_path)
+    assert manifest["reference.source"] == "best_feasible_unavailable"
+    assert "reference.f0" not in manifest and out.f0_ref is None
+    recs = [rec for res in out.results for rec in res.records]
+    assert recs and all(rec.viol_max > 1e-6 and math.isnan(rec.obj_err) for rec in recs)
+
+
 def test_run_experiment_switching_writes_two_lanes(tmp_path):
     raw = qcqp_raw(seeds="3")
     raw["algorithm"] = {"name": "csa"}
@@ -438,6 +470,7 @@ def test_compare_report_and_format(tmp_path):
         assert math.isfinite(row["obj_err"])
     text = format_report(rows)
     assert "algorithm" in text and "aprid" in text
+    assert format_report([]) == "(no runs found)"
     report = (tmp_path / "report.csv").read_text()
     assert report.startswith("dir,algorithm,")
 
@@ -465,12 +498,18 @@ def test_sweep_runs_subdirectories(tmp_path):
     _, rows2 = sweep(cfg, "problem.instance_seed", [1, 2], tmp_path / "sw2")
     assert len(rows2) == 2
 
+    with pytest.raises(ConfigError, match="sweep needs at least one value"):
+        sweep(cfg, "algorithm.alpha", [], tmp_path / "sw3")
+    assert not (tmp_path / "sw3").exists()
+
 
 def test_read_manifest_rejects_malformed(tmp_path):
     path = tmp_path / "manifest.txt"
     path.write_text("key=value\ngarbage line\n")
     with pytest.raises(ValueError, match="malformed"):
         read_manifest(path)
+    path.write_text("a=1\n\nb=x=2\n")  # a blank line is skipped
+    assert read_manifest(path) == {"a": "1", "b": "x=2"}
 
 
 def test_build_problem_reports_config_errors():

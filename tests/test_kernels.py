@@ -61,6 +61,24 @@ def test_box_symmetric_and_project():
     assert not box.contains(y)
 
 
+@pytest.mark.parametrize("lower, upper, message", [
+    ([0.0, 0.0], [1.0], r"bound shapes differ: \(2,\) vs \(1,\)"),
+    ([], [], "box must have at least one coordinate"),
+    ([0.0, -np.inf], [1.0, 1.0], "box bounds must be finite"),
+    ([0.0, np.nan], [1.0, 1.0], "box bounds must be finite"),
+    ([0.0, 2.0], [1.0, 1.0], "lower bound exceeds upper bound at coordinate 1"),
+])
+def test_box_rejects_bad_bounds(lower, upper, message):
+    with pytest.raises(ValueError, match=message):
+        BoxSet(lower, upper)
+
+
+@pytest.mark.parametrize("halfwidth", [0.0, -1.0, np.nan])
+def test_symmetric_box_needs_a_positive_halfwidth(halfwidth):
+    with pytest.raises(ValueError, match="halfwidth must be positive"):
+        BoxSet.symmetric(2, halfwidth)
+
+
 def test_box_bounds_are_read_only():
     box = BoxSet.symmetric(2, 1.0)
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from aprid import (
     sample_lagrangian_subgradient,
     sample_minimax_subgradient,
     make_bilinear_saddle,
+    stream_seed,
     training_rng,
 )
 
@@ -108,6 +109,8 @@ def test_estimate_constraint_value_exact_at_full_batch(qcqp):
     got = estimate_constraint_value(qcqp, x, 30, training_rng(1))
     want = float(np.sum(np.maximum(qcqp.full_constraint_values(x), 0.0)))
     assert got == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="jg must be a positive integer, got 0"):
+        estimate_constraint_value(qcqp, x, 0, training_rng(1))
 
 
 def test_estimate_constraint_value_unbiased(qcqp):
@@ -149,6 +152,13 @@ def test_oracle_streams_are_deterministic(qcqp):
     assert np.array_equal(s1.w, s2.w)
     s3 = sample_lagrangian_subgradient(qcqp, x, z, b, training_rng(124))
     assert not np.array_equal(s1.u, s3.u)
+
+
+def test_stream_seeds_and_tags_must_be_non_negative():
+    with pytest.raises(ValueError, match=r"seeds and tags must be non-negative, got \[-1, 1\]"):
+        training_rng(-1)
+    with pytest.raises(ValueError, match=r"got \[3, -2\]"):
+        stream_seed(3, -2)
 
 
 def test_z_shape_is_checked(qcqp):

@@ -71,6 +71,10 @@ def test_dense_errors_name_the_line(tmp_path):
     bad_float.write_text("1.0,2.0,1\nx,4.0,1\n")
     with pytest.raises(ValueError, match="line 2"):
         load_dataset(bad_float)
+    bad_label_text = tmp_path / "t.csv"
+    bad_label_text.write_text("1.0,2.0,1\n3.0,4.0,yes\n")
+    with pytest.raises(ValueError, match="line 2: cannot parse label 'yes'"):
+        load_dataset(bad_label_text)
 
 
 def test_sparse_errors(tmp_path):
@@ -81,6 +85,9 @@ def test_sparse_errors(tmp_path):
     f.write_text("1 0:0.5\n")
     with pytest.raises(ValueError, match="1-based"):
         load_dataset(f)
+    f.write_text("1 1:0.5\n-1 2:half\n")
+    with pytest.raises(ValueError, match="line 2: malformed index:value token '2:half'"):
+        load_dataset(f)
 
 
 def test_empty_file_errors(tmp_path):
@@ -88,6 +95,12 @@ def test_empty_file_errors(tmp_path):
     f.write_text("\n\n")
     with pytest.raises(ValueError, match="no data"):
         load_dataset(f)
+    f.write_text("x1,x2,label\n")
+    with pytest.raises(ValueError, match="e.csv: no data rows"):
+        load_dataset(f)
+    f.write_text("1\n-1\n")
+    with pytest.raises(ValueError, match="e.csv: no feature entries found"):
+        load_dataset(f, fmt="sparse-index-value")
 
 
 def test_standardize_columns_moments():
@@ -197,6 +210,55 @@ def test_npc_rejects_single_class():
     ds = Dataset(features=feats, labels=np.ones(5, dtype=int))
     with pytest.raises(ValueError):
         make_npc(ds, c_hat=0.5)
+
+
+# (build, message) of every shape, size and option a dataset or problem
+# constructor or factory rejects
+BAD_INSTANCES = {
+    "dataset features": (lambda: Dataset(features=np.ones(3), labels=np.array([1, -1, 1])),
+                         r"features must be 2-d, got shape \(3,\)"),
+    "dataset labels shape": (lambda: Dataset(features=np.ones((3, 2)), labels=np.array([1, -1])),
+                             r"labels shape \(2,\) does not match 3 rows"),
+    "dataset labels": (lambda: Dataset(features=np.ones((3, 2)), labels=np.array([1, 0, 2])),
+                       r"labels must be \+1/-1, found \[0, 2\]"),
+    "synthetic positives": (lambda: make_synthetic_dataset(3, 0, 5, seed=0),
+                            "both classes need at least one sample"),
+    "synthetic negatives": (lambda: make_synthetic_dataset(3, 5, 0, seed=0),
+                            "both classes need at least one sample"),
+    "npc box": (lambda: NeymanPearsonProblem(make_synthetic_dataset(3, 4, 4, seed=0), c_hat=0.5,
+                                             box=BoxSet.symmetric(2, 1.0)),
+                "box dimension 2 does not match d=3"),
+    "expectation n": (lambda: ExpectationQcqpProblem(0, 2), "need n >= 1 and p >= 1, got n=0"),
+    "expectation p": (lambda: ExpectationQcqpProblem(3, 0),
+                      "need n >= 1 and p >= 1, got n=3, p=0"),
+    "expectation normalization": (lambda: ExpectationQcqpProblem(3, 2, h_normalization="max"),
+                                  "unknown h_normalization 'max'"),
+    "expectation samples": (lambda: ExpectationQcqpProblem(3, 2, eval_samples=0),
+                            "eval_samples must be positive, got 0"),
+    "finite-sum normalization": (lambda: make_qcqp_finite_sum(3, 2, 4, 4, seed=0,
+                                                              h_normalization="max"),
+                                 "unknown h_normalization 'max'"),
+    "finite-sum sizes": (lambda: make_qcqp_finite_sum(3, 2, 0, 4, seed=0),
+                         "n, p, N, M must all be positive"),
+    "finite-sum shapes": (lambda: FiniteSumQcqpProblem(np.ones((4, 3)), np.ones((4, 2)),
+                                                       np.ones((2, 3, 3)), np.ones((2, 3)),
+                                                       np.ones(2)),
+                          r"h must be \(N, p, n\) and q must be \(M, n, n\)"),
+    "saddle shape": (lambda: BilinearSaddleProblem(np.ones((3, 2)), np.ones(3), np.ones(3)),
+                     r"coupling matrix shape \(3, 2\) does not match b \(3\) and c \(3\)"),
+    "saddle noise": (lambda: BilinearSaddleProblem(np.ones((3, 2)), np.ones(3), np.ones(2),
+                                                   noise_sigma=-0.1),
+                     "noise_sigma must be non-negative, got -0.1"),
+    "saddle sizes": (lambda: make_bilinear_saddle(3, 0, seed=0),
+                     "need n >= 1 and m >= 1, got n=3, m=0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_constructors_and_factories_reject_bad_input(case):
+    build, message = BAD_INSTANCES[case]
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # -- finite-sum QCQP ----------------------------------------------------------

@@ -53,6 +53,7 @@ def test_timing_none_zeroes_the_column(tmp_path):
     for rec in read_run_csv(out.csv_paths[0]):
         assert rec.wall_s == 0.0
     # the zeroing is literal in the bytes, not a float that prints as zero
-    body = open(out.csv_paths[0], "r", encoding="utf-8").read().splitlines()
+    with open(out.csv_paths[0], "r", encoding="utf-8") as fh:
+        body = fh.read().splitlines()
     for line in body[1:]:
         assert line.split(",")[1] == "0"
