@@ -19,6 +19,7 @@ digest is the sha256 of those resolved lines with the seed list excluded
 import configparser
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -257,15 +258,34 @@ class ExperimentConfig:
             errors += [f"{sec}.{key}: missing key" for key in schema if key not in section]
             errors += [f"{sec}.{key}: unknown key" for key in section
                        if key not in schema and key != tag]
+            errors += _kind_errors(sec, section, schema)
         if "run" in sections:
             mode = self.run.get("reference")
             errors += [f"run.{key}: missing key" for key, spec in _RUN_KEYS.items()
                        if key not in self.run and spec.mode in (None, mode)]
             errors += [f"run.{key}: unknown key" for key in self.run if key not in _RUN_KEYS]
+            errors += _kind_errors("run", self.run, _RUN_KEYS)
         if not errors and set(sections) == {"problem", "algorithm", "run"}:
             errors = _cross_key_errors(self.problem, self.algorithm, self.run)
         if errors:
             raise ConfigError(errors)
+
+
+def _kind_errors(sec, section, schema):
+    """Messages of a hand-built section's numeric values that are not of their parser's
+    kind; the params classes check their range."""
+    errors = []
+    for key, spec in schema.items():
+        if not isinstance(spec.parse, _Number) or key not in section:
+            continue
+        value, is_int = section[key], spec.parse.kind is int
+        if value is None and not spec.required and spec.default is None:
+            continue  # an optional key left unset: c_hat or c_target
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if is_int else numbers.Real):
+            errors.append(f"{sec}.{key}: expected {'an integer' if is_int else 'a number'}, "
+                          f"got {value!r}")
+    return errors
 
 
 def _cross_key_errors(problem, algorithm, run):

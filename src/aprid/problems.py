@@ -30,9 +30,13 @@ quadratic terms, then linear terms, then offsets), so one seed reproduces a
 run bit for bit. The expectation QCQP's sampled evaluation and its freeze
 read their draws from one chunked generator, ``ExpectationQcqpProblem._draws``,
 so that order is written once; finite families subsample through
-``_subsample``. Each drawn Q = G'G is scaled to unit spectral norm, by
-``_certified_top`` in evaluation and freeze draws and by ``eigvalsh`` in
-training draws and finite-sum instances. A sampled evaluation at a point whose
+``_subsample``. The expectation QCQP's training oracles read the next j records
+of their own stream (``rng.read_records``), (H, c) for the objective and
+(Q, a, b) for the constraint, drawn a block at a time by the same draw
+functions; a plain Generator gives j fresh records a call. The constraint
+oracles evaluate once, at the records' mean Q, a and b. Each drawn Q = G'G is
+scaled to unit spectral norm, by ``_certified_top`` in expectation draws and by
+``eigvalsh`` in finite-sum instances. A sampled evaluation at a point whose
 violation a Q-free bound certifies to be zero forms no Q at all: it draws each
 G only to advance the stream (``ExpectationQcqpProblem._certified_eval``).
 """
@@ -46,6 +50,7 @@ import numpy as np
 from scipy.special import expit
 
 from .kernels import BoxSet
+from .rng import CONSTRAINT_TAG, OBJECTIVE_TAG, read_records
 
 __all__ = [
     "Dataset",
@@ -502,10 +507,10 @@ class ExpectationQcqpProblem:
                                             norm, a unit, b ~ U(0.1, 1.1)
         x in [-10, 10]^n
 
-    There is no finite instance: every oracle call draws new data, and full
-    evaluation uses a fresh batch of ``eval_samples`` draws per function.
-    Freeze and evaluation scale each Q by ``_certified_top`` (within a relative
-    1e-14 of ``eigvalsh``, faster in bulk), training draws by ``eigvalsh``.
+    There is no finite instance: every oracle call reads new records (see the
+    module docstring), and full evaluation uses a fresh batch of ``eval_samples``
+    draws per function. Every draw scales its Q by ``_certified_top`` (within a
+    relative 1e-14 of ``eigvalsh``, faster in bulk).
     Evaluation reads its draws without forming Q first, and stops there when
     ``sum_i (0.5 ||x||^2 + a_i.x - b_i)`` certifies the violation to be zero;
     otherwise it rewinds the generator and reads the same draws with Q.
@@ -528,18 +533,27 @@ class ExpectationQcqpProblem:
         self.h_normalization = h_normalization
         self.box = BoxSet.symmetric(self.n, 10.0)
 
+    def _objective_records(self, rng, count):
+        return _draw_objective_terms(rng, count, self.p, self.n, self.h_normalization)
+
+    def _constraint_records(self, rng, count):
+        return _draw_constraint_terms(rng, count, self.n, top=_certified_top)
+
+    def _constraint_at(self, x, count, rng):
+        q, a, b = read_records(rng, CONSTRAINT_TAG, self._constraint_records, int(count))
+        qx, abar = q.sum(axis=0) @ x / len(b), a.sum(axis=0) / len(b)
+        return 0.5 * qx @ x + abar @ x - b.sum() / len(b), qx + abar
+
     def sample_objective_grad(self, x, j0, rng):
-        h, c = _draw_objective_terms(rng, int(j0), self.p, self.n, self.h_normalization)
+        h, c = read_records(rng, OBJECTIVE_TAG, self._objective_records, int(j0))
         return _objective_grad_at(h, c, x)
 
     def sample_constraint_block(self, x, j1, rng):
-        q, a, b = _draw_constraint_terms(rng, int(j1), self.n)
-        values, grads = _constraint_values_at(q, a, b, x), _constraint_grads_at(q, a, x)
-        return np.array([0]), np.array([values.mean()]), grads.mean(axis=0)[None, :]
+        value, grad = self._constraint_at(x, j1, rng)
+        return np.array([0]), np.array([value]), grad[None, :]
 
     def constraint_value_estimate(self, x, jg, rng) -> float:
-        q, a, b = _draw_constraint_terms(rng, int(jg), self.n)
-        return float(_constraint_values_at(q, a, b, x).mean())
+        return float(self._constraint_at(x, jg, rng)[0])
 
     def _draws(self, rng, total, gram=True):
         """``(h, c, q, a, b)`` for ``total`` fresh draws, ``_EVAL_CHUNK`` at a time: the

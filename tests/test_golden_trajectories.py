@@ -7,11 +7,12 @@ so a change in the order of random draws, in the averaging or in the scoring
 shows up here. The aprid cells also compare their final averaged multipliers
 ``z_bar`` with ``<label>_seed1_z_bar.npy`` to 1e-12 relative in the max norm,
 since checkpoints score only the primal average. After a deliberate
-trajectory change, regenerate the files with
+trajectory change, regenerate the files of the cases it changes with
 
-    PYTHONPATH=src python3 tests/test_golden_trajectories.py
+    PYTHONPATH=src python3 tests/test_golden_trajectories.py [LABEL ...]
 
-and state the change and its reason alongside it.
+(every case when no label is given; a label is a case id such as
+``expectation-aprid``) and state the change and its reason alongside it.
 """
 
 import os
@@ -89,10 +90,15 @@ def test_trajectory_matches_golden(tmp_path, label, problem, algorithm, lanes):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    labels = sys.argv[1:] or [c[0] for c in CASES]
+    unknown = sorted(set(labels) - {c[0] for c in CASES})
+    if unknown:
+        sys.exit(f"unknown case label(s): {', '.join(unknown)}")
     os.makedirs(GOLDEN, exist_ok=True)
-    for label, problem, algorithm, lanes in CASES:
+    for label, problem, algorithm, lanes in (c for c in CASES if c[0] in labels):
         with tempfile.TemporaryDirectory() as tmp:
             out = run_experiment(_config(problem, algorithm), tmp)
             for lane, path in zip(lanes, out.csv_paths):

@@ -119,6 +119,36 @@ def test_unhandled_algorithm_or_kind_in_a_hand_built_config(tmp_path):
             run_experiment(cfg, tmp_path / name)
 
 
+def test_a_wrong_typed_hand_built_value_names_its_key(tmp_path):
+    # each numeric key is held to its parser's kind; its range stays the params' check
+    cfg = _with_run(_hand_built("msa", "qcqp_finite_sum", alpha="1", rho=1.0, z_cap=True),
+                    j0=2.0, horizon=np.int64(10))
+    cfg.problem["n"] = "4"
+    with pytest.raises(ConfigError) as info:
+        run_experiment(cfg, tmp_path / "out")
+    assert info.value.problems == ["problem.n: expected an integer, got '4'",
+                                   "algorithm.alpha: expected a number, got '1'",
+                                   "algorithm.z_cap: expected a number, got True",
+                                   "run.j0: expected an integer, got 2.0"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:no constraint is active at the reference")
+def test_an_expectation_run_replays_byte_for_byte(tmp_path):
+    cfg = resolve_config({
+        "problem": {"kind": "qcqp_expectation", "n": "3", "p": "2", "eval_samples": "300"},
+        "algorithm": {"name": "csa", "gamma": "2", "s": "5"},
+        "run": {**RUN, "horizon": "1100", "j1": "5", "seeds": "3,4", "reference": "exact",
+                "freeze_samples": "300"}})
+    outs = [run_experiment(cfg, tmp_path / name) for name in ("a", "b")]
+    assert len(outs[0].csv_paths) == 4
+    for a, b in zip(outs[0].csv_paths, outs[1].csv_paths):
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
+    # the two seeds read different streams
+    assert pathlib.Path(outs[0].csv_paths[0]).read_bytes() != \
+        pathlib.Path(outs[0].csv_paths[2]).read_bytes()
+
+
 def test_manifest_splits_out_the_set_up_time(tmp_path):
     cfg = resolve_config({"problem": FINITE_SUM, "algorithm": {"name": "msa"},
                           "run": {**RUN, "reference": "exact"}})

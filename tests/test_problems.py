@@ -22,6 +22,7 @@ from aprid import (
     preprocess,
     save_instance,
     standardize_columns,
+    stream_seed,
     training_rng,
 )
 
@@ -29,6 +30,7 @@ from aprid import problems
 from aprid.problems import (_EVAL_CHUNK, _certified_top, _constraint_values_at,
                             _draw_constraint_terms, _draw_objective_terms, _eigvalsh_top,
                             _objective_values_at, _unit_2norm)
+from aprid.rng import CONSTRAINT_TAG, OBJECTIVE_TAG, RECORD_BLOCK, TRAIN_TAG, read_records
 from brute import central_difference_gradient, logistic_losses, saddle_gap_grid
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -430,6 +432,90 @@ def test_frozen_gradients_match_finite_differences():
     assert np.allclose(frozen.full_objective_grad(x), g, rtol=1e-6, atol=1e-8)
     gc = central_difference_gradient(lambda v: frozen.full_constraint_values(v)[0], x)
     assert np.allclose(frozen.full_constraint_grads(x)[0], gc, rtol=1e-6, atol=1e-8)
+
+
+# -- expectation training records ---------------------------------------------
+
+
+def _record_blocks(seed, tag, draw, blocks):
+    # the record stream drawn by hand, RECORD_BLOCK records at a time from the child of
+    # the training SeedSequence under spawn_key (tag,)
+    train = stream_seed(seed, TRAIN_TAG)
+    gen = np.random.default_rng(np.random.SeedSequence(train.entropy, spawn_key=(tag,)))
+    return [np.concatenate(c) for c in zip(*(draw(gen, RECORD_BLOCK) for _ in range(blocks)))]
+
+
+def test_record_requests_read_the_stream_in_order_across_blocks():
+    prob = ExpectationQcqpProblem(3, 2)
+    for tag, draw in ((OBJECTIVE_TAG, prob._objective_records),
+                      (CONSTRAINT_TAG, prob._constraint_records)):
+        want = _record_blocks(5, tag, draw, 4)
+        stream, lo = training_rng(5), 0
+        # inside the first block, up to its end, across one boundary, across two
+        for count in (RECORD_BLOCK - 13, 13, 10, 2 * RECORD_BLOCK + 1):
+            got = read_records(stream, tag, draw, count)
+            assert len(got) == len(want)
+            for column, full in zip(got, want):
+                assert np.array_equal(column, full[lo:lo + count])
+            lo += count
+
+
+def test_expectation_oracles_evaluate_their_records():
+    prob = ExpectationQcqpProblem(4, 3)
+    x = np.array([0.3, -1.2, 0.8, 0.1])
+    h, c = _record_blocks(6, OBJECTIVE_TAG, prob._objective_records, 1)
+    q, a, b = _record_blocks(6, CONSTRAINT_TAG, prob._constraint_records, 1)
+    stream = training_rng(6)
+    # the objective gradient averages the records' own; the constraint oracles evaluate
+    # once at the records' mean
+    want = np.einsum("spn,sp->n", h[:5], np.einsum("spn,n->sp", h[:5], x) - c[:5]) / 5
+    assert np.array_equal(prob.sample_objective_grad(x, 5, stream), want)
+    support, values, grads = prob.sample_constraint_block(x, 7, stream)
+    assert support.tolist() == [0]
+    assert values[0] == pytest.approx(_constraint_values_at(q[:7], a[:7], b[:7], x).mean(),
+                                      rel=1e-12)
+    assert np.allclose(grads[0], (q[:7] @ x + a[:7]).mean(axis=0), rtol=1e-12, atol=1e-15)
+    assert prob.constraint_value_estimate(x, 9, stream) == pytest.approx(
+        _constraint_values_at(q[7:16], a[7:16], b[7:16], x).mean(), rel=1e-12)
+
+
+def test_constraint_value_estimates_leave_the_other_streams_alone():
+    # csa draws jg extra constraint records on some steps: the objective records, and the
+    # training Generator the finite-sum oracles read, stay where they were
+    prob = ExpectationQcqpProblem(4, 3)
+    x = np.full(4, 0.4)
+    plain, extra = training_rng(8), training_rng(8)
+    for step in range(2 * RECORD_BLOCK // 50):
+        extra_value = prob.constraint_value_estimate(x, 37, extra)
+        assert np.isfinite(extra_value)
+        assert np.array_equal(prob.sample_objective_grad(x, 50, plain),
+                              prob.sample_objective_grad(x, 50, extra)), step
+    assert plain.random() == extra.random() == \
+        np.random.default_rng(stream_seed(8, TRAIN_TAG)).random()
+
+
+def test_expectation_objective_records_are_unbiased_at_j_above_one():
+    # E[H'H] = I/n and E[H'c] = 0 for unit-Frobenius Gaussian H: the mean is x/n
+    prob = ExpectationQcqpProblem(6, 4)
+    x = np.array([1.0, -1.0, 0.5, 0.0, 2.0, -0.3])
+    stream, calls = training_rng(21), 4000
+    g = np.array([prob.sample_objective_grad(x, 4, stream) for _ in range(calls)])
+    se = g.std(axis=0, ddof=1) / np.sqrt(calls)
+    assert np.all(np.abs(g.mean(axis=0) - x / 6) <= 4 * se)
+
+
+def test_a_plain_generator_is_read_as_every_record_stream_at_once():
+    prob = ExpectationQcqpProblem(3, 2)
+    x = np.array([0.5, -0.2, 1.0])
+    # one Generator serves both oracles, in call order, exactly j records a call
+    ref, rng = np.random.default_rng(4), np.random.default_rng(4)
+    h, c = _draw_objective_terms(ref, 6, 2, 3, "fro")
+    q, a, b = _draw_constraint_terms(ref, 5, 3, top=_certified_top)
+    want = np.einsum("spn,sp->n", h, np.einsum("spn,n->sp", h, x) - c) / 6
+    assert np.array_equal(prob.sample_objective_grad(x, 6, rng), want)
+    assert prob.constraint_value_estimate(x, 5, rng) == pytest.approx(
+        _constraint_values_at(q, a, b, x).mean(), rel=1e-12)
+    assert rng.random() == ref.random()
 
 
 # -- bilinear saddle ----------------------------------------------------------
