@@ -27,18 +27,17 @@ contract (see ``BilinearSaddleProblem``).
 Sampling determinism: each sampling method consumes its generator in a fixed
 documented order (objective draws: matrices then vectors; constraint draws:
 quadratic terms, then linear terms, then offsets), so one seed reproduces a
-run bit for bit. The expectation QCQP's sampled evaluation and its freeze
-read their draws from one chunked generator, ``ExpectationQcqpProblem._draws``,
-so that order is written once; finite families subsample through
-``_subsample``. The expectation QCQP's training oracles read the next j records
-of their own stream (``rng.read_records``), (H, c) for the objective and
-(Q, a, b) for the constraint, drawn a block at a time by the same draw
-functions; a plain Generator gives j fresh records a call. The constraint
-oracles evaluate once, at the records' mean Q, a and b. Each drawn Q = G'G is
-scaled to unit spectral norm, by ``_certified_top`` in expectation draws and by
-``eigvalsh`` in finite-sum instances. A sampled evaluation at a point whose
-violation a Q-free bound certifies to be zero forms no Q at all: it draws each
-G only to advance the stream (``ExpectationQcqpProblem._certified_eval``).
+run bit for bit; finite families subsample through ``_subsample``. The
+expectation QCQP's training oracles read the next j records of their own
+stream (``rng.read_records``), (H, c) or (Q, a, b), drawn a block at a time by
+the same draw functions (a plain Generator gives j fresh records a call); the
+constraint oracles evaluate once, at the records' mean Q, a and b. Its sampled
+evaluation and freeze read H, c, a, b per ``_EVAL_CHUNK`` of draws (phase 1,
+``_draws``), then each chunk's G (phase 2, ``_grams``): f0 and f1 are means of
+sums, so this pairing of Q_i with (a_i, b_i) leaves every law as it was. An
+evaluation whose violation phase 1 certifies to be zero (``_certifies_zero``)
+draws no G. Each Q = G'G is scaled to unit spectral norm, by ``_certified_top``
+in expectation draws and by ``eigvalsh`` in finite-sum instances.
 """
 
 import csv
@@ -458,22 +457,25 @@ def _certified_top(q):
     return top
 
 
-def _draw_constraint_terms(rng, count, n, top=_eigvalsh_top):
+def _draw_grams(rng, count, n, top):
     # G is drawn _EVAL_CHUNK rows at a time (the same stream as one draw) and each block's
-    # Gram matrices go into q, scaled by ``top``'s eigenvalues: q plus one block live at once.
-    # ``top=None`` draws G only to advance the stream and returns q as None.
+    # Gram matrices go into q, scaled by ``top``'s eigenvalues: q plus one block live at once
     q = None
     for lo in range(0, count, _EVAL_CHUNK):
         g = rng.standard_normal((min(_EVAL_CHUNK, count - lo), n, n))
-        if top is None:
-            continue
         q = np.empty((count, n, n)) if q is None else q  # after the first draw: lower peak
         block = np.matmul(g.transpose(0, 2, 1), g, out=q[lo:lo + len(g)])
         del g
         block /= np.maximum(top(block), 1e-300)[:, None, None]
-    a = _unit_2norm(rng.standard_normal((count, n)))
-    b = rng.uniform(0.1, 1.1, size=count)
-    return q, a, b
+    return q
+
+
+def _draw_linear_terms(rng, count, n):
+    return _unit_2norm(rng.standard_normal((count, n))), rng.uniform(0.1, 1.1, size=count)
+
+
+def _draw_constraint_terms(rng, count, n, top=_eigvalsh_top):
+    return (_draw_grams(rng, count, n, top), *_draw_linear_terms(rng, count, n))  # G, a, b
 
 
 # Per-sample values of 0.5 ||h x - c||^2 and their mean gradient, per-constraint values
@@ -511,9 +513,9 @@ class ExpectationQcqpProblem:
     module docstring), and full evaluation uses a fresh batch of ``eval_samples``
     draws per function. Every draw scales its Q by ``_certified_top`` (within a
     relative 1e-14 of ``eigvalsh``, faster in bulk).
-    Evaluation reads its draws without forming Q first, and stops there when
-    ``sum_i (0.5 ||x||^2 + a_i.x - b_i)`` certifies the violation to be zero;
-    otherwise it rewinds the generator and reads the same draws with Q.
+    Evaluation reads phase 1 and stops there when ``sum_i (0.5 ||x||^2 + a_i.x - b_i)``
+    certifies the violation to be zero, so a passed Generator ends after phase 1;
+    otherwise it reads on through phase 2. ``freeze`` reads both phases.
     """
 
     kind = "qcqp_expectation"
@@ -555,67 +557,54 @@ class ExpectationQcqpProblem:
     def constraint_value_estimate(self, x, jg, rng) -> float:
         return float(self._constraint_at(x, jg, rng)[0])
 
-    def _draws(self, rng, total, gram=True):
-        """``(h, c, q, a, b)`` for ``total`` fresh draws, ``_EVAL_CHUNK`` at a time: the
-        one draw order that ``evaluate_full`` and ``freeze`` share, Q by ``_certified_top``.
-        ``gram=False`` reads the same stream but forms no Q (q is None)."""
+    def _draws(self, rng, total):
+        """Phase 1 of the draw layout that ``evaluate_full`` and ``freeze`` share:
+        ``(h, c, a, b)`` for each ``_EVAL_CHUNK`` of ``total`` fresh draws."""
         for lo in range(0, total, _EVAL_CHUNK):
             take = min(_EVAL_CHUNK, total - lo)
             h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
-            top = _certified_top if gram else None
-            yield (h, c, *_draw_constraint_terms(rng, take, self.n, top=top))
+            yield (h, c, *_draw_linear_terms(rng, take, self.n))
+
+    def _grams(self, rng, total):
+        """Phase 2, read on from where phase 1 stopped: each chunk's Q, by ``_certified_top``."""
+        for lo in range(0, total, _EVAL_CHUNK):
+            yield _draw_grams(rng, min(_EVAL_CHUNK, total - lo), self.n, _certified_top)
 
     def evaluate_full(self, x, seed=None) -> FullEval:
         x = np.asarray(x, dtype=float)
         rng = np.random.default_rng(seed)
-        start = rng.bit_generator.state
-        certified = self._certified_eval(x, rng)
-        if certified is not None:
-            return certified
-        rng.bit_generator.state = start  # rewound, not re-seeded: a passed Generator too
-        return self._sampled_eval(x, rng)
-
-    def _sampled_eval(self, x, rng) -> FullEval:
-        f0_sum = 0.0
-        f1_sum = 0.0
-        total = self.eval_samples
-        for h, c, q, a, b in self._draws(rng, total):
+        total, xx = self.eval_samples, x @ x
+        f0_sum = lin_sum = b_sum = 0.0
+        for h, c, a, b in self._draws(rng, total):
             f0_sum += _objective_values_at(h, c, x).sum()
-            f1_sum += _constraint_values_at(q, a, b, x).sum()
-            del h, c  # not held through the next chunk's constraint draw
-        return _full_eval(f0_sum / total, np.array([f1_sum / total]))
+            lin_sum += (a @ x - b).sum()
+            b_sum += b.sum()
+            del h, c  # not held through the next chunk's draw
+        if self._certifies_zero(0.5 * xx * total + lin_sum, xx, b_sum):
+            return _full_eval(f0_sum / total, [0.0])
+        quad_sum = 0.0
+        for q in self._grams(rng, total):
+            quad_sum += np.einsum("sij,i,j->s", q, x, x).sum()
+        return _full_eval(f0_sum / total, [(0.5 * quad_sum + lin_sum) / total])
 
-    def _certified_eval(self, x, rng):
-        """``_sampled_eval``'s result, read from the same draws without forming Q, when
-        their mean f1 is certified negative; None otherwise.
+    def _certifies_zero(self, u_sum, xx, b_sum):
+        """Whether the phase-1 sum U = 0.5 ||x||^2 S + sum_i (a_i.x - b_i) over S draws
+        proves that phase 2 would leave the mean f1 negative, its violation exactly 0.0.
 
         Each scaled Q has spectral norm at most 1 + 1e-13 (its normaliser is within 1e-14
-        of the top eigenvalue, the divide adds sqrt(n) eps/2), so the sum of f1 is at most
-        U + 1e-13 S, where U = sum_i (0.5 ||x||^2 + a_i.x - b_i) needs no Q and
-        S = sum_i (0.5 sqrt(n) ||x||^2 + ||x|| + b_i). Each term of either sum has size at
-        most its term of S (|x|'|Q||x| <= ||Q||_F ||x||^2) and passes through at most
-        k = n^2 + n + _EVAL_CHUNK + chunks + 4 roundings, so each computed sum lies within
-        k eps/2 S of its exact value. A computed U < -tau S, tau = 100 (1e-13 + k eps)
-        (1.0e-10 at n = 10 and 1e5 draws), so leaves the full pass's mean f1 negative and
-        its violation max(f1, 0) exactly 0.0.
+        of the top eigenvalue, the divide adds sqrt(n) eps/2), so the exact phase-2 sum
+        F = 0.5 sum_i x'Q_i x + sum_i (a_i.x - b_i) <= U + 1e-13 B, with B = sum_i
+        (0.5 sqrt(n) ||x||^2 + ||x|| + b_i). Every term of U and F is at most its term of B
+        (|x|'|Q||x| <= ||Q||_F ||x||^2) and passes through at most k = n^2 + _EVAL_CHUNK +
+        chunks + 1 roundings (x'Q_i x n^2 + 1, a chunk's sum _EVAL_CHUNK - 1, the chunks'
+        sum `chunks`, the final add 1). So computed F <= computed U + (1e-13 + 1.01 k eps) B,
+        and U < -tau B certifies, with tau = 100 (1e-13 + k eps) (1.0e-10 at n = 10, 1e5 draws).
         """
         n, total = self.n, self.eval_samples
-        xx = x @ x
-        # E[f1] <= 0.5 ||x||^2 - E[b] with E[b] = 0.6, so no other point tries (and draws
-        # nothing). A NaN or infinite x fails this `<` too
-        if not 0.5 * xx < 0.6:
-            return None
-        f0_sum = u_sum = b_sum = 0.0
-        for h, c, _, a, b in self._draws(rng, total, gram=False):
-            f0_sum += _objective_values_at(h, c, x).sum()
-            u_sum += (0.5 * xx + a @ x - b).sum()
-            b_sum += b.sum()
-            del h, c
-        k = n * n + n + _EVAL_CHUNK + -(-total // _EVAL_CHUNK) + 4
+        k = n * n + _EVAL_CHUNK + -(-total // _EVAL_CHUNK) + 1
         tau = 100 * (1e-13 + k * np.finfo(float).eps)
-        if not u_sum < -tau * (total * (0.5 * np.sqrt(n) * xx + np.sqrt(xx)) + b_sum):
-            return None  # a NaN bound certifies nothing
-        return _full_eval(f0_sum / total, np.array([u_sum / total]))  # its max(., 0) is 0.0
+        # a NaN or infinite x makes U NaN or +inf: it certifies nothing
+        return u_sum < -tau * (total * (0.5 * np.sqrt(n) * xx + np.sqrt(xx)) + b_sum)
 
     def freeze(self, n_samples=100_000, seed=0) -> "FrozenQcqpProblem":
         """Exact sample-average instance over ``n_samples`` fresh draws.
@@ -632,14 +621,16 @@ class ExpectationQcqpProblem:
         qbar = np.zeros((n, n))
         abar = np.zeros(n)
         bbar = 0.0
-        for h, c, q, a, b in self._draws(np.random.default_rng(seed), n_samples):
+        rng = np.random.default_rng(seed)
+        for h, c, a, b in self._draws(rng, n_samples):
             amat += np.einsum("spn,spm->nm", h, h)
             rvec += np.einsum("spn,sp->n", h, c)
             s0 += 0.5 * float(np.sum(c * c))
-            qbar += q.sum(axis=0)
             abar += a.sum(axis=0)
             bbar += float(b.sum())
-            del h, c  # not held through the next chunk's constraint draw
+            del h, c  # not held through the next chunk's draw
+        for q in self._grams(rng, n_samples):
+            qbar += q.sum(axis=0)
         return FrozenQcqpProblem(
             amat / n_samples, rvec / n_samples, s0 / n_samples,
             qbar / n_samples, abar / n_samples, bbar / n_samples,

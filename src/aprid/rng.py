@@ -16,7 +16,9 @@ Training and evaluation therefore never share a stream, and re-running with
 the same master seed reproduces every draw bit for bit. Freezing an
 expectation problem into its sample-average instance is not one of these
 streams: ``ExpectationQcqpProblem.freeze`` seeds ``default_rng(seed)``
-directly, with ``seed`` the ``run.freeze_seed`` config value.
+directly, with ``seed`` the ``run.freeze_seed`` config value. Both it and each
+evaluation read every chunk's (H, c, a, b), then every chunk's G; an evaluation
+whose violation the first phase certifies to be zero draws no G.
 """
 
 import numpy as np

@@ -723,26 +723,39 @@ def test_snapshot_written_by_hand_in_the_stored_layout_loads(tmp_path):
 # -- the expectation problem's chunked draw loop ------------------------------
 
 
+def _chunk_sizes(total):
+    return [min(_EVAL_CHUNK, total - lo) for lo in range(0, total, _EVAL_CHUNK)]
+
+
+def _grams_oracle(rng, take, n, top):
+    g = rng.standard_normal((take, n, n))
+    q = np.matmul(g.transpose(0, 2, 1), g)
+    return q / np.maximum(top(q), 1e-300)[:, None, None]
+
+
 def _evaluate_full_oracle(self, x, seed=None, top=_certified_top):
-    # the sampled evaluation as it was before the shared draw generator, verbatim,
-    # with Q scaled by the top eigenvalues from ``top``
+    # the sampled evaluation's documented two-phase draw order, written out as plain loops
+    # that always read both phases: every chunk's (H, c, a, b), then every chunk's G, with
+    # Q scaled by the top eigenvalues from ``top``. Returns (f0, [f1], the generator's
+    # state after phase 1)
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    f0_sum = 0.0
-    f1_sum = 0.0
-    done = 0
-    while done < self.eval_samples:
-        take = min(_EVAL_CHUNK, self.eval_samples - done)
-        h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
+    n, total = self.n, self.eval_samples
+    f0_sum = lin_sum = quad_sum = 0.0
+    for take in _chunk_sizes(total):
+        h, c = _draw_objective_terms(rng, take, self.p, n, self.h_normalization)
         f0_sum += _objective_values_at(h, c, x).sum()
-        q, a, b = _draw_constraint_terms(rng, take, self.n, top=top)
-        f1_sum += _constraint_values_at(q, a, b, x).sum()
-        done += take
-    return f0_sum / done, np.array([f1_sum / done])
+        a = _unit_2norm(rng.standard_normal((take, n)))
+        b = rng.uniform(0.1, 1.1, size=take)
+        lin_sum += (a @ x - b).sum()
+    phase_1_end = rng.bit_generator.state
+    for take in _chunk_sizes(total):
+        quad_sum += np.einsum("sij,i,j->s", _grams_oracle(rng, take, n, top), x, x).sum()
+    return f0_sum / total, np.array([(0.5 * quad_sum + lin_sum) / total]), phase_1_end
 
 
 def _freeze_oracle(self, n_samples, seed, top=_certified_top):
-    # the freeze as it was before the shared draw generator, verbatim, with Q
+    # the freeze's documented two-phase draw order, written out as plain loops, with Q
     # scaled by the top eigenvalues from ``top``
     rng = np.random.default_rng(seed)
     n = self.n
@@ -752,19 +765,17 @@ def _freeze_oracle(self, n_samples, seed, top=_certified_top):
     qbar = np.zeros((n, n))
     abar = np.zeros(n)
     bbar = 0.0
-    done = 0
-    while done < n_samples:
-        take = min(_EVAL_CHUNK, n_samples - done)
+    for take in _chunk_sizes(n_samples):
         h, c = _draw_objective_terms(rng, take, self.p, n, self.h_normalization)
         amat += np.einsum("spn,spm->nm", h, h)
         rvec += np.einsum("spn,sp->n", h, c)
         s0 += 0.5 * float(np.sum(c * c))
-        q, a, b = _draw_constraint_terms(rng, take, n, top=top)
-        qbar += q.sum(axis=0)
-        abar += a.sum(axis=0)
-        bbar += float(b.sum())
-        done += take
-    return amat / done, rvec / done, s0 / done, qbar / done, abar / done, bbar / done
+        abar += _unit_2norm(rng.standard_normal((take, n))).sum(axis=0)
+        bbar += float(rng.uniform(0.1, 1.1, size=take).sum())
+    for take in _chunk_sizes(n_samples):
+        qbar += _grams_oracle(rng, take, n, top).sum(axis=0)
+    return (amat / n_samples, rvec / n_samples, s0 / n_samples, qbar / n_samples,
+            abar / n_samples, bbar / n_samples)
 
 
 @pytest.mark.parametrize("count", [1, _EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1,
@@ -773,22 +784,27 @@ def _freeze_oracle(self, n_samples, seed, top=_certified_top):
 def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normalization,
                                                                 monkeypatch):
     prob = ExpectationQcqpProblem(3, 2, eval_samples=count, h_normalization=h_normalization)
-    passes = []  # one entry per pass over the draws: True where it forms Q
-    draws = ExpectationQcqpProblem._draws
-    monkeypatch.setattr(ExpectationQcqpProblem, "_draws", lambda self, rng, total, gram=True:
-                        passes.append(gram) or draws(self, rng, total, gram))
-    # 0.5 ||x||^2 = 3.3: the full pass only; 7e-4: certified from the Q-free pass; 0.599 at
-    # seed count + 18, inside the band: the bound fails there at every count, and one
-    # replay with Q follows
-    for x, seed, want in ((np.array([0.4, -1.3, 2.2]), count, [True]),
-                          (np.array([0.02, -0.03, 0.01]), count, [False]),
-                          (np.array([0.0, 0.911, 0.607]), count + 18, [False, True])):
-        passes.clear()
-        got = prob.evaluate_full(x, seed=seed)
-        assert passes == want, x
-        f0, f1 = _evaluate_full_oracle(prob, x, seed=seed)
+    phases = []  # the draw phases each evaluation reads, in order
+    for phase, name in ((1, "_draws"), (2, "_grams")):
+        real = getattr(ExpectationQcqpProblem, name)
+        monkeypatch.setattr(ExpectationQcqpProblem, name,
+                            lambda self, rng, total, real=real, phase=phase:
+                            phases.append(phase) or real(self, rng, total))
+    # 0.5 ||x||^2 = 3.3: both phases; 7e-4: certified from phase 1; 0.599 at seed
+    # count + 55, inside the band: the bound fails there at every count, and phase 2
+    # follows phase 1
+    for x, seed, want in ((np.array([0.4, -1.3, 2.2]), count, [1, 2]),
+                          (np.array([0.02, -0.03, 0.01]), count, [1]),
+                          (np.array([0.0, 0.911, 0.607]), count + 55, [1, 2])):
+        phases.clear()
+        rng = np.random.default_rng(seed)
+        got = prob.evaluate_full(x, seed=rng)
+        assert phases == want, x
+        f0, f1, phase_1_end = _evaluate_full_oracle(prob, x, seed=seed)
         assert np.float64(got.objective).tobytes() == np.float64(f0).tobytes()
         assert got.violations.tobytes() == np.maximum(f1, 0.0).tobytes()
+        if want == [1]:  # a certified evaluation draws no G
+            assert rng.bit_generator.state == phase_1_end
     frozen = prob.freeze(n_samples=count, seed=5)
     want = _freeze_oracle(prob, count, 5)
     for name, g, w in zip(("amat", "rvec", "s0", "q", "a", "b"),
@@ -800,7 +816,7 @@ def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normali
 def test_evaluation_forms_no_q_where_certified_and_never_certifies_a_non_finite_point(
         monkeypatch):
     prob = ExpectationQcqpProblem(3, 2, eval_samples=2 * _EVAL_CHUNK + 3)
-    calls = {"_certified_top": 0, "matmul": 0, "_draws": 0}
+    calls = {"_certified_top": 0, "matmul": 0, "_draws": 0, "_grams": 0}
 
     def spy(owner, name):
         real = getattr(owner, name)
@@ -813,20 +829,26 @@ def test_evaluation_forms_no_q_where_certified_and_never_certifies_a_non_finite_
     spy(problems, "_certified_top")
     spy(np, "matmul")  # only the Gram product calls it by name; the rest use @ or einsum
     spy(ExpectationQcqpProblem, "_draws")
+    spy(ExpectationQcqpProblem, "_grams")
 
+    certified = {"_certified_top": 0, "matmul": 0, "_draws": 1, "_grams": 0}
+    with_q = {"_certified_top": 3, "matmul": 3, "_draws": 1, "_grams": 1}
     prob.evaluate_full(np.array([0.02, -0.03, 0.01]), seed=1)
-    assert calls == {"_certified_top": 0, "matmul": 0, "_draws": 1}
-    # 0.5 ||x||^2 >= 0.6 = E[b] (one ulp past it, then beyond), NaN and infinite points: one
-    # pass over the draws, with Q, and today's result bit for bit (NaN and inf included)
+    assert calls == certified
+    # 0.5 ||x||^2 one ulp past E[b] = 0.6 needs no gate of its own: phase 1's bound
+    # certifies it at seed 2. Beyond it, and at NaN and infinite points: phase 1, then
+    # phase 2 with Q, and the oracle's result bit for bit (NaN and inf included)
     edge = np.array([np.nextafter(np.sqrt(1.2), 2.0), 0.0, 0.0])
     assert 0.6 <= 0.5 * (edge @ edge) < 0.6 + 1e-15
     with np.errstate(invalid="ignore", over="ignore"):
-        for x in (edge, np.array([1.2, 0.0, 0.0]), np.array([0.1, np.nan, 0.2]),
-                  np.array([np.inf, 0.0, 0.1]), np.array([0.0, -np.inf, 0.0])):
+        for x, want in ((edge, certified), (np.array([1.2, 0.0, 0.0]), with_q),
+                        (np.array([0.1, np.nan, 0.2]), with_q),
+                        (np.array([np.inf, 0.0, 0.1]), with_q),
+                        (np.array([0.0, -np.inf, 0.0]), with_q)):
             calls.update(dict.fromkeys(calls, 0))
             got = prob.evaluate_full(x, seed=2)
-            assert calls["_draws"] == 1 and calls["matmul"] == 3 and calls["_certified_top"] == 3
-            f0, f1 = _evaluate_full_oracle(prob, x, seed=2)
+            assert calls == want, x
+            f0, f1, _ = _evaluate_full_oracle(prob, x, seed=2)
             assert np.float64(got.objective).tobytes() == np.float64(f0).tobytes(), x
             assert got.violations.tobytes() == np.maximum(f1, 0.0).tobytes(), x
 
@@ -835,10 +857,11 @@ def test_evaluation_forms_no_q_where_certified_and_never_certifies_a_non_finite_
 def test_evaluation_replay_keeps_every_seed_kind(kind, monkeypatch):
     # whichever path it takes, an evaluation reads the stream of the generator that
     # default_rng(seed) gives, as the reference loop does from that generator's starting
-    # state, and leaves it where the reference loop does: a passed Generator included
+    # state, and leaves it where the reference loop's phase 1 ends (certified) or where its
+    # phase 2 ends (not certified): a passed Generator included
     prob = ExpectationQcqpProblem(3, 2, eval_samples=2 * _EVAL_CHUNK + 3)
-    real_rng, real_certified = np.random.default_rng, ExpectationQcqpProblem._certified_eval
-    made = []
+    real_rng, real_certifies = np.random.default_rng, ExpectationQcqpProblem._certifies_zero
+    made, verdicts, objectives = [], [], []
 
     def default_rng(seed=None):
         rng = real_rng(seed)
@@ -846,23 +869,31 @@ def test_evaluation_replay_keeps_every_seed_kind(kind, monkeypatch):
         return rng
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     small, far = np.array([0.02, -0.03, 0.01]), np.array([0.4, -1.3, 2.2])
-    for x, forced_replay in ((small, False), (small, True), (far, False)):
-        # a forced replay reads the Q-free pass to its end, then finds no certificate
-        monkeypatch.setattr(ExpectationQcqpProblem, "_certified_eval",
-                            (lambda self, *a: real_certified(self, *a) and None)
-                            if forced_replay else real_certified)
+    for x, forced_failure, certified in ((small, False, True), (small, True, False),
+                                         (far, False, False)):
+        # a forced failure reads phase 1 to its end and finds the bound certifies it,
+        # then reports no certificate: phase 2 follows from where phase 1 stopped
+        monkeypatch.setattr(ExpectationQcqpProblem, "_certifies_zero",
+                            lambda self, *a, forced=forced_failure: verdicts.append(
+                                real_certifies(self, *a)) or (verdicts[-1] and not forced))
         seed = {"None": None, "int": 11, "SeedSequence": np.random.SeedSequence(11),
                 "Generator": real_rng(11)}[kind]
         made.clear()
+        verdicts.clear()
         got = prob.evaluate_full(x, seed=seed)
         [(used, start)] = made
         assert kind != "Generator" or used is seed
+        assert verdicts == [x is small]
         twin = np.random.Generator(np.random.PCG64())
         twin.bit_generator.state = start
-        f0, f1 = _evaluate_full_oracle(prob, x, seed=twin)
+        f0, f1, phase_1_end = _evaluate_full_oracle(prob, x, seed=twin)
         assert np.float64(got.objective).tobytes() == np.float64(f0).tobytes()
         assert got.violations.tobytes() == np.maximum(f1, 0.0).tobytes()
-        assert used.bit_generator.state == twin.bit_generator.state
+        assert used.bit_generator.state == (phase_1_end if certified
+                                            else twin.bit_generator.state)
+        objectives.append(np.float64(got.objective).tobytes())
+    if kind != "None":  # a forced failure gives the certified evaluation's objective bits
+        assert objectives[0] == objectives[1]
 
 
 @pytest.mark.parametrize("n", [3, 10])
@@ -872,7 +903,7 @@ def test_evaluation_and_freeze_hold_the_eigvalsh_scaling_to_1e13(n):
     prob = ExpectationQcqpProblem(n, 2, eval_samples=count)
     x = np.full(n, 2.0)
     got = prob.evaluate_full(x, seed=3)
-    f0, f1 = _evaluate_full_oracle(prob, x, seed=3, top=_eigvalsh_top)
+    f0, f1, _ = _evaluate_full_oracle(prob, x, seed=3, top=_eigvalsh_top)
     assert f1[0] > 0.5 and np.float64(got.objective).tobytes() == np.float64(f0).tobytes()
     assert abs(got.violations[0] - f1[0]) <= 1e-13 * f1[0]
     frozen = prob.freeze(n_samples=count, seed=5)
