@@ -3,8 +3,8 @@
 Three non-adaptive (or differently adaptive) methods run by the same driver
 as the main solver (``solvers.drive``), so checkpoints, timing, scoring and
 divergence reporting are identical across methods. Each ``*_run`` supplies
-only its setup, a ``step(k)`` closure holding its update and divergence
-test, and its lanes (the trajectories it reports):
+only its setup, a ``step(k, rng)`` closure holding its update on the
+driver's training stream ``rng`` and its divergence test, and its lanes:
 
 * ``msa_run``: projected stochastic subgradient on the Lagrangian with a
   multiplier ascent clipped into ``[0, z_cap]^M``.
@@ -31,8 +31,7 @@ from .errors import DivergenceError
 from .oracles import (constraint_step_direction, estimate_constraint_value,
                       sample_lagrangian_subgradient)
 from .results import RunResult
-from .rng import training_rng
-from .schedules import ErgodicAverager, _check_positive
+from .schedules import ErgodicAverager, _check_count, _check_positive
 from .solvers import Lane, _NormWatch, _initial_x, drive
 
 __all__ = [
@@ -56,7 +55,8 @@ class MsaParams:
     z_cap: float = 1e3
 
     def __post_init__(self):
-        _check_positive(horizon=self.horizon, alpha=self.alpha, rho=self.rho, z_cap=self.z_cap)
+        self.horizon = _check_count("horizon", self.horizon)
+        _check_positive(alpha=self.alpha, rho=self.rho, z_cap=self.z_cap)
 
 
 @dataclass
@@ -71,11 +71,11 @@ class CsaParams:
     s: int = 1
 
     def __post_init__(self):
-        _check_positive(horizon=self.horizon, gamma=self.gamma)
+        self.horizon = _check_count("horizon", self.horizon)
+        _check_positive(gamma=self.gamma)
         if self.eta_tol < 0:
             raise ValueError(f"eta_tol must be non-negative, got {self.eta_tol!r}")
-        if int(self.s) != self.s or self.s < 1:
-            raise ValueError(f"averaging start index must be a positive integer, got {self.s!r}")
+        _check_count("averaging start index", self.s)
 
 
 @dataclass
@@ -91,8 +91,8 @@ class PdsgAdpParams:
     divergence_cap: float = 1e8
 
     def __post_init__(self):
-        _check_positive(horizon=self.horizon, alpha=self.alpha, rho=self.rho,
-                        divergence_cap=self.divergence_cap)
+        self.horizon = _check_count("horizon", self.horizon)
+        _check_positive(alpha=self.alpha, rho=self.rho, divergence_cap=self.divergence_cap)
         if self.eta_scale < 0:
             raise ValueError(f"eta_scale must be non-negative, got {self.eta_scale!r}")
 
@@ -100,16 +100,14 @@ class PdsgAdpParams:
 def msa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             timing="algo") -> RunResult:
     """Projected stochastic subgradient with capped multiplier ascent."""
-    horizon = int(params.horizon)
-    alpha = params.alpha / math.sqrt(horizon)
-    rho = params.rho / math.sqrt(horizon)
+    alpha = params.alpha / math.sqrt(params.horizon)
+    rho = params.rho / math.sqrt(params.horizon)
     box = problem.box
     x = _initial_x(box)
     z = np.zeros(problem.num_constraints)
     avg_x = ErgodicAverager(0.0)
-    rng = training_rng(seed)
 
-    def step(k):
+    def step(k, rng):
         nonlocal x
         sample = sample_lagrangian_subgradient(problem, x, z, batches, rng)
         avg_x.push(x, alpha)
@@ -121,7 +119,7 @@ def msa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             raise DivergenceError("non-finite iterate")
 
     lanes = [Lane("msa", avg_x, lambda: z.copy())]
-    return drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing)[0]
+    return drive(problem, seed, params.horizon, step, lanes, checkpoints, f0_ref, timing)[0]
 
 
 def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
@@ -137,15 +135,13 @@ def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     second (``csa2``) averages all steps. Both lanes share one step, so a
     divergence carries the partial records of each.
     """
-    horizon = int(params.horizon)
-    gamma = params.gamma / math.sqrt(horizon)
+    gamma = params.gamma / math.sqrt(params.horizon)
     box = problem.box
     x = _initial_x(box)
     avg_cleared = ErgodicAverager(0.0)
     avg_all = ErgodicAverager(0.0)
-    rng = training_rng(seed)
 
-    def step(k):
+    def step(k, rng):
         nonlocal x
         ghat = estimate_constraint_value(problem, x, batches.jg, rng)
         if not math.isfinite(ghat):
@@ -162,7 +158,7 @@ def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             raise DivergenceError("non-finite iterate")
 
     lanes = [Lane("csa1", avg_cleared, eval_lane=1), Lane("csa2", avg_all)]
-    return tuple(drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing))
+    return tuple(drive(problem, seed, params.horizon, step, lanes, checkpoints, f0_ref, timing))
 
 
 def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
@@ -185,9 +181,8 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
         raise ValueError(
             f"pdsg_adp needs exact per-constraint values, which problem kind "
             f"{problem.kind!r} cannot provide (finite-sum families can)")
-    horizon = int(params.horizon)
-    alpha = params.alpha / math.sqrt(horizon)
-    rho = params.rho / math.sqrt(horizon)
+    alpha = params.alpha / math.sqrt(params.horizon)
+    rho = params.rho / math.sqrt(params.horizon)
     box = problem.box
     num = problem.num_constraints
     x = _initial_x(box)
@@ -195,9 +190,8 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     accum = np.zeros(box.dim)
     avg_x = ErgodicAverager(0.0)
     watch = _NormWatch(z, params.divergence_cap)
-    rng = training_rng(seed)
 
-    def step(k):
+    def step(k, rng):
         nonlocal x, accum
         u0 = problem.sample_objective_grad(x, batches.j0, rng)
         support, values, grads = problem.sample_constraint_block_exact(x, batches.j1, rng)
@@ -216,4 +210,4 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             raise DivergenceError(f"iterate diverged (multiplier norm {np.linalg.norm(z):.3e})")
 
     lanes = [Lane("pdsg_adp", avg_x, lambda: z.copy())]
-    return drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing)[0]
+    return drive(problem, seed, params.horizon, step, lanes, checkpoints, f0_ref, timing)[0]

@@ -5,8 +5,8 @@
     aprid-bench sweep  --config exp.ini --param algorithm.theta \
                        --values 1,10,100 --out runs/theta [--seeds 1,2]
 
-Exit codes: 0 success, 1 reference solver failure, 2 configuration error,
-3 solver divergence.
+Exit codes: 0 success, 1 reference solver failure, 2 configuration error or
+an unusable path or run set (one ``error:`` line), 3 solver divergence.
 """
 
 import argparse
@@ -17,6 +17,18 @@ from .config import _int_list, parse_config
 from .harness import compare_report, format_report, run_experiment, sweep
 
 __all__ = ["main"]
+
+
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _diverged_exit(diverged) -> int:
+    if diverged:
+        print("at least one cell diverged; partial trajectories were kept", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _parse_seeds(text):
@@ -34,14 +46,14 @@ def _cmd_run(args) -> int:
     print(f"wrote {len(out.csv_paths)} trajectory file(s) and {out.manifest_path}")
     if out.f0_ref is not None:
         print(f"reference objective: {out.f0_ref:.12g}")
-    if out.diverged:
-        print("at least one cell diverged; partial trajectories were kept", file=sys.stderr)
-        return 3
-    return 0
+    return _diverged_exit(out.diverged)
 
 
 def _cmd_report(args) -> int:
-    rows = compare_report(args.run_dirs, out_path=args.out)
+    try:
+        rows = compare_report(args.run_dirs, out_path=args.out)
+    except ValueError as exc:  # runs over different problems, or a malformed run file
+        return _error(exc)
     print(format_report(rows))
     if args.out:
         print(f"\nwrote {args.out}")
@@ -55,10 +67,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError([f"--values: expected a comma-separated list, got {args.values!r}"])
     outputs, rows = sweep(cfg, args.param, values, args.out, seeds=_parse_seeds(args.seeds))
     print(format_report(rows))
-    if any(o.diverged for o in outputs):
-        print("at least one cell diverged; partial trajectories were kept", file=sys.stderr)
-        return 3
-    return 0
+    return _diverged_exit(any(o.diverged for o in outputs))
 
 
 def main(argv=None) -> int:
@@ -99,6 +108,8 @@ def main(argv=None) -> int:
     except ReferenceError as exc:
         print(f"reference solver failed: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a run directory without a manifest, or an --out naming a file
+        return _error(exc)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ identical configs and seeds reproduce identical bytes (exactly true in
 """
 
 import datetime
+import hashlib
 import os
 import platform
 import time
@@ -91,9 +92,13 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def problem_digest(cfg: ExperimentConfig) -> str:
-    """Digest of the [problem] section only; runs over the same instance
-    share it regardless of algorithm or run settings."""
-    return config_digest({k: v for k, v in cfg.resolved.items() if k.startswith("problem.")})
+    """Digest of the [problem] section, and for ``npc`` of the data file's bytes;
+    runs over the same instance share it regardless of algorithm or run settings."""
+    lines = {k: v for k, v in cfg.resolved.items() if k.startswith("problem.")}
+    if cfg.problem["kind"] == "npc":
+        with open(cfg.problem["data"], "rb") as fh:
+            lines["problem.data_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    return config_digest(lines)
 
 
 def _adaptive_params(horizon, schedule, alpha, rho, beta1, **keys):
@@ -162,6 +167,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
     t0 = time.perf_counter()
     problem = build_problem(cfg)
     t_built = time.perf_counter()
+    digest = problem_digest(cfg)  # of the data just read, not as it is at the end
 
     ref_lines = {"reference.mode": cfg.run["reference"]}
     f0_ref = None
@@ -236,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
     for key, value in sorted(cfg.resolved.items()):
         manifest[f"config.{key}"] = value
     manifest["config_digest"] = cfg.digest
-    manifest["problem_digest"] = problem_digest(cfg)
+    manifest["problem_digest"] = digest
     manifest["package_version"] = _package_version()
     manifest["numpy_version"] = np.__version__
     manifest["python_version"] = platform.python_version()
@@ -295,25 +301,15 @@ def compare_report(run_dirs, out_path=None):
             algo, seed, fname, status = cell.split(",")
             by_algo.setdefault(algo, []).append((int(seed), fname, status))
         for algo, entries in sorted(by_algo.items()):
-            finals = []
-            walls = []
-            statuses = set()
-            for seed, fname, status in entries:
-                statuses.add(status)
-                recs = read_run_csv(os.path.join(run_dir, fname))
-                if recs:
-                    finals.append(recs[-1])
-                    walls.append(recs[-1].wall_s)
+            runs = [read_run_csv(os.path.join(run_dir, fname)) for _, fname, _ in entries]
+            finals = [recs[-1] for recs in runs if recs]
             row = {
                 "dir": run_dir,
                 "algorithm": algo,
                 "seeds": len(entries),
-                "status": "diverged" if "diverged" in statuses else "ok",
-                "obj_err": _median_or_nan([r.obj_err for r in finals]),
-                "viol_avg": _median_or_nan([r.viol_avg for r in finals]),
-                "viol_max": _median_or_nan([r.viol_max for r in finals]),
-                "gap": _median_or_nan([r.gap for r in finals]),
-                "wall_s": _median_or_nan(walls),
+                "status": "diverged" if any(s == "diverged" for *_, s in entries) else "ok",
+                **{metric: _median_or_nan([getattr(r, metric) for r in finals])
+                   for metric in ("obj_err", "viol_avg", "viol_max", "gap", "wall_s")},
             }
             if "sweep.param" in manifest:
                 row["sweep"] = f"{manifest['sweep.param']}={manifest['sweep.value']}"

@@ -10,12 +10,14 @@ this layer assembles them into unbiased estimates of
 
 with the ``M/|S|`` importance reweighting whenever only a subset ``S`` of the
 ``M`` constraints is sampled, and of the aggregate violation used by the
-switching baseline.
+switching baseline. The problem contract returns ndarrays, used as they are.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .schedules import _check_count
 
 __all__ = [
     "BatchSizes",
@@ -38,9 +40,7 @@ class BatchSizes:
 
     def __post_init__(self):
         for name in ("j0", "j1", "jg"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValueError(f"batch size {name} must be a positive integer, got {v!r}")
+            _check_count(f"batch size {name}", getattr(self, name))
 
 
 @dataclass
@@ -72,17 +72,13 @@ def sample_lagrangian_subgradient(problem, x, z, batches, rng) -> GradSample:
     when the batch covers every constraint). The reweighting keeps both
     estimates unbiased under uniform subsampling.
     """
-    z = np.asarray(z, dtype=float)
     m = problem.num_constraints
     if z.shape != (m,):
         raise ValueError(f"multiplier shape {z.shape} does not match {m} constraints")
     u0 = problem.sample_objective_grad(x, batches.j0, rng)
     support, values, grads = problem.sample_constraint_block(x, batches.j1, rng)
-    support = np.asarray(support, dtype=int)
     scale = m / support.size
-    u = u0 + scale * (z[support] @ grads)
-    w = scale * np.asarray(values, dtype=float)
-    return GradSample(u=u, w=w, w_support=support)
+    return GradSample(u=u0 + scale * (z[support] @ grads), w=scale * values, w_support=support)
 
 
 def estimate_constraint_value(problem, x, jg, rng) -> float:
@@ -108,13 +104,12 @@ def constraint_step_direction(problem, x, j1, rng) -> np.ndarray:
     support, values, grads = problem.sample_constraint_block(x, j1, rng)
     scale = problem.num_constraints / len(support)
     if problem.num_constraints == 1:
-        return scale * np.asarray(grads, dtype=float)[0]
-    active = (np.asarray(values, dtype=float) > 0).astype(float)
-    return scale * (active @ grads)
+        return scale * grads[0]
+    return scale * ((values > 0).astype(float) @ grads)
 
 
 def sample_minimax_subgradient(problem, x, z, rng) -> GradSample:
     """Noisy gradient pair for a saddle problem: ``u`` for the minimization
     block, ``w`` for the whole maximization block (``w_support`` None)."""
     u, w = problem.sample_grads(x, z, rng)
-    return GradSample(u=np.asarray(u, dtype=float), w=np.asarray(w, dtype=float), w_support=None)
+    return GradSample(u=u, w=w, w_support=None)

@@ -11,8 +11,8 @@ Problems are duck-typed. Every constrained problem exposes
     sample_objective_grad(x, j0, rng)   -> (n,) unbiased subgradient of f0
     sample_constraint_block(x, j1, rng) -> (support, values, grads): sampled
         constraint indices S, per-constraint unbiased value estimates (|S|,)
-        and subgradient estimates (|S|, n); all raw, the oracle layer applies
-        the M/|S| reweighting
+        and subgradient estimates (|S|, n); all raw ndarrays (S of ints), which
+        the oracle layer reweights by M/|S| as they are, with no conversion
     constraint_value_estimate(x, jg, rng) -> unbiased aggregate-violation
         estimate (single constraint: plain estimate of f1, sign kept)
     evaluate_full(x, seed=None)         -> FullEval
@@ -22,7 +22,7 @@ Deterministic problems additionally expose exact full quantities
 ``full_constraint_grads``) consumed by the reference solver, and
 ``sample_constraint_block_exact`` (exact values, unbiased gradients) consumed
 by penalty-based baselines. Saddle problems follow a different, smaller
-contract (see ``BilinearSaddleProblem``).
+contract (see ``BilinearSaddleProblem``), whose sampled blocks are ndarrays too.
 
 Sampling determinism: each sampling method consumes its generator in a fixed
 documented order (objective draws: matrices then vectors; constraint draws:
@@ -88,6 +88,13 @@ def _full_eval(objective, raw_constraint_values):
     return FullEval(float(objective), v, float(v.mean()), float(v.max()))
 
 
+def _check_shapes(problem, **shapes):
+    """Raise ValueError naming the first array attribute of ``problem`` not of its shape."""
+    for name, shape in shapes.items():
+        if getattr(problem, name).shape != shape:
+            raise ValueError(f"{name} has shape {getattr(problem, name).shape}, expected {shape}")
+
+
 def _subsample(rng, total, size):
     """``min(size, total)`` distinct indices of ``range(total)``, uniformly at random."""
     return rng.choice(total, size=min(int(size), total), replace=False)
@@ -99,7 +106,7 @@ def _subsample(rng, total, size):
 
 @dataclass
 class Dataset:
-    """Binary-labeled feature matrix; labels are +1/-1."""
+    """Binary-labeled matrix of finite features; labels are +1/-1."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -109,6 +116,9 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=int)
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            raise ValueError(f"feature at row {bad[0, 0]}, column {bad[0, 1]} is not finite")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError(
                 f"labels shape {self.labels.shape} does not match "
@@ -671,8 +681,9 @@ class FrozenQcqpProblem(_AggregatedQuadratic):
         self.q = np.asarray(q, dtype=float)
         self.a = np.asarray(a, dtype=float)
         self.b = float(b)
-        self.n = self.rvec.size
+        n = self.n = self.rvec.size
         self.box = box
+        _check_shapes(self, amat=(n, n), rvec=(n,), q=(n, n), a=(n,))
 
     def full_constraint_values(self, x):
         x = np.asarray(x, dtype=float)
@@ -715,10 +726,11 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
         self.b = np.asarray(b, dtype=float)
         if self.h.ndim != 3 or self.q.ndim != 3:
             raise ValueError("h must be (N, p, n) and q must be (M, n, n)")
-        self.num_objective_terms = self.h.shape[0]
-        self.num_constraints = self.q.shape[0]
-        self.n = self.h.shape[2]
-        self.box = box if box is not None else BoxSet.symmetric(self.n, 10.0)
+        nn, p, n = self.h.shape
+        m = self.num_constraints = self.q.shape[0]
+        _check_shapes(self, c=(nn, p), q=(m, n, n), a=(m, n), b=(m,))
+        self.num_objective_terms, self.n = nn, n
+        self.box = box if box is not None else BoxSet.symmetric(n, 10.0)
         # exact aggregates: f0 is itself a quadratic
         self.amat = np.einsum("ipn,ipm->nm", self.h, self.h) / self.num_objective_terms
         self.rvec = np.einsum("ipn,ip->n", self.h, self.c) / self.num_objective_terms

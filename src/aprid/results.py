@@ -10,10 +10,11 @@ writers can zero it out for byte-identical replays, and all timestamps live
 in the run manifest, never in trajectory files.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .schedules import _check_count
 
 __all__ = [
     "CSV_COLUMNS",
@@ -31,7 +32,8 @@ NAN = float("nan")
 
 @dataclass
 class CheckpointRecord:
-    """Metrics of the averaged iterate at one checkpoint.
+    """Metrics of the averaged iterate at one checkpoint, its fields up to
+    ``flags`` in the CSV's column order.
 
     ``objective`` is the raw objective value kept for in-memory consumers
     (re-anchoring errors against a best-feasible baseline); it is not part
@@ -88,9 +90,7 @@ class RunResult:
 def log_spaced_checkpoints(horizon, count=50):
     """About ``count`` geometrically spaced iteration indices ending at
     ``horizon`` (always included), deduplicated and sorted."""
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    horizon = _check_count("horizon", horizon)
     count = max(1, int(count))
     raw = np.unique(np.round(np.geomspace(1, horizon, num=min(count, horizon))).astype(int))
     raw[-1] = horizon
@@ -116,12 +116,7 @@ def _check_iterations(records):
 
 
 def _fmt(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
 def write_run_csv(path, records, zero_wall=False):
@@ -148,15 +143,5 @@ def read_run_csv(path):
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields")
-        records.append(
-            CheckpointRecord(
-                iteration=int(parts[0]),
-                wall_s=float(parts[1]),
-                obj_err=float(parts[2]),
-                viol_avg=float(parts[3]),
-                viol_max=float(parts[4]),
-                gap=float(parts[5]),
-                flags=parts[6],
-            )
-        )
+        records.append(CheckpointRecord(int(parts[0]), *map(float, parts[1:6]), parts[6]))
     return records

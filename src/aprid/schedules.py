@@ -195,10 +195,11 @@ def _check_positive(**values):
             raise ValueError(f"{name} must be positive, got {v!r}")
 
 
-def _check_horizon(horizon):
-    if int(horizon) != horizon or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-    return int(horizon)
+def _check_count(label, v):
+    """``v`` as an int; raise ValueError naming ``label`` unless it is a positive integer."""
+    if int(v) != v or v < 1:
+        raise ValueError(f"{label} must be a positive integer, got {v!r}")
+    return int(v)
 
 
 def _check_beta1(beta1):
@@ -219,7 +220,7 @@ def _check_alphas(alphas):
 
 
 def _check_closed_form(alpha, rho, horizon, beta1):
-    horizon = _check_horizon(horizon)
+    horizon = _check_count("horizon", horizon)
     _check_positive(alpha=alpha, rho=rho)
     return horizon, _check_beta1(beta1)
 

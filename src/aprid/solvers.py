@@ -27,15 +27,16 @@ cost O(j1) per step; the O(M) catch-up runs only when z_bar is read.
 
 Every run, here and in ``baselines``, goes through one driver, ``drive``,
 which owns the protocol the methods are compared under: it validates the
-checkpoints and the ``timing`` mode, times the steps (and, under ``total``,
-the checkpoint scoring), scores each lane's averaged iterate into a
-``CheckpointRecord`` at every checkpoint, annotates a ``DivergenceError``
-with the failing step and the partial trajectories, and builds one
-``RunResult`` per lane. A method's ``*_run`` supplies only
+checkpoints and the ``timing`` mode, opens the training stream, times the
+steps (and, under ``total``, the checkpoint scoring), scores each lane's
+averaged iterate into a ``CheckpointRecord`` at every checkpoint, annotates
+a ``DivergenceError`` with the failing step and the partial trajectories,
+and builds one ``RunResult`` per lane. A method's ``*_run`` supplies only
 
-* its setup: initial state, averagers and the training stream,
-* ``step(k)``: its update for step ``k``, including the averager pushes and
-  its own divergence test (raising ``DivergenceError``),
+* its setup: initial state and averagers,
+* ``step(k, rng)``: its update for step ``k`` on the training stream ``rng``,
+  including the averager pushes and its own divergence test (raising
+  ``DivergenceError``),
 * its lanes: one ``Lane`` per reported trajectory.
 """
 
@@ -220,9 +221,8 @@ def aprid_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
     avg_x = ErgodicAverager(schedule.beta1)
     avg_z = LazyErgodicAverager(dstate.z, schedule)
     watch = _NormWatch(dstate.z, params.divergence_cap)
-    rng = training_rng(seed)
 
-    def step(k):
+    def step(k, rng):
         alpha_k, rho_k = schedule.next()
         sample = sample_lagrangian_subgradient(problem, pstate.x, dstate.z, batches, rng)
         avg_x.push(pstate.x, alpha_k)
@@ -290,9 +290,8 @@ def apriad_run(problem, params, seed, checkpoints=None, timing="algo") -> RunRes
     state = MinimaxState.fresh(_initial_x(problem.box_x), _initial_x(problem.box_z))
     avg_x = ErgodicAverager(schedule.beta1)
     avg_z = ErgodicAverager(schedule.beta1)
-    rng = training_rng(seed)
 
-    def step(k):
+    def step(k, rng):
         alpha_k, rho_k = schedule.next()
         sample = sample_minimax_subgradient(problem, state.x, state.z, rng)
         avg_x.push(state.x, alpha_k)
@@ -357,7 +356,8 @@ def _score(problem, lane, k, seed, f0_ref) -> CheckpointRecord:
 
 
 def drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing) -> list:
-    """Run ``step(1)..step(horizon)`` and return one RunResult per lane.
+    """Run ``step(1, rng)..step(horizon, rng)`` on ``seed``'s training stream ``rng``
+    and return one RunResult per lane.
 
     ``wall_s`` counts the steps and, with ``timing='total'``, the checkpoint
     scoring too. A DivergenceError raised by a step leaves with
@@ -369,10 +369,11 @@ def drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing) -> l
     cpset = set(_resolve_checkpoints(checkpoints, horizon))
     records = [[] for _ in lanes]
     wall = 0.0
+    rng = training_rng(seed)
     try:
         for k in range(1, horizon + 1):
             tic = time.perf_counter()
-            step(k)
+            step(k, rng)
             wall += time.perf_counter() - tic
             if k in cpset:
                 tic = time.perf_counter()

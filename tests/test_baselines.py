@@ -84,6 +84,14 @@ def test_pdsg_params_validation():
     PdsgAdpParams(horizon=10, eta_scale=0.0)
 
 
+@pytest.mark.parametrize("params", [MsaParams, CsaParams, PdsgAdpParams])
+def test_baseline_horizon_must_be_a_positive_integer(params):
+    for bad in (2.5, 0):
+        with pytest.raises(ValueError, match=f"horizon must be a positive integer, got {bad}"):
+            params(horizon=bad)
+    assert params(horizon=4.0).horizon == 4  # a whole float runs as its int
+
+
 @pytest.mark.parametrize("runner,params", [
     (msa_run, MsaParams(horizon=10)),
     (csa_run, CsaParams(horizon=10)),

@@ -177,6 +177,38 @@ def test_empty_sweep_values_exit_code(good_ini, tmp_path, capsys):
     assert not out_root.exists()
 
 
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(f in err for f in fragments), err
+
+
+def test_report_without_a_manifest_exit_code(tmp_path, capsys):
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    assert_one_error_line(capsys, "manifest.txt")
+
+
+def test_report_over_different_problems_exit_code(good_ini, tmp_path, capsys):
+    other = tmp_path / "other.ini"
+    other.write_text(GOOD_CONFIG.replace("instance_seed = 1", "instance_seed = 2"))
+    assert main(["run", "--config", good_ini, "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--config", str(other), "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+    assert_one_error_line(capsys, "refusing to compare runs over different problems")
+
+
+@pytest.mark.parametrize("command", [[], ["--param", "algorithm.theta", "--values", "1,10"]],
+                         ids=["run", "sweep"])
+def test_out_naming_a_file_exit_code(good_ini, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    name = "sweep" if command else "run"
+    assert main([name, "--config", good_ini, "--out", str(out), *command]) == 2
+    assert_one_error_line(capsys, str(out))
+    assert out.read_text() == "not a directory\n"
+
+
 def test_report_subcommand(good_ini, tmp_path, capsys):
     assert main(["run", "--config", good_ini, "--out", str(tmp_path / "a")]) == 0
     assert main(["run", "--config", good_ini, "--out", str(tmp_path / "b")]) == 0

@@ -12,7 +12,7 @@ import pytest
 from aprid import (BatchSizes, ConfigError, ExperimentConfig, harness, load_dataset,
                    make_bilinear_saddle, make_qcqp_finite_sum, make_synthetic_dataset,
                    parse_config, resolve_config, run_experiment)
-from aprid.config import _ALGORITHM_KEYS, _PROBLEM_KEYS
+from aprid.config import _ALGORITHM_KEYS, _PROBLEM_KEYS, config_digest
 from aprid.results import log_spaced_checkpoints
 
 FINITE_SUM = {"kind": "qcqp_finite_sum", "n": "4", "p": "2", "num_objective_terms": "12",
@@ -301,6 +301,26 @@ def test_hand_built_runs_over_different_instances_are_not_compared(tmp_path):
     assert hashlib.sha256(b"").hexdigest() not in digests
     with pytest.raises(ValueError, match="refusing to compare runs over different problems"):
         harness.compare_report(dirs)
+
+
+def test_npc_runs_over_a_rewritten_data_file_are_not_compared(tmp_path):
+    data = tmp_path / "rows.txt"
+    rows = "+1 1:0.5 2:1.0\n-1 1:1.5 2:0.7\n+1 1:-0.4 2:0.1\n-1 1:-0.3 2:0.9\n"
+    raw = {"problem": {"kind": "npc", "data": str(data), "c_hat": "0.8", "preprocess": "false"},
+           "algorithm": {"name": "msa"}, "run": dict(RUN)}
+    dirs = []
+    for name, text in (("before", rows), ("after", rows.replace("0.9", "0.8"))):
+        data.write_text(text)
+        dirs.append(run_experiment(resolve_config(raw), tmp_path / name).out_dir)
+    digests = [harness.read_manifest(pathlib.Path(d) / "manifest.txt")["problem_digest"]
+               for d in dirs]
+    assert digests[0] != digests[1]  # the path and every [problem] key are the same
+    with pytest.raises(ValueError, match="refusing to compare runs over different problems"):
+        harness.compare_report(dirs)
+    # other kinds hash their [problem] lines alone, as before
+    cfg = resolve_config({"problem": FINITE_SUM, "algorithm": {"name": "msa"}, "run": RUN})
+    lines = {k: v for k, v in cfg.resolved.items() if k.startswith("problem.")}
+    assert harness.problem_digest(cfg) == config_digest(lines)
 
 
 def test_build_problem_checks_the_keys_of_a_hand_built_config():

@@ -92,6 +92,20 @@ def test_sparse_errors(tmp_path):
         load_dataset(f)
 
 
+def test_dense_non_finite_feature_names_its_row_and_column(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("x1,x2,label\n1.0,2.0,1\n3.0,inf,-1\n")
+    with pytest.raises(ValueError, match="feature at row 1, column 1 is not finite"):
+        load_dataset(f)
+
+
+def test_sparse_non_finite_feature_names_its_row_and_column(tmp_path):
+    f = tmp_path / "s.txt"
+    f.write_text("1 1:0.5\n-1 1:0.25 2:nan\n1 3:1.0\n")
+    with pytest.raises(ValueError, match="feature at row 1, column 1 is not finite"):
+        load_dataset(f)
+
+
 def test_empty_file_errors(tmp_path):
     f = tmp_path / "e.csv"
     f.write_text("\n\n")
@@ -619,6 +633,31 @@ def test_snapshot_rejects_unknown_kinds(tmp_path):
     path = tmp_path / "u.npz"
     np.savez(path, kind="lasso")
     with pytest.raises(ValueError, match="unknown snapshot kind 'lasso'"):
+        load_instance(path)
+
+
+def _doctored(tmp_path, prob, **changes):
+    """An archive of ``prob`` with some of its arrays replaced."""
+    save_instance(prob, tmp_path / "ok.npz")
+    np.savez(tmp_path / "doctored.npz", **{**_archive(tmp_path / "ok.npz"), **changes})
+    return tmp_path / "doctored.npz"
+
+
+def test_a_finite_sum_archive_with_mismatched_arrays_is_refused(tmp_path):
+    prob = make_qcqp_finite_sum(3, 2, 4, 5, seed=1)
+    path = _doctored(tmp_path, prob, a=np.ones((7, 3)), b=np.ones(9))
+    with pytest.raises(ValueError, match=r"a has shape \(7, 3\), expected \(5, 3\)"):
+        load_instance(path)
+    path = _doctored(tmp_path, prob, c=np.ones((4, 3)))
+    with pytest.raises(ValueError, match=r"c has shape \(4, 3\), expected \(4, 2\)"):
+        load_instance(path)
+
+
+def test_a_frozen_archive_with_mismatched_arrays_is_refused(tmp_path):
+    prob = ExpectationQcqpProblem(3, 2).freeze(n_samples=200, seed=7)
+    path = _doctored(tmp_path, prob, rvec=np.ones(4), box_lower=-np.ones(4),
+                     box_upper=np.ones(4))
+    with pytest.raises(ValueError, match=r"amat has shape \(3, 3\), expected \(4, 4\)"):
         load_instance(path)
 
 
