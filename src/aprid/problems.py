@@ -36,8 +36,8 @@ evaluation and freeze read H, c, a, b per ``_EVAL_CHUNK`` of draws (phase 1,
 ``_draws``), then each chunk's G (phase 2, ``_grams``): f0 and f1 are means of
 sums, so this pairing of Q_i with (a_i, b_i) leaves every law as it was. An
 evaluation whose violation phase 1 certifies to be zero (``_certifies_zero``)
-draws no G. Each Q = G'G is scaled to unit spectral norm, by ``_certified_top``
-in expectation draws and by ``eigvalsh`` in finite-sum instances.
+draws no G. Every Q = G'G, in every family, is scaled to unit spectral norm by
+``_certified_top``, within a relative 1e-14 of ``eigvalsh`` (its fallback).
 """
 
 import csv
@@ -89,10 +89,12 @@ def _full_eval(objective, raw_constraint_values):
 
 
 def _check_shapes(problem, **shapes):
-    """Raise ValueError naming the first array attribute of ``problem`` not of its shape."""
+    """Raise ValueError naming ``problem``'s first array not of its shape, or a box of dim != n."""
     for name, shape in shapes.items():
         if getattr(problem, name).shape != shape:
             raise ValueError(f"{name} has shape {getattr(problem, name).shape}, expected {shape}")
+    if problem.box.dim != problem.n:
+        raise ValueError(f"box dimension {problem.box.dim} does not match n={problem.n}")
 
 
 def _subsample(rng, total, size):
@@ -467,16 +469,16 @@ def _certified_top(q):
     return top
 
 
-def _draw_grams(rng, count, n, top):
+def _draw_grams(rng, count, n):
     # G is drawn _EVAL_CHUNK rows at a time (the same stream as one draw) and each block's
-    # Gram matrices go into q, scaled by ``top``'s eigenvalues: q plus one block live at once
+    # Gram matrices go into q, scaled by ``_certified_top``: q plus one block live at once
     q = None
     for lo in range(0, count, _EVAL_CHUNK):
         g = rng.standard_normal((min(_EVAL_CHUNK, count - lo), n, n))
         q = np.empty((count, n, n)) if q is None else q  # after the first draw: lower peak
         block = np.matmul(g.transpose(0, 2, 1), g, out=q[lo:lo + len(g)])
         del g
-        block /= np.maximum(top(block), 1e-300)[:, None, None]
+        block /= np.maximum(_certified_top(block), 1e-300)[:, None, None]
     return q
 
 
@@ -484,8 +486,8 @@ def _draw_linear_terms(rng, count, n):
     return _unit_2norm(rng.standard_normal((count, n))), rng.uniform(0.1, 1.1, size=count)
 
 
-def _draw_constraint_terms(rng, count, n, top=_eigvalsh_top):
-    return (_draw_grams(rng, count, n, top), *_draw_linear_terms(rng, count, n))  # G, a, b
+def _draw_constraint_terms(rng, count, n):
+    return (_draw_grams(rng, count, n), *_draw_linear_terms(rng, count, n))  # G, a, b
 
 
 # Per-sample values of 0.5 ||h x - c||^2 and their mean gradient, per-constraint values
@@ -521,11 +523,9 @@ class ExpectationQcqpProblem:
 
     There is no finite instance: every oracle call reads new records (see the
     module docstring), and full evaluation uses a fresh batch of ``eval_samples``
-    draws per function. Every draw scales its Q by ``_certified_top`` (within a
-    relative 1e-14 of ``eigvalsh``, faster in bulk).
-    Evaluation reads phase 1 and stops there when ``sum_i (0.5 ||x||^2 + a_i.x - b_i)``
-    certifies the violation to be zero, so a passed Generator ends after phase 1;
-    otherwise it reads on through phase 2. ``freeze`` reads both phases.
+    draws per function. Evaluation reads phase 1 and stops there when ``sum_i (0.5
+    ||x||^2 + a_i.x - b_i)`` certifies the violation to be zero, so a passed Generator
+    ends after phase 1; otherwise it reads on through phase 2. ``freeze`` reads both.
     """
 
     kind = "qcqp_expectation"
@@ -549,7 +549,7 @@ class ExpectationQcqpProblem:
         return _draw_objective_terms(rng, count, self.p, self.n, self.h_normalization)
 
     def _constraint_records(self, rng, count):
-        return _draw_constraint_terms(rng, count, self.n, top=_certified_top)
+        return _draw_constraint_terms(rng, count, self.n)
 
     def _constraint_at(self, x, count, rng):
         q, a, b = read_records(rng, CONSTRAINT_TAG, self._constraint_records, int(count))
@@ -576,9 +576,9 @@ class ExpectationQcqpProblem:
             yield (h, c, *_draw_linear_terms(rng, take, self.n))
 
     def _grams(self, rng, total):
-        """Phase 2, read on from where phase 1 stopped: each chunk's Q, by ``_certified_top``."""
+        """Phase 2, read on from where phase 1 stopped: each chunk's Q."""
         for lo in range(0, total, _EVAL_CHUNK):
-            yield _draw_grams(rng, min(_EVAL_CHUNK, total - lo), self.n, _certified_top)
+            yield _draw_grams(rng, min(_EVAL_CHUNK, total - lo), self.n)
 
     def evaluate_full(self, x, seed=None) -> FullEval:
         x = np.asarray(x, dtype=float)
@@ -708,9 +708,9 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
         f_j(x) = 0.5 x'Q_j x + a_j . x - b_j <= 0,   j = 1..M
         x in [-10, 10]^n
 
-    Data follows the same normalized Gaussian law as the expectation form.
-    The objective aggregates to a single quadratic (precomputed), so exact
-    evaluation is O(n^2) regardless of N. Constraint subsampling is uniform
+    Data follows the expectation form's normalized Gaussian law, Q_j scaled by its
+    ``_certified_top``. The objective aggregates to a single quadratic (precomputed),
+    so exact evaluation is O(n^2) regardless of N. Constraint subsampling is uniform
     without replacement; sampled values are exact, so this family supports
     penalty-based baselines directly.
     """
@@ -728,9 +728,9 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
             raise ValueError("h must be (N, p, n) and q must be (M, n, n)")
         nn, p, n = self.h.shape
         m = self.num_constraints = self.q.shape[0]
-        _check_shapes(self, c=(nn, p), q=(m, n, n), a=(m, n), b=(m,))
         self.num_objective_terms, self.n = nn, n
         self.box = box if box is not None else BoxSet.symmetric(n, 10.0)
+        _check_shapes(self, c=(nn, p), q=(m, n, n), a=(m, n), b=(m,))
         # exact aggregates: f0 is itself a quadratic
         self.amat = np.einsum("ipn,ipm->nm", self.h, self.h) / self.num_objective_terms
         self.rvec = np.einsum("ipn,ip->n", self.h, self.c) / self.num_objective_terms
@@ -770,9 +770,9 @@ def make_qcqp_finite_sum(n, p, num_objective_terms, num_constraints, seed,
                          h_normalization="fro", max_elements=250_000_000):
     """Draw a finite-sum QCQP instance; generation is seed-deterministic.
 
-    Refuses instances whose stored arrays would exceed ``max_elements`` floats (the
-    constraint tensor alone is M * n^2). Constraints are drawn a block at a time, so the
-    budget bounds peak build memory too: the stored arrays plus one block.
+    Draws H, c, then G a block at a time (each Q = G'G / ``_certified_top``), then a, b.
+    Refuses instances whose stored arrays would exceed ``max_elements`` floats (M * n^2
+    for Q alone); the budget bounds peak build memory too: the stored arrays plus a block.
     """
     n, p = int(n), int(p)
     nn, mm = int(num_objective_terms), int(num_constraints)

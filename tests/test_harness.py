@@ -5,6 +5,7 @@ would write twice."""
 import hashlib
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ def _as_numpy(value):
     return np.int64(value) if isinstance(value, int) else np.float64(value)
 
 
-# the shipped QCQP instances have no active constraint (ROADMAP item 4d)
+# the shipped QCQP instances other than qcqp_finite_sum_active have no active constraint
 @pytest.mark.filterwarnings("ignore:no constraint is active at the reference")
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
 def test_a_hand_built_config_writes_what_its_parsed_config_writes(path, tmp_path):
@@ -286,6 +287,16 @@ def test_a_hand_built_config_writes_what_its_parsed_config_writes(path, tmp_path
         [pathlib.Path(p).name for p in outs[1].csv_paths]
     for a, b in zip(outs[0].csv_paths, outs[1].csv_paths):
         assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
+
+
+def test_the_active_finite_sum_config_runs_with_a_binding_reference(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run_experiment(_short(CONFIG_DIR / "qcqp_finite_sum_active.ini"), tmp_path)
+    assert not [w for w in caught if "no constraint is active" in str(w.message)]
+    manifest = harness.read_manifest(out.manifest_path)
+    assert int(manifest["reference.active_constraints"]) >= 1
+    assert float(manifest["reference.z_norm"]) > 0
 
 
 def test_hand_built_runs_over_different_instances_are_not_compared(tmp_path):

@@ -343,11 +343,12 @@ def test_qcqp_determinism_and_memory_guard():
 
 
 def _one_shot_constraint_terms(rng, count, n):
-    # the draw as it was before the block-wise build, kept verbatim as the oracle
+    # the draw as it was before the block-wise build, kept verbatim as the oracle, with Q
+    # scaled by the one normaliser every family uses
     g = rng.standard_normal((count, n, n))
     q = np.matmul(g.transpose(0, 2, 1), g)
     del g  # at most two count x n x n arrays live at once
-    q /= np.maximum(np.linalg.eigvalsh(q)[:, -1], 1e-300)[:, None, None]
+    q /= np.maximum(_certified_top(q), 1e-300)[:, None, None]
     a = _unit_2norm(rng.standard_normal((count, n)))
     b = rng.uniform(0.1, 1.1, size=count)
     return q, a, b
@@ -364,6 +365,27 @@ def test_block_wise_constraint_draw_is_the_one_shot_draw_bitwise(count):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), (name, seed)
         # the generator stands at the same place in its stream
         assert rng_blocks.standard_normal(5).tobytes() == rng_once.standard_normal(5).tobytes()
+
+
+def test_every_q_has_unit_top_eigenvalue_by_eigvalsh_wherever_it_is_drawn(monkeypatch):
+    # the unit-norm contract, checked by eigvalsh whichever normaliser scaled Q: a
+    # finite-sum build over more than one block, a training record block and freeze chunks
+    def assert_unit(q):
+        assert np.max(np.abs(np.linalg.eigvalsh(q)[:, -1] - 1.0)) <= 1e-13
+
+    assert_unit(make_qcqp_finite_sum(10, 2, 3, _EVAL_CHUNK + 5, seed=3).q)
+    prob = ExpectationQcqpProblem(10, 2)
+    q, _, _ = read_records(training_rng(4), CONSTRAINT_TAG, prob._constraint_records,
+                           RECORD_BLOCK)
+    assert len(q) == RECORD_BLOCK
+    assert_unit(q)
+    chunks, real = [], ExpectationQcqpProblem._grams
+    monkeypatch.setattr(ExpectationQcqpProblem, "_grams", lambda self, rng, total: (
+        chunks.append(chunk) or chunk for chunk in real(self, rng, total)))
+    prob.freeze(n_samples=_EVAL_CHUNK + 3, seed=5)
+    assert [len(chunk) for chunk in chunks] == [_EVAL_CHUNK, 3]
+    for chunk in chunks:
+        assert_unit(chunk)
 
 
 def test_finite_sum_build_never_holds_the_whole_gaussian_tensor():
@@ -524,7 +546,7 @@ def test_a_plain_generator_is_read_as_every_record_stream_at_once():
     # one Generator serves both oracles, in call order, exactly j records a call
     ref, rng = np.random.default_rng(4), np.random.default_rng(4)
     h, c = _draw_objective_terms(ref, 6, 2, 3, "fro")
-    q, a, b = _draw_constraint_terms(ref, 5, 3, top=_certified_top)
+    q, a, b = _draw_constraint_terms(ref, 5, 3)
     want = np.einsum("spn,sp->n", h, np.einsum("spn,n->sp", h, x) - c) / 6
     assert np.array_equal(prob.sample_objective_grad(x, 6, rng), want)
     assert prob.constraint_value_estimate(x, 5, rng) == pytest.approx(
@@ -659,6 +681,22 @@ def test_a_frozen_archive_with_mismatched_arrays_is_refused(tmp_path):
                      box_upper=np.ones(4))
     with pytest.raises(ValueError, match=r"amat has shape \(3, 3\), expected \(4, 4\)"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("build,box_dim", [
+    (lambda: make_qcqp_finite_sum(3, 2, 4, 5, seed=1), 4),
+    (lambda: ExpectationQcqpProblem(3, 2).freeze(n_samples=200, seed=7), 5),
+], ids=["finite_sum", "frozen"])
+def test_a_box_of_another_dimension_than_n_is_refused(tmp_path, build, box_dim):
+    prob = build()
+    message = f"box dimension {box_dim} does not match n=3"
+    path = _doctored(tmp_path, prob, box_lower=-np.ones(box_dim), box_upper=np.ones(box_dim))
+    with pytest.raises(ValueError, match=message):
+        load_instance(path)
+    cls, names = problems._SNAPSHOT[prob.kind]
+    args = {name: getattr(prob, name) for name in names}
+    with pytest.raises(ValueError, match=message):
+        cls(**dict(args, box=BoxSet.symmetric(box_dim, 1.0)))
 
 
 # the archive layout of each kind: key names in order, with their dtypes

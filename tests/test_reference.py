@@ -3,10 +3,12 @@ extragradient saddle solver, checked on instances with hand-derivable optima.
 
 The solutions of the golden finite-sum and npc instances are also pinned bit
 for bit to ``tests/data/golden/reference-<label>_{x,z,objective}.npy``; after
-a deliberate change to the solver, regenerate them with
+a deliberate change to the solver or to an instance, regenerate the files of the
+instances it changes with
 
-    PYTHONPATH=src python3 tests/test_reference.py
+    PYTHONPATH=src python3 tests/test_reference.py [LABEL ...]
 
+(every instance when no label is given; a label is ``finite_sum`` or ``npc``)
 and state the change and its reason alongside it.
 """
 
@@ -271,8 +273,14 @@ def test_manifest_warns_when_no_reference_constraint_is_active(tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
+
+    labels = sys.argv[1:] or [c[0] for c in GOLDEN_INSTANCES]
+    unknown = sorted(set(labels) - {c[0] for c in GOLDEN_INSTANCES})
+    if unknown:
+        sys.exit(f"unknown instance label(s): {', '.join(unknown)}")
     os.makedirs(GOLDEN, exist_ok=True)
-    for label, problem in GOLDEN_INSTANCES:
+    for label, problem in (c for c in GOLDEN_INSTANCES if c[0] in labels):
         sol = solve_reference(_golden_problem(problem), tol=1e-6)
         for field in ("x", "z", "objective"):
             np.save(_reference_name(label, field), np.asarray(getattr(sol, field)))
