@@ -238,7 +238,7 @@ class ExperimentConfig:
         if self._raw is None:
             raise ConfigError(["with_override needs a config made by resolve_config"])
         raw = {name: dict(section) for name, section in self._raw.items()}
-        raw[sec][key] = str(value)
+        raw[sec][key] = _canonical(value)
         return resolve_config(raw)
 
     def check_keys(self, sections=("problem", "algorithm", "run")):
@@ -340,7 +340,7 @@ def _canonical(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))  # a numpy float prints as its Python float
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return ",".join(_canonical(v) for v in value)
     if value is None:
         return ""

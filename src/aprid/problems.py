@@ -32,12 +32,17 @@ expectation QCQP's training oracles read the next j records of their own
 stream (``rng.read_records``), (H, c) or (Q, a, b), drawn a block at a time by
 the same draw functions (a plain Generator gives j fresh records a call); the
 constraint oracles evaluate once, at the records' mean Q, a and b. Its sampled
-evaluation and freeze read H, c, a, b per ``_EVAL_CHUNK`` of draws (phase 1,
-``_draws``), then each chunk's G (phase 2, ``_grams``): f0 and f1 are means of
-sums, so this pairing of Q_i with (a_i, b_i) leaves every law as it was. An
-evaluation whose violation phase 1 certifies to be zero (``_certifies_zero``)
-draws no G. Every Q = G'G, in every family, is scaled to unit spectral norm by
-``_certified_top``, within a relative 1e-14 of ``eigvalsh`` (its fallback).
+evaluation reads ||Hx||^2, then c.Hx, then a.x, then b per ``_EVAL_CHUNK`` of draws
+(phase 1, ``_eval_terms``; H and c whole under ``spectral``) from their one-dimensional
+laws: HR has H's law for every rotation R, so Hx is ||x|| H e_1 in law and ||Hx||^2 =
+||x||^2 X / (X + Y) under ``fro`` (X ~ chi^2_p, Y ~ chi^2_{p(n-1)}); c.Hx and a.x are
+||Hx|| and ||x|| times one coordinate of an independent uniform unit vector. The freeze,
+whose aggregates need them whole, reads H, c, a, b per chunk (phase 1, ``_draws``). Both
+then read each chunk's G (phase 2, ``_grams``): f0 and f1 are means of sums, so this
+pairing of Q_i with (a_i, b_i) leaves every law as it was. An evaluation whose violation
+phase 1 certifies to be zero (``_certifies_zero``) draws no G. Every Q = G'G, in every
+family, is scaled to unit spectral norm by ``_certified_top``, within a relative 1e-14 of
+``eigvalsh`` (its fallback).
 """
 
 import csv
@@ -414,18 +419,19 @@ def make_npc(dataset, c_hat=None, c_target=None, kappa=0.0, box_halfwidth=100.0)
 
 
 def _unit_2norm(v, axis=-1):
+    """``v`` divided in place by its 2-norms along ``axis`` (zero vectors stay zero)."""
     norms = np.linalg.norm(v, axis=axis, keepdims=True)
     norms[norms == 0] = 1.0
-    return v / norms
+    return np.divide(v, norms, out=v)
 
 
 def _draw_objective_terms(rng, count, p, n, h_normalization):
     h = rng.standard_normal((count, p, n))
     if h_normalization == "fro":
-        h = h / np.maximum(np.sqrt(np.sum(h * h, axis=(1, 2), keepdims=True)), 1e-300)
+        h /= np.maximum(np.sqrt(np.sum(h * h, axis=(1, 2), keepdims=True)), 1e-300)
     elif h_normalization == "spectral":
         top = np.linalg.svd(h, compute_uv=False)[:, 0]
-        h = h / np.maximum(top, 1e-300)[:, None, None]
+        h /= np.maximum(top, 1e-300)[:, None, None]
     else:
         raise ValueError(f"unknown h_normalization {h_normalization!r}")
     c = _unit_2norm(rng.standard_normal((count, p)))
@@ -448,12 +454,14 @@ def _certified_top(q):
     """
     top = np.empty(len(q))
     n = q.shape[-1]
+    slab = np.empty((2, min(len(q), 512), n, n))  # P squares from one half into the other
     for lo in range(0, len(q), 512):
         s = q[lo:lo + 512]  # slabs keep the temporaries small
+        p, spare = slab[0, :len(s)], slab[1, :len(s)]
         with np.errstate(divide="ignore", invalid="ignore"):  # zero matrices fall back
-            p = s / np.einsum("sii->si", s).max(axis=1)[:, None, None]
+            np.divide(s, np.einsum("sii->si", s).max(axis=1)[:, None, None], out=p)
             for i in range(8):
-                p = p @ p
+                p, spare = np.matmul(p, p, out=spare), p
                 if i == 3:
                     p /= np.einsum("sii->si", p).max(axis=1)[:, None, None]
             d = np.einsum("sii->si", p)
@@ -482,6 +490,12 @@ def _draw_grams(rng, count, n):
     return q
 
 
+def _unit_coordinates(rng, dim, count):
+    """``count`` draws of u / sqrt(u^2 + chi^2_{dim-1}), u ~ N(0, 1): a unit vector's e_1."""
+    u = rng.standard_normal(count)
+    return u / np.sqrt(u * u + (rng.chisquare(dim - 1, count) if dim > 1 else 0.0))
+
+
 def _draw_linear_terms(rng, count, n):
     return _unit_2norm(rng.standard_normal((count, n))), rng.uniform(0.1, 1.1, size=count)
 
@@ -490,13 +504,8 @@ def _draw_constraint_terms(rng, count, n):
     return (_draw_grams(rng, count, n), *_draw_linear_terms(rng, count, n))  # G, a, b
 
 
-# Per-sample values of 0.5 ||h x - c||^2 and their mean gradient, per-constraint values
-# and gradients of 0.5 x'Qx + a.x - b; apart, so each caller computes only what it reads.
-
-
-def _objective_values_at(h, c, x):
-    r = np.einsum("spn,n->sp", h, x) - c
-    return 0.5 * np.einsum("sp,sp->s", r, r)
+# The mean gradient of 0.5 ||h x - c||^2, per-constraint values and gradients of
+# 0.5 x'Qx + a.x - b; apart, so each caller computes only what it reads.
 
 
 def _objective_grad_at(h, c, x):
@@ -568,12 +577,29 @@ class ExpectationQcqpProblem:
         return float(self._constraint_at(x, jg, rng)[0])
 
     def _draws(self, rng, total):
-        """Phase 1 of the draw layout that ``evaluate_full`` and ``freeze`` share:
-        ``(h, c, a, b)`` for each ``_EVAL_CHUNK`` of ``total`` fresh draws."""
+        """Phase 1 of ``freeze``: ``(h, c, a, b)`` for each ``_EVAL_CHUNK`` of ``total``
+        fresh draws."""
         for lo in range(0, total, _EVAL_CHUNK):
             take = min(_EVAL_CHUNK, total - lo)
             h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
             yield (h, c, *_draw_linear_terms(rng, take, self.n))
+
+    def _eval_terms(self, rng, x, xx, total):
+        """Phase 1 of ``evaluate_full``: per ``_EVAL_CHUNK`` of ``total`` draws, the f0 terms
+        0.5 ||Hx - c||^2 = 0.5 (||Hx||^2 + 1) - c.Hx, a.x and b, at ``xx = x.x``."""
+        n, p = self.n, self.p
+        for lo in range(0, total, _EVAL_CHUNK):
+            take = min(_EVAL_CHUNK, total - lo)
+            if self.h_normalization == "fro":
+                s = rng.chisquare(p, take)
+                hx2 = xx * (s / (s + (rng.chisquare(p * (n - 1), take) if n > 1 else 0.0)))
+                chx = np.sqrt(hx2) * _unit_coordinates(rng, p, take)
+            else:  # sigma_max(H) has no closed law: H and c themselves
+                h, c = _draw_objective_terms(rng, take, p, n, "spectral")
+                hx = h @ x
+                hx2, chx = np.einsum("sp,sp->s", hx, hx), np.einsum("sp,sp->s", c, hx)
+            ax = np.sqrt(xx) * _unit_coordinates(rng, n, take)
+            yield 0.5 * (hx2 + 1.0) - chx, ax, rng.uniform(0.1, 1.1, size=take)
 
     def _grams(self, rng, total):
         """Phase 2, read on from where phase 1 stopped: each chunk's Q."""
@@ -585,11 +611,10 @@ class ExpectationQcqpProblem:
         rng = np.random.default_rng(seed)
         total, xx = self.eval_samples, x @ x
         f0_sum = lin_sum = b_sum = 0.0
-        for h, c, a, b in self._draws(rng, total):
-            f0_sum += _objective_values_at(h, c, x).sum()
-            lin_sum += (a @ x - b).sum()
+        for f0, ax, b in self._eval_terms(rng, x, xx, total):
+            f0_sum += f0.sum()
+            lin_sum += (ax - b).sum()
             b_sum += b.sum()
-            del h, c  # not held through the next chunk's draw
         if self._certifies_zero(0.5 * xx * total + lin_sum, xx, b_sum):
             return _full_eval(f0_sum / total, [0.0])
         quad_sum = 0.0
@@ -605,13 +630,14 @@ class ExpectationQcqpProblem:
         of the top eigenvalue, the divide adds sqrt(n) eps/2), so the exact phase-2 sum
         F = 0.5 sum_i x'Q_i x + sum_i (a_i.x - b_i) <= U + 1e-13 B, with B = sum_i
         (0.5 sqrt(n) ||x||^2 + ||x|| + b_i). Every term of U and F is at most its term of B
-        (|x|'|Q||x| <= ||Q||_F ||x||^2) and passes through at most k = n^2 + _EVAL_CHUNK +
-        chunks + 1 roundings (x'Q_i x n^2 + 1, a chunk's sum _EVAL_CHUNK - 1, the chunks'
+        (|x|'|Q||x| <= ||Q||_F ||x||^2, |a_i.x| <= ||x||) and passes through at most k =
+        max(n^2, n + 6) + _EVAL_CHUNK + chunks + 1 roundings (x'Q_i x n^2 + 1 or a_i.x - b_i
+        n + 7, as ||x|| v / sqrt(v^2 + w) - b_i; a chunk's sum _EVAL_CHUNK - 1, the chunks'
         sum `chunks`, the final add 1). So computed F <= computed U + (1e-13 + 1.01 k eps) B,
         and U < -tau B certifies, with tau = 100 (1e-13 + k eps) (1.0e-10 at n = 10, 1e5 draws).
         """
         n, total = self.n, self.eval_samples
-        k = n * n + _EVAL_CHUNK + -(-total // _EVAL_CHUNK) + 1
+        k = max(n * n, n + 6) + _EVAL_CHUNK + -(-total // _EVAL_CHUNK) + 1
         tau = 100 * (1e-13 + k * np.finfo(float).eps)
         # a NaN or infinite x makes U NaN or +inf: it certifies nothing
         return u_sum < -tau * (total * (0.5 * np.sqrt(n) * xx + np.sqrt(xx)) + b_sum)

@@ -356,6 +356,15 @@ def test_override_and_digest_stability():
         cfg.with_override("alpha", 5.0)
 
 
+def test_override_takes_list_and_tuple_values():
+    # a list or tuple is written as the comma-separated text a config file would hold
+    cfg = resolve_config(qcqp_raw())
+    text = cfg.with_override("run.seeds", "1, 2")
+    for value in ([1, 2], (1, 2)):
+        listed = cfg.with_override("run.seeds", value)
+        assert listed.run["seeds"] == [1, 2] and listed.resolved == text.resolved
+
+
 # ---------------------------------------------------------------------------
 # harness
 

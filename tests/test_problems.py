@@ -29,7 +29,7 @@ from aprid import (
 from aprid import problems
 from aprid.problems import (_EVAL_CHUNK, _certified_top, _constraint_values_at,
                             _draw_constraint_terms, _draw_objective_terms, _eigvalsh_top,
-                            _objective_values_at, _unit_2norm)
+                            _unit_2norm)
 from aprid.rng import CONSTRAINT_TAG, OBJECTIVE_TAG, RECORD_BLOCK, TRAIN_TAG, read_records
 from brute import central_difference_gradient, logistic_losses, saddle_gap_grid
 
@@ -810,21 +810,33 @@ def _grams_oracle(rng, take, n, top):
     return q / np.maximum(top(q), 1e-300)[:, None, None]
 
 
+def _chi2(rng, df, take):
+    return rng.chisquare(df, take) if df else 0.0  # chi^2_0 is 0, with no draw
+
+
 def _evaluate_full_oracle(self, x, seed=None, top=_certified_top):
     # the sampled evaluation's documented two-phase draw order, written out as plain loops
-    # that always read both phases: every chunk's (H, c, a, b), then every chunk's G, with
-    # Q scaled by the top eigenvalues from ``top``. Returns (f0, [f1], the generator's
-    # state after phase 1)
+    # that always read both phases: per chunk, ||Hx||^2 (H and c under spectral), c.Hx,
+    # a.x and b, then every chunk's G, with Q scaled by the top eigenvalues from ``top``.
+    # Returns (f0, [f1], the generator's state after phase 1)
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    n, total = self.n, self.eval_samples
+    n, p, total, xx = self.n, self.p, self.eval_samples, x @ x
     f0_sum = lin_sum = quad_sum = 0.0
     for take in _chunk_sizes(total):
-        h, c = _draw_objective_terms(rng, take, self.p, n, self.h_normalization)
-        f0_sum += _objective_values_at(h, c, x).sum()
-        a = _unit_2norm(rng.standard_normal((take, n)))
-        b = rng.uniform(0.1, 1.1, size=take)
-        lin_sum += (a @ x - b).sum()
+        if self.h_normalization == "fro":
+            s = rng.chisquare(p, take)
+            hx2 = xx * (s / (s + _chi2(rng, p * (n - 1), take)))
+            u = rng.standard_normal(take)
+            chx = np.sqrt(hx2) * (u / np.sqrt(u * u + _chi2(rng, p - 1, take)))
+        else:
+            h, c = _draw_objective_terms(rng, take, p, n, "spectral")
+            hx = h @ x
+            hx2, chx = np.einsum("sp,sp->s", hx, hx), np.einsum("sp,sp->s", c, hx)
+        f0_sum += (0.5 * (hx2 + 1.0) - chx).sum()
+        v = rng.standard_normal(take)
+        ax = np.sqrt(xx) * (v / np.sqrt(v * v + _chi2(rng, n - 1, take)))
+        lin_sum += (ax - rng.uniform(0.1, 1.1, size=take)).sum()
     phase_1_end = rng.bit_generator.state
     for take in _chunk_sizes(total):
         quad_sum += np.einsum("sij,i,j->s", _grams_oracle(rng, take, n, top), x, x).sum()
@@ -861,18 +873,19 @@ def _freeze_oracle(self, n_samples, seed, top=_certified_top):
 def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normalization,
                                                                 monkeypatch):
     prob = ExpectationQcqpProblem(3, 2, eval_samples=count, h_normalization=h_normalization)
-    phases = []  # the draw phases each evaluation reads, in order
-    for phase, name in ((1, "_draws"), (2, "_grams")):
+    phases = []  # the draw phases each evaluation or freeze reads, in order
+    for name in ("_eval_terms", "_draws", "_grams"):
         real = getattr(ExpectationQcqpProblem, name)
         monkeypatch.setattr(ExpectationQcqpProblem, name,
-                            lambda self, rng, total, real=real, phase=phase:
-                            phases.append(phase) or real(self, rng, total))
-    # 0.5 ||x||^2 = 3.3: both phases; 7e-4: certified from phase 1; 0.599 at seed
-    # count + 55, inside the band: the bound fails there at every count, and phase 2
+                            lambda self, *args, real=real, name=name:
+                            phases.append(name) or real(self, *args))
+    # 0.5 ||x||^2 = 3.3: both phases; 7e-4: certified from phase 1; 0.607 at seed
+    # count + 24, inside the band: the bound fails there at every count, and phase 2
     # follows phase 1
-    for x, seed, want in ((np.array([0.4, -1.3, 2.2]), count, [1, 2]),
-                          (np.array([0.02, -0.03, 0.01]), count, [1]),
-                          (np.array([0.0, 0.911, 0.607]), count + 55, [1, 2])):
+    both, certified = ["_eval_terms", "_grams"], ["_eval_terms"]
+    for x, seed, want in ((np.array([0.4, -1.3, 2.2]), count, both),
+                          (np.array([0.02, -0.03, 0.01]), count, certified),
+                          (np.array([0.0, 0.911, 0.62]), count + 24, both)):
         phases.clear()
         rng = np.random.default_rng(seed)
         got = prob.evaluate_full(x, seed=rng)
@@ -880,9 +893,11 @@ def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normali
         f0, f1, phase_1_end = _evaluate_full_oracle(prob, x, seed=seed)
         assert np.float64(got.objective).tobytes() == np.float64(f0).tobytes()
         assert got.violations.tobytes() == np.maximum(f1, 0.0).tobytes()
-        if want == [1]:  # a certified evaluation draws no G
+        if want == certified:  # a certified evaluation draws no G
             assert rng.bit_generator.state == phase_1_end
+    phases.clear()
     frozen = prob.freeze(n_samples=count, seed=5)
+    assert phases == ["_draws", "_grams"]  # the freeze keeps the matrix layout
     want = _freeze_oracle(prob, count, 5)
     for name, g, w in zip(("amat", "rvec", "s0", "q", "a", "b"),
                           (frozen.amat, frozen.rvec, frozen.s0, frozen.q, frozen.a, frozen.b),
@@ -893,7 +908,7 @@ def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normali
 def test_evaluation_forms_no_q_where_certified_and_never_certifies_a_non_finite_point(
         monkeypatch):
     prob = ExpectationQcqpProblem(3, 2, eval_samples=2 * _EVAL_CHUNK + 3)
-    calls = {"_certified_top": 0, "matmul": 0, "_draws": 0, "_grams": 0}
+    calls = {"_certified_top": 0, "matmul": 0, "_eval_terms": 0, "_grams": 0}
 
     def spy(owner, name):
         real = getattr(owner, name)
@@ -904,12 +919,15 @@ def test_evaluation_forms_no_q_where_certified_and_never_certifies_a_non_finite_
         monkeypatch.setattr(owner, name, counted)
 
     spy(problems, "_certified_top")
-    spy(np, "matmul")  # only the Gram product calls it by name; the rest use @ or einsum
-    spy(ExpectationQcqpProblem, "_draws")
+    # only the Gram product and _certified_top's 8 squarings per slab of 512 call it by
+    # name; the rest use @ or einsum
+    spy(np, "matmul")
+    spy(ExpectationQcqpProblem, "_eval_terms")
     spy(ExpectationQcqpProblem, "_grams")
 
-    certified = {"_certified_top": 0, "matmul": 0, "_draws": 1, "_grams": 0}
-    with_q = {"_certified_top": 3, "matmul": 3, "_draws": 1, "_grams": 1}
+    slabs = sum(-(-take // 512) for take in _chunk_sizes(prob.eval_samples))
+    certified = {"_certified_top": 0, "matmul": 0, "_eval_terms": 1, "_grams": 0}
+    with_q = {"_certified_top": 3, "matmul": 3 + 8 * slabs, "_eval_terms": 1, "_grams": 1}
     prob.evaluate_full(np.array([0.02, -0.03, 0.01]), seed=1)
     assert calls == certified
     # 0.5 ||x||^2 one ulp past E[b] = 0.6 needs no gate of its own: phase 1's bound
@@ -1025,6 +1043,97 @@ def test_certified_top_eigenvalue_matches_eigvalsh(monkeypatch):
     assert len(seen) == 1 and seen[0].tobytes() == close[None].tobytes()
     assert top[1] == _eigvalsh_top(close[None])[0]
     assert abs(top[0] - 1.0) <= 1e-14
+
+
+def _certified_top_loop(q):
+    # _certified_top as first written: a fresh array for every product
+    top = np.empty(len(q))
+    n = q.shape[-1]
+    for lo in range(0, len(q), 512):
+        s = q[lo:lo + 512]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = s / np.einsum("sii->si", s).max(axis=1)[:, None, None]
+            for i in range(8):
+                p = p @ p
+                if i == 3:
+                    p /= np.einsum("sii->si", p).max(axis=1)[:, None, None]
+            d = np.einsum("sii->si", p)
+            v = p[np.arange(len(p)), d.argmax(axis=1)][:, :, None]
+            vt = v.transpose(0, 2, 1)
+            vv = (vt @ v)[:, 0, 0]
+            mu = (vt @ s @ v)[:, 0, 0] / vv
+            nu = (vt @ p @ v)[:, 0, 0] / (vv * d.sum(axis=1))
+            r = 1.0 - nu
+            certified = (r < 1.0 / n) & (r * r <= 1e-14 * nu * (1.0 / n - r))
+        mu[~certified] = _eigvalsh_top(s[~certified])
+        top[lo:lo + len(s)] = mu
+    return top
+
+
+@pytest.mark.parametrize("n", [1, 6, 10])
+def test_certified_top_squares_in_place_with_the_bytes_of_the_plain_loop(n):
+    # three slabs, the last one partial, with a zero matrix and a repeated top eigenvalue
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((1100, n, n))
+    q = np.matmul(g.transpose(0, 2, 1), g)
+    q[3] = 0.0
+    if n > 1:
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        q[600] = (basis * np.minimum(np.linspace(2.0, 0.1, n), 1.5)) @ basis.T
+        assert np.sum(np.isclose(np.linalg.eigvalsh(q[600]), 1.5)) >= 2
+    assert _certified_top(q).tobytes() == _certified_top_loop(q).tobytes()
+
+
+def _matrix_draw_terms(prob, x, count, rng):
+    # the estimator's per-sample terms from whole H, c and a, as the freeze draws them
+    f0, lin = [], []
+    for take in _chunk_sizes(count):
+        h, c = _draw_objective_terms(rng, take, prob.p, prob.n, prob.h_normalization)
+        r = h @ x - c
+        f0.append(0.5 * np.sum(r * r, axis=1))
+        a = _unit_2norm(rng.standard_normal((take, prob.n)))
+        lin.append(a @ x - rng.uniform(0.1, 1.1, size=take))
+    return np.concatenate(f0), np.concatenate(lin)
+
+
+def _mean_and_se(terms):
+    return terms.mean(), terms.std(ddof=1) / np.sqrt(terms.size)
+
+
+@pytest.mark.parametrize("h_normalization", ["fro", "spectral"])
+@pytest.mark.parametrize("n,p", [(10, 5), (1, 4), (6, 1), (1, 1)])
+@pytest.mark.parametrize("half_sq_norm", [0.0, 0.8, 3.0])
+def test_evaluation_draws_the_laws_of_the_matrix_draw_estimator(h_normalization, n, p,
+                                                                half_sq_norm, monkeypatch):
+    # x = 0; 0.5 ||x||^2 = 0.8, past E[b] = 0.6, where the certificate's bound fails (the
+    # band where E f1 < 0 still, at n = 6 and 10); 3.0, outside the ball E f1 <= 0 at every
+    # n. Each phase-1 mean lies within 4 combined standard errors of the closed form (f0
+    # under fro, E[a.x - b] = -0.6), and each mean and mean square within 4 of the same
+    # estimator's from whole matrices; 1e-12 allows for ||c||^2 = 1 to rounding
+    count = 20_000
+    direction = np.random.default_rng(n + 10 * p).standard_normal(n)
+    x = np.sqrt(2 * half_sq_norm) * direction / np.linalg.norm(direction)
+    prob = ExpectationQcqpProblem(n, p, eval_samples=count, h_normalization=h_normalization)
+    real, seen = ExpectationQcqpProblem._eval_terms, []
+
+    def recording(self, *args):
+        for terms in real(self, *args):
+            seen.append(terms)
+            yield terms
+    monkeypatch.setattr(ExpectationQcqpProblem, "_eval_terms", recording)
+    got = prob.evaluate_full(x, seed=7)
+    f0 = np.concatenate([t[0] for t in seen])
+    lin = np.concatenate([t[1] - t[2] for t in seen])
+    assert got.objective == sum(t[0].sum() for t in seen) / count and f0.size == count
+    want_f0, want_lin = _matrix_draw_terms(prob, x, count, np.random.default_rng(8))
+    references = [(lin, -0.6, 0.0)]
+    for terms, want in ((f0, want_f0), (lin, want_lin)):
+        references += [(terms, *_mean_and_se(want)), (terms ** 2, *_mean_and_se(want ** 2))]
+    if h_normalization == "fro":
+        references.append((f0, 0.5 * (x @ x / n + 1.0), 0.0))
+    for terms, want, want_se in references:
+        mean, se = _mean_and_se(terms)
+        assert abs(mean - want) <= 4 * np.hypot(se, want_se) + 1e-12, (mean, want)
 
 
 def test_freeze_rejects_a_sample_count_below_one():
