@@ -43,6 +43,10 @@ pairing of Q_i with (a_i, b_i) leaves every law as it was. An evaluation whose v
 phase 1 certifies to be zero (``_certifies_zero``) draws no G. Every Q = G'G, in every
 family, is scaled to unit spectral norm by ``_certified_top``, within a relative 1e-14 of
 ``eigvalsh`` (its fallback).
+
+What a draw holds at once: phase 2 one chunk of G and one of Q (``_grams``' buffers, which
+every chunk overwrites); a finite-sum build its stored arrays and one chunk of G, and
+``_unit_2norm`` one chunk of squared rows. Only Neyman-Pearson problems load scipy.
 """
 
 import csv
@@ -51,10 +55,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .kernels import BoxSet
 from .rng import CONSTRAINT_TAG, OBJECTIVE_TAG, read_records
+from .schedules import _check_count
 
 __all__ = [
     "Dataset",
@@ -294,6 +298,7 @@ def make_synthetic_dataset(dim, n_pos, n_neg, seed, separation=2.0) -> Dataset:
     """Two Gaussian clouds at +/- separation/2 along a random unit direction."""
     if n_pos < 1 or n_neg < 1:
         raise ValueError("both classes need at least one sample")
+    dim, n_pos, n_neg = map(_check_count, ("dim", "n_pos", "n_neg"), (dim, n_pos, n_neg))
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
     direction /= np.linalg.norm(direction)
@@ -350,6 +355,8 @@ class NeymanPearsonProblem:
         self.box = box if box is not None else BoxSet.symmetric(self.n, 100.0)
         if self.box.dim != self.n:
             raise ValueError(f"box dimension {self.box.dim} does not match d={self.n}")
+        from scipy.special import expit  # no other family loads scipy
+        self._expit = expit
 
     # exact full quantities
 
@@ -358,14 +365,14 @@ class NeymanPearsonProblem:
 
     def full_objective_grad(self, x):
         t = self._pos @ x
-        return -(expit(-t) @ self._pos) / self._pos.shape[0]
+        return -(self._expit(-t) @ self._pos) / self._pos.shape[0]
 
     def full_constraint_values(self, x):
         return np.array([np.mean(_softplus(self._neg @ x)) - self.c_hat])
 
     def full_constraint_grads(self, x):
         t = self._neg @ x
-        return ((expit(t) @ self._neg) / self._neg.shape[0])[None, :]
+        return ((self._expit(t) @ self._neg) / self._neg.shape[0])[None, :]
 
     @property
     def dataset(self) -> Dataset:
@@ -376,15 +383,15 @@ class NeymanPearsonProblem:
     # sampled quantities
 
     def sample_objective_grad(self, x, j0, rng):
-        rows = self._pos[_subsample(rng, len(self._pos), j0)]
+        rows = self._pos.take(_subsample(rng, len(self._pos), j0), axis=0)
         t = rows @ x
-        return -(expit(-t) @ rows) / rows.shape[0]
+        return -(self._expit(-t) @ rows) / rows.shape[0]
 
     def sample_constraint_block(self, x, j1, rng):
-        rows = self._neg[_subsample(rng, len(self._neg), j1)]
+        rows = self._neg.take(_subsample(rng, len(self._neg), j1), axis=0)
         t = rows @ x
         value = float(np.mean(_softplus(t))) - self.c_hat
-        grad = (expit(t) @ rows) / rows.shape[0]
+        grad = (self._expit(t) @ rows) / rows.shape[0]
         return np.array([0]), np.array([value]), grad[None, :]
 
     def sample_constraint_block_exact(self, x, j1, rng):
@@ -392,7 +399,7 @@ class NeymanPearsonProblem:
         return support, self.full_constraint_values(x), grads
 
     def constraint_value_estimate(self, x, jg, rng) -> float:
-        rows = self._neg[_subsample(rng, len(self._neg), jg)]
+        rows = self._neg.take(_subsample(rng, len(self._neg), jg), axis=0)
         return float(np.mean(_softplus(rows @ x))) - self.c_hat
 
     def evaluate_full(self, x, seed=None) -> FullEval:
@@ -418,11 +425,15 @@ def make_npc(dataset, c_hat=None, c_target=None, kappa=0.0, box_halfwidth=100.0)
 # quadratically constrained quadratic programs over normalized Gaussian data
 
 
-def _unit_2norm(v, axis=-1):
-    """``v`` divided in place by its 2-norms along ``axis`` (zero vectors stay zero)."""
-    norms = np.linalg.norm(v, axis=axis, keepdims=True)
-    norms[norms == 0] = 1.0
-    return np.divide(v, norms, out=v)
+def _unit_2norm(v):
+    """``v``'s rows divided in place by their 2-norms (zero rows stay zero). It squares
+    ``_EVAL_CHUNK`` rows at a time, so it holds one chunk's squares, never all of ``v``'s."""
+    for lo in range(0, len(v), _EVAL_CHUNK):
+        rows = v[lo:lo + _EVAL_CHUNK]
+        norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+        norms[norms == 0] = 1.0
+        rows /= norms
+    return v
 
 
 def _draw_objective_terms(rng, count, p, n, h_normalization):
@@ -477,16 +488,23 @@ def _certified_top(q):
     return top
 
 
+def _gram_chunk(rng, g, q):
+    """Draw ``g`` in place and put its Gram matrices, scaled by ``_certified_top``, in ``q``."""
+    rng.standard_normal(out=g)
+    np.matmul(g.transpose(0, 2, 1), g, out=q)
+    q /= np.maximum(_certified_top(q), 1e-300)[:, None, None]
+    return q
+
+
 def _draw_grams(rng, count, n):
-    # G is drawn _EVAL_CHUNK rows at a time (the same stream as one draw) and each block's
-    # Gram matrices go into q, scaled by ``_certified_top``: q plus one block live at once
-    q = None
+    # G is drawn _EVAL_CHUNK rows at a time into one buffer (the same stream as one draw)
+    # and each block's Gram matrices go into q: q, one block of G and _certified_top's slab
+    # live at once
+    q = np.empty((count, n, n))
+    g = np.empty((min(_EVAL_CHUNK, count), n, n))
     for lo in range(0, count, _EVAL_CHUNK):
-        g = rng.standard_normal((min(_EVAL_CHUNK, count - lo), n, n))
-        q = np.empty((count, n, n)) if q is None else q  # after the first draw: lower peak
-        block = np.matmul(g.transpose(0, 2, 1), g, out=q[lo:lo + len(g)])
-        del g
-        block /= np.maximum(_certified_top(block), 1e-300)[:, None, None]
+        block = q[lo:lo + _EVAL_CHUNK]
+        _gram_chunk(rng, g[:len(block)], block)
     return q
 
 
@@ -548,9 +566,9 @@ class ExpectationQcqpProblem:
             raise ValueError(f"unknown h_normalization {h_normalization!r}")
         if eval_samples < 1:
             raise ValueError(f"eval_samples must be positive, got {eval_samples!r}")
-        self.n = int(n)
-        self.p = int(p)
-        self.eval_samples = int(eval_samples)
+        self.n = _check_count("n", n)
+        self.p = _check_count("p", p)
+        self.eval_samples = _check_count("eval_samples", eval_samples)
         self.h_normalization = h_normalization
         self.box = BoxSet.symmetric(self.n, 10.0)
 
@@ -602,9 +620,12 @@ class ExpectationQcqpProblem:
             yield 0.5 * (hx2 + 1.0) - chx, ax, rng.uniform(0.1, 1.1, size=take)
 
     def _grams(self, rng, total):
-        """Phase 2, read on from where phase 1 stopped: each chunk's Q."""
+        """Phase 2, read on from where phase 1 stopped: each chunk's Q. G and Q each have one
+        chunk-sized buffer, which every chunk overwrites: phase 2 holds two blocks at once."""
+        g, q = np.empty((2, min(_EVAL_CHUNK, total), self.n, self.n))
         for lo in range(0, total, _EVAL_CHUNK):
-            yield _draw_grams(rng, min(_EVAL_CHUNK, total - lo), self.n)
+            take = min(_EVAL_CHUNK, total - lo)
+            yield _gram_chunk(rng, g[:take], q[:take])
 
     def evaluate_full(self, x, seed=None) -> FullEval:
         x = np.asarray(x, dtype=float)
@@ -650,7 +671,7 @@ class ExpectationQcqpProblem:
         """
         if n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {n_samples!r}")
-        n = self.n
+        n_samples, n = _check_count("n_samples", n_samples), self.n
         amat = np.zeros((n, n))
         rvec = np.zeros(n)
         s0 = 0.0
@@ -774,18 +795,19 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
 
     def sample_objective_grad(self, x, j0, rng):
         idx = _subsample(rng, self.num_objective_terms, j0)
-        return _objective_grad_at(self.h[idx], self.c[idx], x)
+        return _objective_grad_at(self.h.take(idx, axis=0), self.c.take(idx, axis=0), x)
 
     def sample_constraint_block(self, x, j1, rng):
         idx = _subsample(rng, self.num_constraints, j1)
-        q, a = self.q[idx], self.a[idx]
-        return idx, _constraint_values_at(q, a, self.b[idx], x), _constraint_grads_at(q, a, x)
+        q, a = self.q.take(idx, axis=0), self.a.take(idx, axis=0)
+        return idx, _constraint_values_at(q, a, self.b.take(idx), x), _constraint_grads_at(q, a, x)
 
     sample_constraint_block_exact = sample_constraint_block
 
     def constraint_value_estimate(self, x, jg, rng) -> float:
         idx = _subsample(rng, self.num_constraints, jg)
-        values = _constraint_values_at(self.q[idx], self.a[idx], self.b[idx], x)
+        values = _constraint_values_at(self.q.take(idx, axis=0), self.a.take(idx, axis=0),
+                                       self.b.take(idx), x)
         return float(np.sum(np.maximum(values, 0.0)) * (self.num_constraints / idx.size))
 
     def evaluate_full(self, x, seed=None) -> FullEval:
@@ -800,10 +822,10 @@ def make_qcqp_finite_sum(n, p, num_objective_terms, num_constraints, seed,
     Refuses instances whose stored arrays would exceed ``max_elements`` floats (M * n^2
     for Q alone); the budget bounds peak build memory too: the stored arrays plus a block.
     """
-    n, p = int(n), int(p)
-    nn, mm = int(num_objective_terms), int(num_constraints)
-    if min(n, p, nn, mm) < 1:
+    if min(n, p, num_objective_terms, num_constraints) < 1:
         raise ValueError("n, p, N, M must all be positive")
+    n, p = _check_count("n", n), _check_count("p", p)
+    nn, mm = _check_count("N", num_objective_terms), _check_count("M", num_constraints)
     elements = nn * p * n + nn * p + mm * n * n + mm * n + mm
     if elements > max_elements:
         raise ValueError(
@@ -879,6 +901,7 @@ def make_bilinear_saddle(n, m, seed, noise_sigma=0.0) -> BilinearSaddleProblem:
     b and c to unit 2-norm. Generation is seed-deterministic."""
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    n, m = _check_count("n", n), _check_count("m", m)
     rng = np.random.default_rng(seed)
     a_mat = rng.standard_normal((n, m))
     a_mat /= max(np.linalg.norm(a_mat, 2), 1e-300)

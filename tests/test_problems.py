@@ -241,21 +241,32 @@ BAD_INSTANCES = {
                             "both classes need at least one sample"),
     "synthetic negatives": (lambda: make_synthetic_dataset(3, 5, 0, seed=0),
                             "both classes need at least one sample"),
+    "synthetic fractional": (lambda: make_synthetic_dataset(3, 2.5, 4, seed=0),
+                             "n_pos must be a positive integer, got 2.5"),
     "npc box": (lambda: NeymanPearsonProblem(make_synthetic_dataset(3, 4, 4, seed=0), c_hat=0.5,
                                              box=BoxSet.symmetric(2, 1.0)),
                 "box dimension 2 does not match d=3"),
     "expectation n": (lambda: ExpectationQcqpProblem(0, 2), "need n >= 1 and p >= 1, got n=0"),
     "expectation p": (lambda: ExpectationQcqpProblem(3, 0),
                       "need n >= 1 and p >= 1, got n=3, p=0"),
+    "expectation fractional n": (lambda: ExpectationQcqpProblem(10.7, 5),
+                                 r"n must be a positive integer, got 10\.7"),
     "expectation normalization": (lambda: ExpectationQcqpProblem(3, 2, h_normalization="max"),
                                   "unknown h_normalization 'max'"),
     "expectation samples": (lambda: ExpectationQcqpProblem(3, 2, eval_samples=0),
                             "eval_samples must be positive, got 0"),
+    "expectation fractional samples": (
+        lambda: ExpectationQcqpProblem(10, 5, eval_samples=2.5),
+        r"eval_samples must be a positive integer, got 2\.5"),
     "finite-sum normalization": (lambda: make_qcqp_finite_sum(3, 2, 4, 4, seed=0,
                                                               h_normalization="max"),
                                  "unknown h_normalization 'max'"),
     "finite-sum sizes": (lambda: make_qcqp_finite_sum(3, 2, 0, 4, seed=0),
                          "n, p, N, M must all be positive"),
+    "finite-sum fractional n": (lambda: make_qcqp_finite_sum(3.9, 2, 5.5, 5, seed=0),
+                                r"n must be a positive integer, got 3\.9"),
+    "finite-sum fractional N": (lambda: make_qcqp_finite_sum(3, 2, 5.5, 5, seed=0),
+                                r"N must be a positive integer, got 5\.5"),
     "finite-sum shapes": (lambda: FiniteSumQcqpProblem(np.ones((4, 3)), np.ones((4, 2)),
                                                        np.ones((2, 3, 3)), np.ones((2, 3)),
                                                        np.ones(2)),
@@ -267,6 +278,8 @@ BAD_INSTANCES = {
                      "noise_sigma must be non-negative, got -0.1"),
     "saddle sizes": (lambda: make_bilinear_saddle(3, 0, seed=0),
                      "need n >= 1 and m >= 1, got n=3, m=0"),
+    "saddle fractional": (lambda: make_bilinear_saddle(2.5, 3, seed=0),
+                          r"n must be a positive integer, got 2\.5"),
 }
 
 
@@ -380,16 +393,21 @@ def test_every_q_has_unit_top_eigenvalue_by_eigvalsh_wherever_it_is_drawn(monkey
     assert len(q) == RECORD_BLOCK
     assert_unit(q)
     chunks, real = [], ExpectationQcqpProblem._grams
+    # a copy of each chunk: the next one overwrites its buffer
     monkeypatch.setattr(ExpectationQcqpProblem, "_grams", lambda self, rng, total: (
-        chunks.append(chunk) or chunk for chunk in real(self, rng, total)))
+        chunks.append(chunk.copy()) or chunk for chunk in real(self, rng, total)))
     prob.freeze(n_samples=_EVAL_CHUNK + 3, seed=5)
     assert [len(chunk) for chunk in chunks] == [_EVAL_CHUNK, 3]
     for chunk in chunks:
         assert_unit(chunk)
 
 
-def test_finite_sum_build_never_holds_the_whole_gaussian_tensor():
-    n, m = 10, 20_000
+# (n, M, bytes of the array the build must not hold whole): at n = 10, the Gaussian
+# tensor G; at n = 4, the squares of every a, which a norm over all M rows would form
+@pytest.mark.parametrize("n, m, whole", [(10, 20_000, 20_000 * 10 * 10 * 8),
+                                         (4, 50_000, 50_000 * 4 * 8)],
+                         ids=["G", "a squared"])
+def test_finite_sum_build_never_holds_the_whole_gaussian_tensor(n, m, whole):
     block_bytes = _EVAL_CHUNK * n * n * 8
     tracemalloc.start()
     try:
@@ -399,9 +417,32 @@ def test_finite_sum_build_never_holds_the_whole_gaussian_tensor():
     finally:
         tracemalloc.stop()
     stored = sum(arr.nbytes for arr in (prob.h, prob.c, prob.q, prob.a, prob.b))
-    # materialising G whole would add m * n * n * 8 = 16 MB, more than the two blocks
-    assert m * n * n * 8 > 2 * block_bytes
+    assert whole > 2 * block_bytes
     assert peak < stored + 2 * block_bytes, (peak, stored)
+
+
+def test_freeze_holds_one_chunk_of_g_and_one_of_q():
+    prob = ExpectationQcqpProblem(10, 5)
+    block_bytes = _EVAL_CHUNK * 10 * 10 * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        prob.freeze(n_samples=2 * _EVAL_CHUNK + 3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a third block would be the previous chunk's Q, held while the next G and Q are drawn
+    assert peak < 2.5 * block_bytes, peak / block_bytes
+
+
+@pytest.mark.parametrize("count", [1, _EVAL_CHUNK, _EVAL_CHUNK + 1, 2 * _EVAL_CHUNK + 3])
+def test_unit_2norm_by_chunks_is_the_one_shot_norm_bitwise(count):
+    v = np.random.default_rng(count).standard_normal((count, 7))
+    v[count // 2] = 0.0  # a zero row stays zero
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    norms[norms == 0] = 1.0
+    want = v / norms
+    assert _unit_2norm(v) is v and v.tobytes() == want.tobytes()
 
 
 def test_qcqp_evaluate_full_summarizes_violations(qcqp):
@@ -1141,3 +1182,5 @@ def test_freeze_rejects_a_sample_count_below_one():
     for bad in (0, -4):
         with pytest.raises(ValueError, match=f"n_samples must be positive, got {bad}"):
             prob.freeze(n_samples=bad)
+    with pytest.raises(ValueError, match=r"n_samples must be a positive integer, got 2\.5"):
+        prob.freeze(n_samples=2.5)
