@@ -207,7 +207,7 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
         z_new = z_old + rho * scale * np.maximum(values, -z_old)
         z[support] = z_new
         if watch.exceeded(z_old, z_new) is not None or not np.isfinite(x).all():
-            raise DivergenceError(f"iterate diverged (multiplier norm {np.linalg.norm(z):.3e})")
+            raise DivergenceError(f"iterate diverged (multiplier norm {watch.norm():.3e})")
 
     lanes = [Lane("pdsg_adp", avg_x, lambda: z.copy())]
     return drive(problem, seed, params.horizon, step, lanes, checkpoints, f0_ref, timing)[0]

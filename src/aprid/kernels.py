@@ -1,7 +1,8 @@
 """Coordinate-wise kernels shared by every solver.
 
-Gradient norm clipping, axis-aligned box feasible sets, and the diagonally
-weighted projection used by the adaptive methods.
+Gradient norm clipping, axis-aligned box feasible sets, the diagonally
+weighted projection used by the adaptive methods, and ``serial_matmul``,
+which every product over an operand that grows with M goes through.
 
 Each runs once or twice per solver step on a short vector, so its checks are
 the cheapest that decide: ``clip_gradient`` tests only its norm for
@@ -11,6 +12,26 @@ non-finite input (raises) from a finite one whose squared norm overflows
 and one ``isfinite`` pass. The clamp ``minimum(maximum(y, lower), upper)``
 has the bits of ``np.clip``, NaN and signed zeros included, at less call
 overhead.
+
+``serial_matmul(a, b)`` is ``a @ b`` cut into products that OpenBLAS runs on
+the calling thread. With OpenBLAS 0.3.31, a dot of more than 10,000 elements
+or a gemv of 460,800 or more hands work to a second thread. That worker then
+spin-waits for about 0.12 CPU seconds after the call returns, and a threaded
+gemv splits the rows at a point that can change the last bit of some of
+them. A block here holds about ``_BLOCK`` = 4096 elements at most (but at
+least 64 rows, so more where a row is longer than 64), well below both
+thresholds, so no call wakes a worker and no result depends on
+``OPENBLAS_NUM_THREADS``:
+
+* ``mat @ vec`` fills its output a block of rows at a time, in one batched
+  ``np.matmul``. Each block starts at a multiple of 64 rows, where the gemv
+  kernel's row unroll restarts as it does in one call over all rows, and has
+  two rows or more (numpy computes a single row with dot, not gemv). So it
+  has the bits of one single-thread ``mat @ vec`` at any size.
+* ``vec @ mat`` and ``vec @ vec`` add per-block partial products in block
+  order: a fixed order, within rounding of one call but not its bits.
+* An operand of at most ``_BLOCK`` elements takes the one call ``a @ b``, so
+  small products (the training oracle's) keep their bits and their cost.
 """
 
 import math
@@ -19,7 +40,10 @@ import numpy as np
 
 from .errors import DivergenceError
 
-__all__ = ["clip_gradient", "BoxSet", "project_box_weighted"]
+__all__ = ["clip_gradient", "BoxSet", "project_box_weighted", "serial_matmul"]
+
+# elements per product in serial_matmul (see the module docstring)
+_BLOCK = 4096
 
 
 def clip_gradient(u, theta):
@@ -136,3 +160,26 @@ def project_box_weighted(y, box, weights):
     if not np.isfinite(y).all():
         raise DivergenceError("non-finite point passed to project_box_weighted")
     return box.project(y)
+
+
+def serial_matmul(a, b):
+    """``a @ b`` for a float matrix and vector (either order) or two float vectors,
+    computed in blocks that OpenBLAS runs on the calling thread (see the module
+    docstring)."""
+    mat = a if a.ndim == 2 else b
+    if mat.size <= _BLOCK:
+        return a @ b
+    m = a.shape[0]
+    n = mat.size // m
+    rows = max(64, _BLOCK // n // 64 * 64)
+    if a.ndim == 2:
+        head = (m - 2) // rows * rows  # so the last block has 2 to rows + 1 rows
+        out = np.empty(m)
+        np.matmul(a[:head].reshape(-1, rows, n), b, out=out[:head].reshape(-1, rows))
+        np.matmul(a[head:], b, out=out[head:])
+        return out
+    cols = b.reshape(m, n)
+    head = (m - 1) // rows * rows
+    parts = a[:head].reshape(-1, 1, rows) @ cols[:head].reshape(-1, rows, n)
+    total = np.add.reduce(parts[:, 0], axis=0) + a[head:] @ cols[head:]
+    return total if b.ndim == 2 else total[0]

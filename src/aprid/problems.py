@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import BoxSet
+from .kernels import BoxSet, serial_matmul
 from .rng import CONSTRAINT_TAG, OBJECTIVE_TAG, read_records
 from .schedules import _check_count
 
@@ -532,7 +532,9 @@ def _objective_grad_at(h, c, x):
 
 
 def _constraint_values_at(q, a, b, x):
-    return 0.5 * np.einsum("sij,i,j->s", q, x, x) + a @ x - b
+    """Per-row values; ``a @ x`` goes through ``serial_matmul``, which has the bits
+    of one single-thread gemv, at any row count and ``OPENBLAS_NUM_THREADS``."""
+    return 0.5 * np.einsum("sij,i,j->s", q, x, x) + serial_matmul(a, x) - b
 
 
 def _constraint_grads_at(q, a, x):

@@ -26,6 +26,7 @@ import copy
 import numpy as np
 
 from .errors import ScheduleExhaustedError
+from .kernels import serial_matmul
 
 __all__ = ["StepSchedule", "ErgodicAverager", "LazyErgodicAverager"]
 
@@ -311,9 +312,12 @@ class LazyErgodicAverager:
         np.add.at(self._sums, support, np.multiply.outer(delta, self._coef[self.count]))
 
     def finalize(self):
+        """The average after the latest push: one ``serial_matmul`` over the (dim, 3)
+        sums, so its bits are one single-thread gemv's at any dim and thread count."""
         t = self.count
         if t == 0:
             raise ValueError("cannot average before any iterate was pushed")
         b, a_t, tail = self._beta1, self._prefix[t], self._eta[t]
         recent = b ** (t + 1 - t // self._period * self._period) * tail
-        return self._sums @ [a_t, -1.0, recent] / (a_t - self._coef[0, 1] + b ** (t + 1) * tail)
+        weighted = serial_matmul(self._sums, np.array([a_t, -1.0, recent]))
+        return weighted / (a_t - self._coef[0, 1] + b ** (t + 1) * tail)

@@ -40,6 +40,7 @@ and builds one ``RunResult`` per lane. A method's ``*_run`` supplies only
 * its lanes: one ``Lane`` per reported trajectory.
 """
 
+import math
 import time
 import warnings
 from collections.abc import Callable
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .kernels import clip_gradient, project_box_weighted
+from .kernels import clip_gradient, project_box_weighted, serial_matmul
 from .oracles import sample_lagrangian_subgradient, sample_minimax_subgradient
 from .results import CheckpointRecord, RunResult, _resolve_checkpoints
 from .rng import eval_seed, training_rng
@@ -166,22 +167,28 @@ def aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, box):
 
 
 class _NormWatch:
-    """``np.linalg.norm(z) > cap`` after in-place changes of ``z`` on a support,
-    in O(|support|): a running ``||z||^2`` is replaced by the exact norm
+    """``norm() > cap`` after in-place changes of ``z`` on a support, in
+    O(|support|): a running ``||z||^2`` is replaced by the exact ``norm()``
     whenever it comes within a relative 1e-6 of ``cap^2``, far above its
-    rounding drift, so it trips at the same change with the same norm."""
+    rounding drift, so it trips at the same change, with the same norm, as
+    ``norm()`` taken after every change would."""
 
     def __init__(self, z, cap):
         self.z, self.cap = z, cap
-        self._sq = float(z @ z)
+        self._sq = float(serial_matmul(z, z))
         self._near = (1.0 - 1e-6) * cap * cap
+
+    def norm(self):
+        """``||z||`` by ``serial_matmul``: the bits of ``np.linalg.norm(z)`` up to
+        4096 multipliers, a per-block sum within rounding of it beyond."""
+        return math.sqrt(serial_matmul(self.z, self.z))
 
     def exceeded(self, old, new):
         """``||z||`` if it passes the cap now that ``old`` became ``new``, else None."""
         self._sq += float((new - old) @ (new + old))
         if self._sq < self._near:
             return None
-        norm = float(np.linalg.norm(self.z))
+        norm = self.norm()
         self._sq = norm * norm
         return norm if norm > self.cap else None
 

@@ -189,10 +189,9 @@ def test_reference_is_bitwise_golden_and_evaluates_each_point_once(label, proble
     assert np.array_equal(sol.constraint_values, full_values(sol.x))
 
 
-def _dense_weighted_constraint_grad(problem, x, weights, transposed=False):
-    # the products as formed before zero weights were skipped
-    grads = problem.full_constraint_grads(x)
-    return grads.T @ weights if transposed else weights @ grads
+def _dense_weighted_constraint_grad(problem, x, weights):
+    # the product as formed before zero weights were skipped
+    return weights @ problem.full_constraint_grads(x)
 
 
 SKIP_INSTANCES = [("finite_sum", FINITE_SUM, 2), ("npc", NPC, 1),
@@ -236,10 +235,10 @@ def test_zero_weights_add_the_same_bits_as_the_product():
 
     prob.full_constraint_grads = unreachable
     for zero in (np.zeros(prob.num_constraints), -np.zeros(prob.num_constraints)):
-        for transposed, product in ((False, zero @ grads), (True, grads.T @ zero)):
+        for product in (zero @ grads, grads.T @ zero):
             # the product is +0.0 in every entry, whatever the signs of the zeros
             assert not product.any() and not np.signbit(product).any()
-            got = reference._weighted_constraint_grad(prob, x, zero, transposed)
+            got = reference._weighted_constraint_grad(prob, x, zero)
             for base in bases:
                 assert (base + got).tobytes() == (base + product).tobytes()
 
