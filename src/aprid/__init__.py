@@ -25,8 +25,7 @@ from .problems import (BilinearSaddleProblem, Dataset, ExpectationQcqpProblem,
                        make_qcqp_expectation, make_qcqp_finite_sum,
                        make_synthetic_dataset, preprocess, save_instance,
                        standardize_columns)
-from .reference import (KktResiduals, ReferenceSolution, SaddleSolution,
-                        kkt_residuals, solve_reference, solve_saddle_reference)
+from .reference import KktResiduals, ReferenceSolution, kkt_residuals, solve_reference
 from .results import (CheckpointRecord, RunResult, log_spaced_checkpoints,
                       read_run_csv, write_run_csv)
 from .rng import eval_seed, stream_seed, training_rng
@@ -44,7 +43,7 @@ __all__ = [
     "ExperimentOutput", "FiniteSumQcqpProblem", "FrozenQcqpProblem", "FullEval",
     "GradSample", "KktResiduals", "MinimaxState", "MsaParams",
     "NeymanPearsonProblem", "PdsgAdpParams", "PrimalState", "ReferenceError",
-    "ReferenceSolution", "RunResult", "SaddleSolution", "ScheduleExhaustedError",
+    "ReferenceSolution", "RunResult", "ScheduleExhaustedError",
     "SolverParams", "StepSchedule", "apriad_run", "apriad_step", "aprid_run",
     "aprid_step", "build_problem", "clip_gradient", "compare_report",
     "constraint_step_direction", "csa_run", "estimate_constraint_value",
@@ -55,6 +54,6 @@ __all__ = [
     "pdsg_adp_run", "preprocess", "primal_dual_gap", "problem_digest",
     "project_box_weighted", "read_manifest", "read_run_csv", "resolve_config",
     "run_experiment", "sample_lagrangian_subgradient", "sample_minimax_subgradient",
-    "save_instance", "solve_reference", "solve_saddle_reference",
+    "save_instance", "solve_reference",
     "standardize_columns", "stream_seed", "sweep", "training_rng", "write_run_csv",
 ]

@@ -108,7 +108,7 @@ class _Key:
 # the dataset preparation and constraint level both NPC kinds share
 _NPC_KEYS = {
     "preprocess": _Key(_parse_bool, True),
-    "c_hat": _Key(_Number(float)),
+    "c_hat": _Key(_pos_float),  # the negative-class loss is positive: c_hat <= 0 is infeasible
     "c_target": _Key(_Number(float)),
     "kappa": _Key(_nonneg_float, 0.0),
     "box_halfwidth": _Key(_pos_float, 100.0),
@@ -297,6 +297,11 @@ def _cross_key_errors(problem, algorithm, run):
         errors.append("problem.c_hat: give exactly one of c_hat or c_target")
     if level.get("c_hat") and problem.get("kappa"):
         errors.append("problem.kappa: kappa only applies together with c_target")
+    if level.get("c_target") and "kappa" in problem and problem.get("n_neg", 0) > 0:
+        c_hat = problem["c_target"] - problem["kappa"] / math.sqrt(problem["n_neg"])
+        if c_hat <= 0:
+            errors.append(f"problem.c_target: the level c_target - kappa/sqrt(n_neg) = {c_hat!r} "
+                          "must be positive")
     kind, name = problem["kind"], algorithm["name"]
     if kind == "bilinear" and name != "apriad":
         errors.append(f"algorithm.name: bilinear problems need the minimax solver, not {name!r}")

@@ -44,9 +44,10 @@ phase 1 certifies to be zero (``_certifies_zero``) draws no G. Every Q = G'G, in
 family, is scaled to unit spectral norm by ``_certified_top``, within a relative 1e-14 of
 ``eigvalsh`` (its fallback).
 
-What a draw holds at once: phase 2 one chunk of G and one of Q (``_grams``' buffers, which
-every chunk overwrites); a finite-sum build its stored arrays and one chunk of G, and
-``_unit_2norm`` one chunk of squared rows. Only Neyman-Pearson problems load scipy.
+What a draw holds at once: phase 2 one chunk of Q and one ``_GRAM_BLOCK`` of G
+(``_grams``' buffers, which every chunk overwrites); a finite-sum build its stored arrays
+and one block of G; ``_unit_2norm`` one chunk of squared rows and the H norm one block of
+them. Only Neyman-Pearson problems load scipy.
 """
 
 import csv
@@ -81,6 +82,7 @@ __all__ = [
 ]
 
 _EVAL_CHUNK = 4096
+_GRAM_BLOCK = 512  # G matrices drawn, H rows normed and Q matrices squared at once
 
 
 class FullEval(NamedTuple):
@@ -439,7 +441,9 @@ def _unit_2norm(v):
 def _draw_objective_terms(rng, count, p, n, h_normalization):
     h = rng.standard_normal((count, p, n))
     if h_normalization == "fro":
-        h /= np.maximum(np.sqrt(np.sum(h * h, axis=(1, 2), keepdims=True)), 1e-300)
+        for lo in range(0, count, _GRAM_BLOCK):  # one block's squares, not the chunk's
+            rows = h[lo:lo + _GRAM_BLOCK]
+            rows /= np.maximum(np.sqrt(np.sum(rows * rows, axis=(1, 2), keepdims=True)), 1e-300)
     elif h_normalization == "spectral":
         top = np.linalg.svd(h, compute_uv=False)[:, 0]
         h /= np.maximum(top, 1e-300)[:, None, None]
@@ -461,13 +465,14 @@ def _certified_top(q):
     With ``nu = v'Pv / (v'v tr P)`` and ``r = 1 - nu``, ``(lambda_max - mu) / lambda_max
     <= r^2 / (nu (1/n - r))`` if ``r < 1/n`` (Parlett, The Symmetric Eigenvalue Problem,
     ch. 4, 10). Matrices left above 1e-14 (~3 % of Wishart draws, a repeated top
-    eigenvalue, zeros) take ``eigvalsh``. A matrix's result depends on it alone.
+    eigenvalue, zeros) take ``eigvalsh``. A matrix's result depends on it alone. It works
+    in slabs of ``_GRAM_BLOCK`` matrices, which keep the temporaries small.
     """
     top = np.empty(len(q))
     n = q.shape[-1]
-    slab = np.empty((2, min(len(q), 512), n, n))  # P squares from one half into the other
-    for lo in range(0, len(q), 512):
-        s = q[lo:lo + 512]  # slabs keep the temporaries small
+    slab = np.empty((2, min(len(q), _GRAM_BLOCK), n, n))  # P squares from one half to the other
+    for lo in range(0, len(q), _GRAM_BLOCK):
+        s = q[lo:lo + _GRAM_BLOCK]
         p, spare = slab[0, :len(s)], slab[1, :len(s)]
         with np.errstate(divide="ignore", invalid="ignore"):  # zero matrices fall back
             np.divide(s, np.einsum("sii->si", s).max(axis=1)[:, None, None], out=p)
@@ -489,22 +494,24 @@ def _certified_top(q):
 
 
 def _gram_chunk(rng, g, q):
-    """Draw ``g`` in place and put its Gram matrices, scaled by ``_certified_top``, in ``q``."""
-    rng.standard_normal(out=g)
-    np.matmul(g.transpose(0, 2, 1), g, out=q)
+    """Fill ``q`` with Gram matrices G'G scaled by ``_certified_top``, drawing G into the
+    ``_GRAM_BLOCK``-matrix buffer ``g`` a block at a time (the same stream as one draw)."""
+    for lo in range(0, len(q), _GRAM_BLOCK):
+        block = q[lo:lo + _GRAM_BLOCK]
+        gb = rng.standard_normal(out=g[:len(block)])
+        np.matmul(gb.transpose(0, 2, 1), gb, out=block)
     q /= np.maximum(_certified_top(q), 1e-300)[:, None, None]
     return q
 
 
 def _draw_grams(rng, count, n):
-    # G is drawn _EVAL_CHUNK rows at a time into one buffer (the same stream as one draw)
-    # and each block's Gram matrices go into q: q, one block of G and _certified_top's slab
-    # live at once
+    # each _EVAL_CHUNK of q is filled by _gram_chunk: q, one block of G and
+    # _certified_top's slab live at once
     q = np.empty((count, n, n))
-    g = np.empty((min(_EVAL_CHUNK, count), n, n))
+    g = np.empty((min(_GRAM_BLOCK, count), n, n))
     for lo in range(0, count, _EVAL_CHUNK):
         block = q[lo:lo + _EVAL_CHUNK]
-        _gram_chunk(rng, g[:len(block)], block)
+        _gram_chunk(rng, g, block)
     return q
 
 
@@ -622,12 +629,13 @@ class ExpectationQcqpProblem:
             yield 0.5 * (hx2 + 1.0) - chx, ax, rng.uniform(0.1, 1.1, size=take)
 
     def _grams(self, rng, total):
-        """Phase 2, read on from where phase 1 stopped: each chunk's Q. G and Q each have one
-        chunk-sized buffer, which every chunk overwrites: phase 2 holds two blocks at once."""
-        g, q = np.empty((2, min(_EVAL_CHUNK, total), self.n, self.n))
+        """Phase 2, read on from where phase 1 stopped: each chunk's Q. Q has one chunk-sized
+        buffer and G one ``_GRAM_BLOCK``-sized buffer, which every chunk overwrites."""
+        q = np.empty((min(_EVAL_CHUNK, total), self.n, self.n))
+        g = np.empty((min(_GRAM_BLOCK, total), self.n, self.n))
         for lo in range(0, total, _EVAL_CHUNK):
             take = min(_EVAL_CHUNK, total - lo)
-            yield _gram_chunk(rng, g[:take], q[:take])
+            yield _gram_chunk(rng, g, q[:take])
 
     def evaluate_full(self, x, seed=None) -> FullEval:
         x = np.asarray(x, dtype=float)

@@ -9,11 +9,6 @@ independent KKT residual check, never by the loop's own progress measures.
 Constraint values are computed once per distinct point (by value), shared by
 the inner objective and gradient and by the post-round update and KKT check.
 The M x n constraint-gradient matrix is formed only when a multiplier is nonzero.
-
-Saddle problems are solved by the extragradient method with a fixed step
-sized from the coupling norm; for affine operators over boxes the last
-iterate converges linearly, which is what reaching gap 1e-8 in bounded time
-requires.
 """
 
 from collections import deque
@@ -27,10 +22,8 @@ from .kernels import serial_matmul
 __all__ = [
     "KktResiduals",
     "ReferenceSolution",
-    "SaddleSolution",
     "kkt_residuals",
     "solve_reference",
-    "solve_saddle_reference",
 ]
 
 
@@ -203,44 +196,4 @@ def solve_reference(problem, tol=1e-6, max_outer=100, freeze_samples=100_000,
         f"no KKT point within tolerance {tol:g} after {max_outer} outer rounds; "
         f"best residuals: {best[2]}",
         residuals=best[2],
-    )
-
-
-@dataclass
-class SaddleSolution:
-    x: np.ndarray
-    z: np.ndarray
-    gap: float
-    iterations: int
-
-
-def solve_saddle_reference(problem, tol=1e-8, max_iters=2_000_000,
-                           check_every=100) -> SaddleSolution:
-    """Solve a saddle problem to primal-dual gap at most ``tol``.
-
-    Extragradient iterations with a fixed step; the exact gap is recomputed
-    every ``check_every`` iterations. Raises ReferenceError carrying the
-    final gap when the budget runs out.
-    """
-    box_x, box_z = problem.box_x, problem.box_z
-    coupling = float(np.linalg.norm(problem.a_mat, 2)) if hasattr(problem, "a_mat") else 1.0
-    step = 0.9 / (2.0 * max(coupling, 0.5))
-    x = box_x.project(np.zeros(box_x.dim))
-    z = box_z.project(np.zeros(box_z.dim))
-    gap = problem.gap(x, z)
-    if gap <= tol:
-        return SaddleSolution(x=x, z=z, gap=gap, iterations=0)
-    for it in range(1, max_iters + 1):
-        u, w = problem.exact_grads(x, z)
-        xh = box_x.project(x - step * u)
-        zh = box_z.project(z + step * w)
-        uh, wh = problem.exact_grads(xh, zh)
-        x = box_x.project(x - step * uh)
-        z = box_z.project(z + step * wh)
-        if it % check_every == 0:
-            gap = problem.gap(x, z)
-            if gap <= tol:
-                return SaddleSolution(x=x, z=z, gap=gap, iterations=it)
-    raise ReferenceError(
-        f"extragradient exhausted {max_iters} iterations with gap {gap:.3e} > {tol:g}"
     )

@@ -111,6 +111,25 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "  - " in err  # itemized problem list
 
 
+@pytest.mark.parametrize("level, message", [
+    ("c_hat = 0", "problem.c_hat: expected a positive number, got 0.0"),
+    ("c_hat = -1", "problem.c_hat: expected a positive number, got -1.0"),
+    ("c_hat = 0.0", "problem.c_hat: expected a positive number, got 0.0"),
+    ("c_target = 0.1\nkappa = 1", "problem.c_target: the level c_target - kappa/sqrt(n_neg)"),
+])
+def test_non_positive_npc_level_exit_code(tmp_path, capsys, level, message):
+    # the negative-class loss is positive, so a level <= 0 is infeasible: refused at once
+    # instead of after the reference solver's whole budget (kappa/sqrt(40) = 0.158 here)
+    path = tmp_path / "npc.ini"
+    path.write_text(DIVERGING_CONFIG.replace("c_hat = 0.01", level)
+                    .replace("reference = none", "reference = exact"))
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n  - ") == 1, err
+    assert not out_dir.exists()
+
+
 def test_run_prints_the_reference_objective(tmp_path, capsys):
     path = tmp_path / "exact.ini"
     path.write_text(GOOD_CONFIG.replace("reference = none", "reference = exact"))

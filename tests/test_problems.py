@@ -27,7 +27,7 @@ from aprid import (
 )
 
 from aprid import problems
-from aprid.problems import (_EVAL_CHUNK, _certified_top, _constraint_values_at,
+from aprid.problems import (_EVAL_CHUNK, _GRAM_BLOCK, _certified_top, _constraint_values_at,
                             _draw_constraint_terms, _draw_objective_terms, _eigvalsh_top,
                             _unit_2norm)
 from aprid.rng import CONSTRAINT_TAG, OBJECTIVE_TAG, RECORD_BLOCK, TRAIN_TAG, read_records
@@ -402,6 +402,17 @@ def test_every_q_has_unit_top_eigenvalue_by_eigvalsh_wherever_it_is_drawn(monkey
         assert_unit(chunk)
 
 
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # (n, M, bytes of the array the build must not hold whole): at n = 10, the Gaussian
 # tensor G; at n = 4, the squares of every a, which a norm over all M rows would form
 @pytest.mark.parametrize("n, m, whole", [(10, 20_000, 20_000 * 10 * 10 * 8),
@@ -409,13 +420,7 @@ def test_every_q_has_unit_top_eigenvalue_by_eigvalsh_wherever_it_is_drawn(monkey
                          ids=["G", "a squared"])
 def test_finite_sum_build_never_holds_the_whole_gaussian_tensor(n, m, whole):
     block_bytes = _EVAL_CHUNK * n * n * 8
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        prob = make_qcqp_finite_sum(n, 5, 100, m, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    prob, peak = _traced_peak(lambda: make_qcqp_finite_sum(n, 5, 100, m, seed=0))
     stored = sum(arr.nbytes for arr in (prob.h, prob.c, prob.q, prob.a, prob.b))
     assert whole > 2 * block_bytes
     assert peak < stored + 2 * block_bytes, (peak, stored)
@@ -424,15 +429,31 @@ def test_finite_sum_build_never_holds_the_whole_gaussian_tensor(n, m, whole):
 def test_freeze_holds_one_chunk_of_g_and_one_of_q():
     prob = ExpectationQcqpProblem(10, 5)
     block_bytes = _EVAL_CHUNK * 10 * 10 * 8
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        prob.freeze(n_samples=2 * _EVAL_CHUNK + 3, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: prob.freeze(n_samples=2 * _EVAL_CHUNK + 3, seed=1))
     # a third block would be the previous chunk's Q, held while the next G and Q are drawn
     assert peak < 2.5 * block_bytes, peak / block_bytes
+
+
+def test_gram_draws_hold_one_block_of_g_not_one_chunk():
+    # at n = 10 a chunk of G is 3.3 MB and a _GRAM_BLOCK of it 0.4 MB; holding a chunk
+    # read 7.9 MB (freeze), 7.6 MB (evaluation) and 3.4 MB above the build's stored arrays
+    prob = ExpectationQcqpProblem(10, 5, eval_samples=20_000)
+    _, peak = _traced_peak(lambda: prob.freeze(n_samples=20_000, seed=1))
+    assert peak <= 5.5e6, peak
+    full, peak = _traced_peak(lambda: prob.evaluate_full(np.full(10, 2.0), seed=1))
+    assert full.viol_max > 0.0  # not certified from phase 1: every G was drawn
+    assert peak <= 5.5e6, peak
+    built, peak = _traced_peak(lambda: make_qcqp_finite_sum(10, 5, 10_000, 10_000, 0))
+    stored = sum(arr.nbytes for arr in (built.h, built.c, built.q, built.a, built.b))
+    assert peak - stored <= 1e6, (peak, stored)
+
+
+@pytest.mark.parametrize("count", [1, _GRAM_BLOCK, _GRAM_BLOCK + 1, _EVAL_CHUNK + 3])
+def test_h_norm_by_blocks_is_the_one_shot_norm_bitwise(count):
+    h, _ = _draw_objective_terms(np.random.default_rng(count), count, 5, 10, "fro")
+    want = np.random.default_rng(count).standard_normal((count, 5, 10))
+    want /= np.maximum(np.sqrt(np.sum(want * want, axis=(1, 2), keepdims=True)), 1e-300)
+    assert h.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("count", [1, _EVAL_CHUNK, _EVAL_CHUNK + 1, 2 * _EVAL_CHUNK + 3])
@@ -909,7 +930,7 @@ def _freeze_oracle(self, n_samples, seed, top=_certified_top):
 
 
 @pytest.mark.parametrize("count", [1, _EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1,
-                                   2 * _EVAL_CHUNK + 3])
+                                   2 * _EVAL_CHUNK + 3, 2 * _EVAL_CHUNK + _GRAM_BLOCK + 3])
 @pytest.mark.parametrize("h_normalization", ["fro", "spectral"])
 def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normalization,
                                                                 monkeypatch):
@@ -960,15 +981,16 @@ def test_evaluation_forms_no_q_where_certified_and_never_certifies_a_non_finite_
         monkeypatch.setattr(owner, name, counted)
 
     spy(problems, "_certified_top")
-    # only the Gram product and _certified_top's 8 squarings per slab of 512 call it by
-    # name; the rest use @ or einsum
+    # only the Gram product of each _GRAM_BLOCK of G and _certified_top's 8 squarings per
+    # slab of as many Q call it by name; the rest use @ or einsum
     spy(np, "matmul")
     spy(ExpectationQcqpProblem, "_eval_terms")
     spy(ExpectationQcqpProblem, "_grams")
 
-    slabs = sum(-(-take // 512) for take in _chunk_sizes(prob.eval_samples))
+    blocks = sum(-(-take // _GRAM_BLOCK) for take in _chunk_sizes(prob.eval_samples))
     certified = {"_certified_top": 0, "matmul": 0, "_eval_terms": 1, "_grams": 0}
-    with_q = {"_certified_top": 3, "matmul": 3 + 8 * slabs, "_eval_terms": 1, "_grams": 1}
+    with_q = {"_certified_top": 3, "matmul": blocks + 8 * blocks, "_eval_terms": 1,
+              "_grams": 1}
     prob.evaluate_full(np.array([0.02, -0.03, 0.01]), seed=1)
     assert calls == certified
     # 0.5 ||x||^2 one ulp past E[b] = 0.6 needs no gate of its own: phase 1's bound

@@ -1,5 +1,5 @@
-"""Reference solver: KKT residuals, the augmented Lagrangian loop, and the
-extragradient saddle solver, checked on instances with hand-derivable optima.
+"""Reference solver: KKT residuals and the augmented Lagrangian loop, checked on
+instances with hand-derivable optima.
 
 The solutions of the golden finite-sum and npc instances are also pinned bit
 for bit to ``tests/data/golden/reference-<label>_{x,z,objective}.npy``; after
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from aprid import (
-    BilinearSaddleProblem,
     FiniteSumQcqpProblem,
     ReferenceError,
     build_problem,
@@ -30,7 +29,6 @@ from aprid import (
     read_manifest,
     run_experiment,
     solve_reference,
-    solve_saddle_reference,
 )
 from aprid import reference
 from test_golden_trajectories import FINITE_SUM, FINITE_SUM_FULL, GOLDEN, NPC, _config
@@ -131,31 +129,6 @@ def test_solve_reference_rejects_saddle_problems():
     problem = make_bilinear_saddle(3, 3, seed=5)
     with pytest.raises(TypeError, match="freeze"):
         solve_reference(problem)
-
-
-def test_saddle_reference_trivial_at_origin():
-    # no linear terms: (0, 0) is already the saddle point
-    a = np.array([[0.3, -0.1], [0.2, 0.4]])
-    problem = BilinearSaddleProblem(a, b=np.zeros(2), c=np.zeros(2))
-    sol = solve_saddle_reference(problem, tol=1e-10)
-    assert sol.iterations == 0
-    assert sol.gap <= 1e-10
-
-
-def test_saddle_reference_small_instance():
-    problem = make_bilinear_saddle(3, 4, seed=5)
-    sol = solve_saddle_reference(problem, tol=1e-8)
-    assert sol.gap <= 1e-8
-    # recomputing the gap at the returned pair reproduces the report
-    assert problem.gap(sol.x, sol.z) == pytest.approx(sol.gap, abs=1e-15)
-    assert problem.box_x.contains(sol.x)
-    assert problem.box_z.contains(sol.z)
-
-
-def test_saddle_reference_budget_exhaustion():
-    problem = make_bilinear_saddle(3, 4, seed=5)
-    with pytest.raises(ReferenceError, match="gap"):
-        solve_saddle_reference(problem, tol=1e-12, max_iters=3, check_every=1)
 
 
 def _golden_problem(problem):

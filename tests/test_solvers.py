@@ -9,6 +9,7 @@ from aprid import (
     BoxSet,
     DivergenceError,
     DualState,
+    FiniteSumQcqpProblem,
     GradSample,
     MinimaxState,
     PrimalState,
@@ -308,3 +309,27 @@ def test_minimax_run_records_and_determinism():
 def test_gap_metric_requires_exact_inner_solver(qcqp):
     with pytest.raises(NotImplementedError):
         primal_dual_gap(qcqp, np.zeros(5), np.zeros(20))
+
+
+@pytest.mark.parametrize("k, theta", [(1, 10.0), (-2, 10.0), (2, 0.5)],
+                         ids=["4x", "1/16x", "16x-clipped"])
+def test_aprid_obeys_the_objective_scaling_law_bit_for_bit(k, theta):
+    # f0 and every f_j times s = 4^k (H, c by 2^k; Q, a, b by 4^k), with rho / s, theta * s
+    # and f0_ref * s: powers of two scale exactly, so the averages come out with the same
+    # bits and every metric exactly s times as large. The clip acts on most steps at
+    # theta = 10 and at 0.5; dropping the rescaling of rho or of theta breaks the law
+    base = make_qcqp_finite_sum(10, 5, 200, 500, seed=7)
+    scaled = FiniteSumQcqpProblem(2.0**k * base.h, 2.0**k * base.c, 4.0**k * base.q,
+                                  4.0**k * base.a, 4.0**k * base.b, box=base.box)
+    s, horizon, f0_ref = 4.0**k, 2000, 0.25
+    runs = [aprid_run(prob, SolverParams.constant(horizon, rho=rho, theta=th), BatchSizes(),
+                      seed=3, checkpoints=[500, horizon], f0_ref=ref, timing="algo")
+            for prob, rho, th, ref in ((base, 1.0, theta, f0_ref),
+                                       (scaled, 1.0 / s, s * theta, s * f0_ref))]
+    want, got = runs
+    assert got.x_bar.tobytes() == want.x_bar.tobytes()
+    assert got.z_bar.tobytes() == want.z_bar.tobytes()
+    assert want.final_record().viol_max > 0.0  # the law is not read off zeros only
+    for w, g in zip(want.records, got.records):
+        for name in ("obj_err", "viol_avg", "viol_max"):
+            assert getattr(g, name) == s * getattr(w, name), (w.iteration, name)
