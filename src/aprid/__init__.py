@@ -20,11 +20,9 @@ from .oracles import (BatchSizes, GradSample, constraint_step_direction,
                       sample_minimax_subgradient)
 from .problems import (BilinearSaddleProblem, Dataset, ExpectationQcqpProblem,
                        FiniteSumQcqpProblem, FrozenQcqpProblem, FullEval,
-                       NeymanPearsonProblem, load_dataset,
-                       load_instance, make_bilinear_saddle, make_npc,
-                       make_qcqp_expectation, make_qcqp_finite_sum,
-                       make_synthetic_dataset, preprocess, save_instance,
-                       standardize_columns)
+                       NeymanPearsonProblem, load_dataset, make_bilinear_saddle,
+                       make_npc, make_qcqp_expectation, make_qcqp_finite_sum,
+                       make_synthetic_dataset, preprocess, standardize_columns)
 from .reference import KktResiduals, ReferenceSolution, kkt_residuals, solve_reference
 from .results import (CheckpointRecord, RunResult, log_spaced_checkpoints,
                       read_run_csv, write_run_csv)
@@ -48,12 +46,12 @@ __all__ = [
     "aprid_step", "build_problem", "clip_gradient", "compare_report",
     "constraint_step_direction", "csa_run", "estimate_constraint_value",
     "eval_seed", "format_report", "kkt_residuals",
-    "load_dataset", "load_instance", "log_spaced_checkpoints",
+    "load_dataset", "log_spaced_checkpoints",
     "make_bilinear_saddle", "make_npc", "make_qcqp_expectation",
     "make_qcqp_finite_sum", "make_synthetic_dataset", "msa_run", "parse_config",
     "pdsg_adp_run", "preprocess", "primal_dual_gap", "problem_digest",
     "project_box_weighted", "read_manifest", "read_run_csv", "resolve_config",
     "run_experiment", "sample_lagrangian_subgradient", "sample_minimax_subgradient",
-    "save_instance", "solve_reference",
+    "solve_reference",
     "standardize_columns", "stream_seed", "sweep", "training_rng", "write_run_csv",
 ]

@@ -132,7 +132,6 @@ _PROBLEM_KEYS = {
         "n": _Key(_pos_int, required=True),
         "p": _Key(_pos_int, required=True),
         "eval_samples": _Key(_pos_int, 100_000),
-        "h_normalization": _Key(_enum("fro", "spectral"), "fro"),
     },
     "qcqp_finite_sum": {
         "n": _Key(_pos_int, required=True),
@@ -140,7 +139,6 @@ _PROBLEM_KEYS = {
         "num_objective_terms": _Key(_pos_int, required=True),
         "num_constraints": _Key(_pos_int, required=True),
         "instance_seed": _Key(_nonneg_int, 0),
-        "h_normalization": _Key(_enum("fro", "spectral"), "fro"),
         "max_elements": _Key(_pos_int, 250_000_000),
     },
     "bilinear": {

@@ -33,9 +33,9 @@ stream (``rng.read_records``), (H, c) or (Q, a, b), drawn a block at a time by
 the same draw functions (a plain Generator gives j fresh records a call); the
 constraint oracles evaluate once, at the records' mean Q, a and b. Its sampled
 evaluation reads ||Hx||^2, then c.Hx, then a.x, then b per ``_EVAL_CHUNK`` of draws
-(phase 1, ``_eval_terms``; H and c whole under ``spectral``) from their one-dimensional
-laws: HR has H's law for every rotation R, so Hx is ||x|| H e_1 in law and ||Hx||^2 =
-||x||^2 X / (X + Y) under ``fro`` (X ~ chi^2_p, Y ~ chi^2_{p(n-1)}); c.Hx and a.x are
+(phase 1, ``_eval_terms``) from their one-dimensional laws: HR has H's law for every
+rotation R, so Hx is ||x|| H e_1 in law and ||Hx||^2 = ||x||^2 X / (X + Y) (X ~ chi^2_p,
+Y ~ chi^2_{p(n-1)}); c.Hx and a.x are
 ||Hx|| and ||x|| times one coordinate of an independent uniform unit vector. The freeze,
 whose aggregates need them whole, reads H, c, a, b per chunk (phase 1, ``_draws``). Both
 then read each chunk's G (phase 2, ``_grams``): f0 and f1 are means of sums, so this
@@ -77,8 +77,6 @@ __all__ = [
     "make_qcqp_expectation",
     "make_qcqp_finite_sum",
     "make_bilinear_saddle",
-    "save_instance",
-    "load_instance",
 ]
 
 _EVAL_CHUNK = 4096
@@ -298,8 +296,6 @@ def preprocess(dataset: Dataset) -> Dataset:
 
 def make_synthetic_dataset(dim, n_pos, n_neg, seed, separation=2.0) -> Dataset:
     """Two Gaussian clouds at +/- separation/2 along a random unit direction."""
-    if n_pos < 1 or n_neg < 1:
-        raise ValueError("both classes need at least one sample")
     dim, n_pos, n_neg = map(_check_count, ("dim", "n_pos", "n_neg"), (dim, n_pos, n_neg))
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
@@ -347,12 +343,8 @@ class NeymanPearsonProblem:
         self._pos = np.ascontiguousarray(dataset.positives())
         self._neg = np.ascontiguousarray(dataset.negatives())
         self.c_hat = float(c_hat)
-        if self.c_hat <= 0:
-            warnings.warn(
-                f"constraint level c_hat={self.c_hat:.6g} is not positive; the "
-                "constraint cannot be satisfied at any x with zero loss margin",
-                stacklevel=2,
-            )
+        if not self.c_hat > 0:  # the loss is positive: no x is feasible at such a level
+            raise ValueError(f"constraint level c_hat={self.c_hat!r} must be positive")
         self.n = dataset.n_features
         self.box = box if box is not None else BoxSet.symmetric(self.n, 100.0)
         if self.box.dim != self.n:
@@ -375,12 +367,6 @@ class NeymanPearsonProblem:
     def full_constraint_grads(self, x):
         t = self._neg @ x
         return ((self._expit(t) @ self._neg) / self._neg.shape[0])[None, :]
-
-    @property
-    def dataset(self) -> Dataset:
-        """The positive rows, then the negative ones, as one labelled dataset."""
-        labels = np.repeat([1, -1], [len(self._pos), len(self._neg)])
-        return Dataset(features=np.vstack([self._pos, self._neg]), labels=labels)
 
     # sampled quantities
 
@@ -438,17 +424,11 @@ def _unit_2norm(v):
     return v
 
 
-def _draw_objective_terms(rng, count, p, n, h_normalization):
+def _draw_objective_terms(rng, count, p, n):
     h = rng.standard_normal((count, p, n))
-    if h_normalization == "fro":
-        for lo in range(0, count, _GRAM_BLOCK):  # one block's squares, not the chunk's
-            rows = h[lo:lo + _GRAM_BLOCK]
-            rows /= np.maximum(np.sqrt(np.sum(rows * rows, axis=(1, 2), keepdims=True)), 1e-300)
-    elif h_normalization == "spectral":
-        top = np.linalg.svd(h, compute_uv=False)[:, 0]
-        h /= np.maximum(top, 1e-300)[:, None, None]
-    else:
-        raise ValueError(f"unknown h_normalization {h_normalization!r}")
+    for lo in range(0, count, _GRAM_BLOCK):  # one block's squares, not the chunk's
+        rows = h[lo:lo + _GRAM_BLOCK]
+        rows /= np.maximum(np.sqrt(np.sum(rows * rows, axis=(1, 2), keepdims=True)), 1e-300)
     c = _unit_2norm(rng.standard_normal((count, p)))
     return h, c
 
@@ -551,8 +531,7 @@ def _constraint_grads_at(q, a, x):
 class ExpectationQcqpProblem:
     """Expectation-form QCQP over freshly drawn normalized Gaussian data.
 
-        f0(x) = E[ 0.5 ||H x - c||^2 ],    H (p x n) unit Frobenius norm
-                                            (or unit spectral norm), c unit
+        f0(x) = E[ 0.5 ||H x - c||^2 ],    H (p x n) unit Frobenius norm, c unit
         f1(x) = E[ 0.5 x'Qx + a.x - b ],   Q = G'G scaled to unit spectral
                                             norm, a unit, b ~ U(0.1, 1.1)
         x in [-10, 10]^n
@@ -568,21 +547,14 @@ class ExpectationQcqpProblem:
     deterministic = False
     num_constraints = 1
 
-    def __init__(self, n, p, eval_samples=100_000, h_normalization="fro"):
-        if n < 1 or p < 1:
-            raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-        if h_normalization not in ("fro", "spectral"):
-            raise ValueError(f"unknown h_normalization {h_normalization!r}")
-        if eval_samples < 1:
-            raise ValueError(f"eval_samples must be positive, got {eval_samples!r}")
+    def __init__(self, n, p, eval_samples=100_000):
         self.n = _check_count("n", n)
         self.p = _check_count("p", p)
         self.eval_samples = _check_count("eval_samples", eval_samples)
-        self.h_normalization = h_normalization
         self.box = BoxSet.symmetric(self.n, 10.0)
 
     def _objective_records(self, rng, count):
-        return _draw_objective_terms(rng, count, self.p, self.n, self.h_normalization)
+        return _draw_objective_terms(rng, count, self.p, self.n)
 
     def _constraint_records(self, rng, count):
         return _draw_constraint_terms(rng, count, self.n)
@@ -608,23 +580,18 @@ class ExpectationQcqpProblem:
         fresh draws."""
         for lo in range(0, total, _EVAL_CHUNK):
             take = min(_EVAL_CHUNK, total - lo)
-            h, c = _draw_objective_terms(rng, take, self.p, self.n, self.h_normalization)
+            h, c = _draw_objective_terms(rng, take, self.p, self.n)
             yield (h, c, *_draw_linear_terms(rng, take, self.n))
 
-    def _eval_terms(self, rng, x, xx, total):
+    def _eval_terms(self, rng, xx, total):
         """Phase 1 of ``evaluate_full``: per ``_EVAL_CHUNK`` of ``total`` draws, the f0 terms
         0.5 ||Hx - c||^2 = 0.5 (||Hx||^2 + 1) - c.Hx, a.x and b, at ``xx = x.x``."""
         n, p = self.n, self.p
         for lo in range(0, total, _EVAL_CHUNK):
             take = min(_EVAL_CHUNK, total - lo)
-            if self.h_normalization == "fro":
-                s = rng.chisquare(p, take)
-                hx2 = xx * (s / (s + (rng.chisquare(p * (n - 1), take) if n > 1 else 0.0)))
-                chx = np.sqrt(hx2) * _unit_coordinates(rng, p, take)
-            else:  # sigma_max(H) has no closed law: H and c themselves
-                h, c = _draw_objective_terms(rng, take, p, n, "spectral")
-                hx = h @ x
-                hx2, chx = np.einsum("sp,sp->s", hx, hx), np.einsum("sp,sp->s", c, hx)
+            s = rng.chisquare(p, take)
+            hx2 = xx * (s / (s + (rng.chisquare(p * (n - 1), take) if n > 1 else 0.0)))
+            chx = np.sqrt(hx2) * _unit_coordinates(rng, p, take)
             ax = np.sqrt(xx) * _unit_coordinates(rng, n, take)
             yield 0.5 * (hx2 + 1.0) - chx, ax, rng.uniform(0.1, 1.1, size=take)
 
@@ -642,7 +609,7 @@ class ExpectationQcqpProblem:
         rng = np.random.default_rng(seed)
         total, xx = self.eval_samples, x @ x
         f0_sum = lin_sum = b_sum = 0.0
-        for f0, ax, b in self._eval_terms(rng, x, xx, total):
+        for f0, ax, b in self._eval_terms(rng, xx, total):
             f0_sum += f0.sum()
             lin_sum += (ax - b).sum()
             b_sum += b.sum()
@@ -679,8 +646,6 @@ class ExpectationQcqpProblem:
         Both sampled functions are quadratics, so their sample averages are
         captured exactly by streaming aggregate matrices; no draw is stored.
         """
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be positive, got {n_samples!r}")
         n_samples, n = _check_count("n_samples", n_samples), self.n
         amat = np.zeros((n, n))
         rvec = np.zeros(n)
@@ -753,9 +718,9 @@ class FrozenQcqpProblem(_AggregatedQuadratic):
         return _full_eval(self.full_objective(x), self.full_constraint_values(x))
 
 
-def make_qcqp_expectation(n, p, eval_samples=100_000, h_normalization="fro"):
+def make_qcqp_expectation(n, p, eval_samples=100_000):
     """Expectation-form QCQP; see ExpectationQcqpProblem."""
-    return ExpectationQcqpProblem(n, p, eval_samples=eval_samples, h_normalization=h_normalization)
+    return ExpectationQcqpProblem(n, p, eval_samples=eval_samples)
 
 
 class FiniteSumQcqpProblem(_AggregatedQuadratic):
@@ -825,15 +790,13 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
 
 
 def make_qcqp_finite_sum(n, p, num_objective_terms, num_constraints, seed,
-                         h_normalization="fro", max_elements=250_000_000):
+                         max_elements=250_000_000):
     """Draw a finite-sum QCQP instance; generation is seed-deterministic.
 
     Draws H, c, then G a block at a time (each Q = G'G / ``_certified_top``), then a, b.
     Refuses instances whose stored arrays would exceed ``max_elements`` floats (M * n^2
     for Q alone); the budget bounds peak build memory too: the stored arrays plus a block.
     """
-    if min(n, p, num_objective_terms, num_constraints) < 1:
-        raise ValueError("n, p, N, M must all be positive")
     n, p = _check_count("n", n), _check_count("p", p)
     nn, mm = _check_count("N", num_objective_terms), _check_count("M", num_constraints)
     elements = nn * p * n + nn * p + mm * n * n + mm * n + mm
@@ -843,7 +806,7 @@ def make_qcqp_finite_sum(n, p, num_objective_terms, num_constraints, seed,
             f"(N*p*n + M*n^2 dominated), over the {max_elements} budget"
         )
     rng = np.random.default_rng(seed)
-    h, c = _draw_objective_terms(rng, nn, p, n, h_normalization)
+    h, c = _draw_objective_terms(rng, nn, p, n)
     q, a, b = _draw_constraint_terms(rng, mm, n)
     return FiniteSumQcqpProblem(h, c, q, a, b)
 
@@ -909,8 +872,6 @@ class BilinearSaddleProblem:
 def make_bilinear_saddle(n, m, seed, noise_sigma=0.0) -> BilinearSaddleProblem:
     """Draw a bilinear saddle instance: A scaled to unit spectral norm,
     b and c to unit 2-norm. Generation is seed-deterministic."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     n, m = _check_count("n", n), _check_count("m", m)
     rng = np.random.default_rng(seed)
     a_mat = rng.standard_normal((n, m))
@@ -920,55 +881,3 @@ def make_bilinear_saddle(n, m, seed, noise_sigma=0.0) -> BilinearSaddleProblem:
     c = rng.standard_normal(m)
     c /= max(np.linalg.norm(c), 1e-300)
     return BilinearSaddleProblem(a_mat, b, c, noise_sigma=noise_sigma)
-
-
-# ---------------------------------------------------------------------------
-# instance snapshots
-
-
-# kind -> (class, constructor arguments). Each argument is an attribute of the problem
-# and an archive key, except that a box* BoxSet is stored as <name>_lower and
-# <name>_upper, and the dataset as features and labels.
-_SNAPSHOT = {
-    "qcqp_finite_sum": (FiniteSumQcqpProblem, ("h", "c", "q", "a", "b", "box")),
-    "bilinear_saddle": (BilinearSaddleProblem,
-                        ("a_mat", "b", "c", "noise_sigma", "box_x", "box_z")),
-    "npc_finite_sum": (NeymanPearsonProblem, ("dataset", "c_hat", "box")),
-    "qcqp_frozen": (FrozenQcqpProblem, ("amat", "rvec", "s0", "q", "a", "b", "box")),
-    "qcqp_expectation": (ExpectationQcqpProblem, ("n", "p", "eval_samples", "h_normalization")),
-}
-
-
-def save_instance(problem, path):
-    """Dump a problem instance to a .npz archive for exact replay."""
-    if problem.kind not in _SNAPSHOT:
-        raise ValueError(f"cannot snapshot problem kind {problem.kind!r}")
-    fields = {"kind": problem.kind}
-    for name in _SNAPSHOT[problem.kind][1]:
-        value = getattr(problem, name)
-        if name.startswith("box"):
-            fields.update({f"{name}_lower": value.lower, f"{name}_upper": value.upper})
-        elif name == "dataset":
-            fields.update(features=value.features, labels=value.labels)
-        else:
-            fields[name] = value
-    np.savez(path, **fields)
-
-
-def load_instance(path):
-    """Rebuild a problem from a snapshot written by save_instance."""
-    with np.load(path, allow_pickle=False) as data:
-        kind = str(data["kind"])
-        if kind not in _SNAPSHOT:
-            raise ValueError(f"unknown snapshot kind {kind!r}")
-        cls, names = _SNAPSHOT[kind]
-        args = {}
-        for name in names:
-            if name.startswith("box"):
-                args[name] = BoxSet(data[f"{name}_lower"], data[f"{name}_upper"])
-            elif name == "dataset":
-                args[name] = Dataset(features=data["features"], labels=data["labels"])
-            else:
-                value = data[name]
-                args[name] = value.item() if value.ndim == 0 else value
-        return cls(**args)

@@ -18,9 +18,8 @@ expectation problem into its sample-average instance is not one of these
 streams: ``ExpectationQcqpProblem.freeze`` seeds ``default_rng(seed)``
 directly, with ``seed`` the ``run.freeze_seed`` config value. The freeze reads
 every chunk's (H, c, a, b), then every chunk's G. Each evaluation reads every
-chunk's scalars ||Hx||^2, c.Hx, a.x and b (under ``spectral``, H and c in place of
-the first two), then every chunk's G; one whose violation the first phase certifies
-to be zero draws no G.
+chunk's scalars ||Hx||^2, c.Hx, a.x and b, then every chunk's G; one whose violation
+the first phase certifies to be zero draws no G.
 """
 
 import numpy as np

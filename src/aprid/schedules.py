@@ -197,8 +197,13 @@ def _check_positive(**values):
 
 
 def _check_count(label, v):
-    """``v`` as an int; raise ValueError naming ``label`` unless it is a positive integer."""
-    if int(v) != v or v < 1:
+    """``v`` as an int; raise ValueError naming ``label`` unless it is a positive integer
+    (NaN, an infinity or a non-number included)."""
+    try:
+        ok = int(v) == v and v >= 1
+    except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
+        ok = False
+    if not ok:
         raise ValueError(f"{label} must be a positive integer, got {v!r}")
     return int(v)
 

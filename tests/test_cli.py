@@ -109,6 +109,12 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "  - " in err  # itemized problem list
+    # H has one normalisation: the key that once chose it is unknown
+    path.write_text(GOOD_CONFIG.replace("instance_seed = 1", "instance_seed = 1\n"
+                                        "h_normalization = fro"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "problem.h_normalization: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("level, message", [

@@ -2,12 +2,14 @@
 [algorithm] key its solver, and the harness rejects what it cannot dispatch or
 would write twice."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -89,7 +91,7 @@ def test_every_algorithm_key_reaches_its_solver(name, monkeypatch, tmp_path):
 def _hand_built(algorithm, kind, **algorithm_keys):
     # skips resolve_config, as a caller of the Python API may
     problem = dict(kind=kind, n=4, p=2, num_objective_terms=12, num_constraints=6,
-                   instance_seed=1, h_normalization="fro", max_elements=10_000)
+                   instance_seed=1, max_elements=10_000)
     run = dict(horizon=10, j0=2, j1=2, jg=2, seeds=[1], checkpoints=[5, 10],
                reference="none", timing="none")
     return ExperimentConfig(problem=problem, algorithm={"name": algorithm, **algorithm_keys},
@@ -217,8 +219,7 @@ def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):
     apriad = {k: v for k, v in aprid.items() if k != "divergence_cap"}
     pdsg = dict(alpha=1.0, rho=1.0, eta_scale=0.1, divergence_cap=1e8)
     bilinear = dict(kind="bilinear", n=3, m=3, instance_seed=2, noise_sigma=0.1)
-    expectation = dict(kind="qcqp_expectation", n=4, p=2, eval_samples=100,
-                       h_normalization="fro")
+    expectation = dict(kind="qcqp_expectation", n=4, p=2, eval_samples=100)
     exact = dict(reference="exact", reference_tol=1e-6, freeze_samples=100, freeze_seed=0)
     cases = {
         "bare": (_hand_built("aprid", "qcqp_finite_sum"),
@@ -383,6 +384,18 @@ def test_build_problem_checks_the_keys_of_a_hand_built_config():
     assert harness.build_problem(complete).noise_sigma == 0.3
 
 
+def test_a_hand_built_npc_level_of_zero_is_refused_before_the_reference(tmp_path):
+    # check_keys holds a hand-built c_hat to its kind only: the problem refuses the level,
+    # as a ConfigError, where the reference would otherwise spend its whole budget
+    parsed = parse_config(CONFIG_DIR / "npc_synthetic.ini")
+    cfg = dataclasses.replace(parsed, problem={**parsed.problem, "c_hat": 0.0})
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"problem\.npc_synthetic: constraint level "
+                                          r"c_hat=0\.0 must be positive"):
+        run_experiment(cfg, tmp_path / "out")
+    assert time.perf_counter() - start < 1.0
+
+
 def _built(problem, algorithm="msa"):
     cfg = resolve_config({"problem": problem, "algorithm": {"name": algorithm},
                           "run": {"horizon": "5"}})
@@ -421,18 +434,16 @@ def test_every_npc_problem_key_reaches_its_problem(tmp_path):
 
 
 def test_every_qcqp_and_bilinear_problem_key_reaches_its_problem():
-    expectation = {"kind": "qcqp_expectation", "n": "3", "p": "2", "eval_samples": "123",
-                   "h_normalization": "spectral"}
+    expectation = {"kind": "qcqp_expectation", "n": "3", "p": "2", "eval_samples": "123"}
     assert _sets_every_key(expectation)
     prob = _built(expectation)
-    assert (prob.n, prob.p, prob.eval_samples, prob.h_normalization) == (3, 2, 123, "spectral")
+    assert (prob.n, prob.p, prob.eval_samples) == (3, 2, 123)
 
     finite_sum = {"kind": "qcqp_finite_sum", "n": "3", "p": "2", "num_objective_terms": "11",
-                  "num_constraints": "6", "instance_seed": "5", "h_normalization": "spectral",
-                  "max_elements": "1000"}
+                  "num_constraints": "6", "instance_seed": "5", "max_elements": "1000"}
     assert _sets_every_key(finite_sum)
     prob = _built(finite_sum)
-    want = make_qcqp_finite_sum(3, 2, 11, 6, seed=5, h_normalization="spectral")
+    want = make_qcqp_finite_sum(3, 2, 11, 6, seed=5)
     assert (prob.n, prob.num_objective_terms, prob.num_constraints) == (3, 11, 6)
     assert np.array_equal(prob.h, want.h) and np.array_equal(prob.q, want.q)
     # 11*2*3 + 11*2 + 6*9 + 6*3 + 6 = 166 stored floats

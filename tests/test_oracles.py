@@ -39,6 +39,11 @@ def test_batch_sizes_validation():
         BatchSizes(j1=-1)
     with pytest.raises(ValueError):
         BatchSizes(jg=2.5)
+    # NaN, the infinities and non-numbers raise the same ValueError, naming the size
+    for bad in (float("nan"), float("inf"), -float("inf"), None, "10"):
+        with pytest.raises(ValueError, match=f"batch size j0 must be a positive integer, "
+                                             f"got {bad!r}"):
+            BatchSizes(j0=bad)
 
 
 def test_full_batch_reproduces_exact_lagrangian_gradient(qcqp):

@@ -14,13 +14,11 @@ from aprid import (
     FrozenQcqpProblem,
     NeymanPearsonProblem,
     load_dataset,
-    load_instance,
     make_bilinear_saddle,
     make_npc,
     make_qcqp_finite_sum,
     make_synthetic_dataset,
     preprocess,
-    save_instance,
     standardize_columns,
     stream_seed,
     training_rng,
@@ -217,8 +215,9 @@ def test_make_npc_level_arithmetic():
         make_npc(ds)  # neither level given
     with pytest.raises(ValueError):
         make_npc(ds, c_hat=0.5, c_target=0.6)
-    with pytest.warns(UserWarning):
-        make_npc(ds, c_hat=-0.1)  # unattainable cap
+    for level in (-0.1, 0.0):  # the loss is positive: no x is feasible at such a cap
+        with pytest.raises(ValueError, match=f"c_hat={level!r} must be positive"):
+            make_npc(ds, c_hat=level)
 
 
 def test_npc_rejects_single_class():
@@ -238,31 +237,33 @@ BAD_INSTANCES = {
     "dataset labels": (lambda: Dataset(features=np.ones((3, 2)), labels=np.array([1, 0, 2])),
                        r"labels must be \+1/-1, found \[0, 2\]"),
     "synthetic positives": (lambda: make_synthetic_dataset(3, 0, 5, seed=0),
-                            "both classes need at least one sample"),
+                            "n_pos must be a positive integer, got 0"),
     "synthetic negatives": (lambda: make_synthetic_dataset(3, 5, 0, seed=0),
-                            "both classes need at least one sample"),
+                            "n_neg must be a positive integer, got 0"),
+    "synthetic nan": (lambda: make_synthetic_dataset(float("nan"), 5, 5, seed=0),
+                      "dim must be a positive integer, got nan"),
     "synthetic fractional": (lambda: make_synthetic_dataset(3, 2.5, 4, seed=0),
                              "n_pos must be a positive integer, got 2.5"),
     "npc box": (lambda: NeymanPearsonProblem(make_synthetic_dataset(3, 4, 4, seed=0), c_hat=0.5,
                                              box=BoxSet.symmetric(2, 1.0)),
                 "box dimension 2 does not match d=3"),
-    "expectation n": (lambda: ExpectationQcqpProblem(0, 2), "need n >= 1 and p >= 1, got n=0"),
-    "expectation p": (lambda: ExpectationQcqpProblem(3, 0),
-                      "need n >= 1 and p >= 1, got n=3, p=0"),
+    "expectation n": (lambda: ExpectationQcqpProblem(0, 2), "n must be a positive integer, got 0"),
+    "expectation p": (lambda: ExpectationQcqpProblem(3, 0), "p must be a positive integer, got 0"),
+    "expectation nan p": (lambda: ExpectationQcqpProblem(3, float("nan")),
+                          "p must be a positive integer, got nan"),
     "expectation fractional n": (lambda: ExpectationQcqpProblem(10.7, 5),
                                  r"n must be a positive integer, got 10\.7"),
-    "expectation normalization": (lambda: ExpectationQcqpProblem(3, 2, h_normalization="max"),
-                                  "unknown h_normalization 'max'"),
     "expectation samples": (lambda: ExpectationQcqpProblem(3, 2, eval_samples=0),
-                            "eval_samples must be positive, got 0"),
+                            "eval_samples must be a positive integer, got 0"),
+    "expectation inf samples": (lambda: ExpectationQcqpProblem(3, 2, eval_samples=float("inf")),
+                                "eval_samples must be a positive integer, got inf"),
     "expectation fractional samples": (
         lambda: ExpectationQcqpProblem(10, 5, eval_samples=2.5),
         r"eval_samples must be a positive integer, got 2\.5"),
-    "finite-sum normalization": (lambda: make_qcqp_finite_sum(3, 2, 4, 4, seed=0,
-                                                              h_normalization="max"),
-                                 "unknown h_normalization 'max'"),
     "finite-sum sizes": (lambda: make_qcqp_finite_sum(3, 2, 0, 4, seed=0),
-                         "n, p, N, M must all be positive"),
+                         "N must be a positive integer, got 0"),
+    "finite-sum inf M": (lambda: make_qcqp_finite_sum(3, 2, 4, float("inf"), seed=0),
+                         "M must be a positive integer, got inf"),
     "finite-sum fractional n": (lambda: make_qcqp_finite_sum(3.9, 2, 5.5, 5, seed=0),
                                 r"n must be a positive integer, got 3\.9"),
     "finite-sum fractional N": (lambda: make_qcqp_finite_sum(3, 2, 5.5, 5, seed=0),
@@ -277,7 +278,11 @@ BAD_INSTANCES = {
                                                    noise_sigma=-0.1),
                      "noise_sigma must be non-negative, got -0.1"),
     "saddle sizes": (lambda: make_bilinear_saddle(3, 0, seed=0),
-                     "need n >= 1 and m >= 1, got n=3, m=0"),
+                     "m must be a positive integer, got 0"),
+    "saddle -inf n": (lambda: make_bilinear_saddle(-float("inf"), 3, seed=0),
+                      "n must be a positive integer, got -inf"),
+    "saddle non-number": (lambda: make_bilinear_saddle(3, None, seed=0),
+                          "m must be a positive integer, got None"),
     "saddle fractional": (lambda: make_bilinear_saddle(2.5, 3, seed=0),
                           r"n must be a positive integer, got 2\.5"),
 }
@@ -339,12 +344,6 @@ def test_qcqp_instance_normalization(qcqp):
     eigs = np.linalg.eigvalsh(qcqp.q)
     assert np.all(eigs >= -1e-10)  # PSD
     assert np.all((qcqp.b > 0.1) & (qcqp.b < 1.1))
-
-
-def test_qcqp_spectral_normalization_option():
-    prob = make_qcqp_finite_sum(4, 3, 5, 4, seed=1, h_normalization="spectral")
-    spec = np.array([np.linalg.svd(prob.h[i], compute_uv=False)[0] for i in range(5)])
-    assert np.allclose(spec, 1.0, rtol=1e-10)
 
 
 def test_qcqp_determinism_and_memory_guard():
@@ -450,7 +449,7 @@ def test_gram_draws_hold_one_block_of_g_not_one_chunk():
 
 @pytest.mark.parametrize("count", [1, _GRAM_BLOCK, _GRAM_BLOCK + 1, _EVAL_CHUNK + 3])
 def test_h_norm_by_blocks_is_the_one_shot_norm_bitwise(count):
-    h, _ = _draw_objective_terms(np.random.default_rng(count), count, 5, 10, "fro")
+    h, _ = _draw_objective_terms(np.random.default_rng(count), count, 5, 10)
     want = np.random.default_rng(count).standard_normal((count, 5, 10))
     want /= np.maximum(np.sqrt(np.sum(want * want, axis=(1, 2), keepdims=True)), 1e-300)
     assert h.tobytes() == want.tobytes()
@@ -607,7 +606,7 @@ def test_a_plain_generator_is_read_as_every_record_stream_at_once():
     x = np.array([0.5, -0.2, 1.0])
     # one Generator serves both oracles, in call order, exactly j records a call
     ref, rng = np.random.default_rng(4), np.random.default_rng(4)
-    h, c = _draw_objective_terms(ref, 6, 2, 3, "fro")
+    h, c = _draw_objective_terms(ref, 6, 2, 3)
     q, a, b = _draw_constraint_terms(ref, 5, 3)
     want = np.einsum("spn,sp->n", h, np.einsum("spn,n->sp", h, x) - c) / 6
     assert np.array_equal(prob.sample_objective_grad(x, 6, rng), want)
@@ -653,210 +652,34 @@ def test_saddle_has_no_scalar_evaluation():
     assert not hasattr(prob, "evaluate_full")
 
 
-# -- instance snapshots -------------------------------------------------------
+# -- constructor shape checks ------------------------------------------------
 
 
-def test_snapshot_round_trip_finite_sum(tmp_path, qcqp):
-    path = tmp_path / "q.npz"
-    save_instance(qcqp, path)
-    back = load_instance(path)
-    x = np.full(5, 0.4)
-    assert back.kind == "qcqp_finite_sum"
-    assert back.full_objective(x) == pytest.approx(qcqp.full_objective(x), rel=1e-15)
-    assert np.array_equal(back.box.lower, qcqp.box.lower)
-
-
-def test_snapshot_round_trip_npc(tmp_path, npc):
-    path = tmp_path / "n.npz"
-    save_instance(npc, path)
-    back = load_instance(path)
-    x = np.full(6, 0.2)
-    assert back.full_constraint_values(x)[0] == pytest.approx(
-        npc.full_constraint_values(x)[0], rel=1e-15
-    )
-
-
-def test_snapshot_round_trip_bilinear(tmp_path):
-    prob = make_bilinear_saddle(3, 2, seed=5, noise_sigma=0.2)
-    path = tmp_path / "b.npz"
-    save_instance(prob, path)
-    back = load_instance(path)
-    assert back.noise_sigma == 0.2
-    x, z = np.full(3, 0.1), np.full(2, -0.1)
-    assert back.gap(x, z) == pytest.approx(prob.gap(x, z), rel=1e-15)
-
-
-def test_snapshot_round_trip_frozen(tmp_path):
-    frozen = ExpectationQcqpProblem(3, 2).freeze(n_samples=200, seed=7)
-    path = tmp_path / "f.npz"
-    save_instance(frozen, path)
-    back = load_instance(path)
-    x = np.full(3, 0.6)
-    assert back.full_objective(x) == pytest.approx(frozen.full_objective(x), rel=1e-15)
-
-
-def test_snapshot_round_trip_expectation(tmp_path):
-    prob = ExpectationQcqpProblem(4, 3, eval_samples=500, h_normalization="spectral")
-    path = tmp_path / "e.npz"
-    save_instance(prob, path)
-    back = load_instance(path)
-    assert (back.kind, back.n, back.p) == ("qcqp_expectation", 4, 3)
-    assert (back.eval_samples, back.h_normalization) == (500, "spectral")
-    # no stored data: the same stream gives the same draws
-    x = np.full(4, 0.3)
-    g = prob.sample_objective_grad(x, 5, np.random.default_rng(9))
-    assert np.array_equal(back.sample_objective_grad(x, 5, np.random.default_rng(9)), g)
-
-
-def test_snapshot_rejects_unknown_kinds(tmp_path):
-    class Unknown:
-        kind = "lasso"
-
-    with pytest.raises(ValueError, match="cannot snapshot problem kind 'lasso'"):
-        save_instance(Unknown(), tmp_path / "u.npz")
-    path = tmp_path / "u.npz"
-    np.savez(path, kind="lasso")
-    with pytest.raises(ValueError, match="unknown snapshot kind 'lasso'"):
-        load_instance(path)
-
-
-def _doctored(tmp_path, prob, **changes):
-    """An archive of ``prob`` with some of its arrays replaced."""
-    save_instance(prob, tmp_path / "ok.npz")
-    np.savez(tmp_path / "doctored.npz", **{**_archive(tmp_path / "ok.npz"), **changes})
-    return tmp_path / "doctored.npz"
-
-
-def test_a_finite_sum_archive_with_mismatched_arrays_is_refused(tmp_path):
+def test_a_finite_sum_instance_with_mismatched_arrays_is_refused():
     prob = make_qcqp_finite_sum(3, 2, 4, 5, seed=1)
-    path = _doctored(tmp_path, prob, a=np.ones((7, 3)), b=np.ones(9))
     with pytest.raises(ValueError, match=r"a has shape \(7, 3\), expected \(5, 3\)"):
-        load_instance(path)
-    path = _doctored(tmp_path, prob, c=np.ones((4, 3)))
+        FiniteSumQcqpProblem(prob.h, prob.c, prob.q, np.ones((7, 3)), np.ones(9))
     with pytest.raises(ValueError, match=r"c has shape \(4, 3\), expected \(4, 2\)"):
-        load_instance(path)
+        FiniteSumQcqpProblem(prob.h, np.ones((4, 3)), prob.q, prob.a, prob.b)
 
 
-def test_a_frozen_archive_with_mismatched_arrays_is_refused(tmp_path):
+def test_a_frozen_instance_with_mismatched_arrays_is_refused():
     prob = ExpectationQcqpProblem(3, 2).freeze(n_samples=200, seed=7)
-    path = _doctored(tmp_path, prob, rvec=np.ones(4), box_lower=-np.ones(4),
-                     box_upper=np.ones(4))
     with pytest.raises(ValueError, match=r"amat has shape \(3, 3\), expected \(4, 4\)"):
-        load_instance(path)
+        FrozenQcqpProblem(prob.amat, np.ones(4), prob.s0, prob.q, prob.a, prob.b,
+                          box=BoxSet.symmetric(4, 1.0))
 
 
-@pytest.mark.parametrize("build,box_dim", [
-    (lambda: make_qcqp_finite_sum(3, 2, 4, 5, seed=1), 4),
-    (lambda: ExpectationQcqpProblem(3, 2).freeze(n_samples=200, seed=7), 5),
+# (build, the constructor's array arguments, each an attribute of the problem, box dim)
+@pytest.mark.parametrize("build,arrays,box_dim", [
+    (lambda: make_qcqp_finite_sum(3, 2, 4, 5, seed=1), ("h", "c", "q", "a", "b"), 4),
+    (lambda: ExpectationQcqpProblem(3, 2).freeze(n_samples=200, seed=7),
+     ("amat", "rvec", "s0", "q", "a", "b"), 5),
 ], ids=["finite_sum", "frozen"])
-def test_a_box_of_another_dimension_than_n_is_refused(tmp_path, build, box_dim):
+def test_a_box_of_another_dimension_than_n_is_refused(build, arrays, box_dim):
     prob = build()
-    message = f"box dimension {box_dim} does not match n=3"
-    path = _doctored(tmp_path, prob, box_lower=-np.ones(box_dim), box_upper=np.ones(box_dim))
-    with pytest.raises(ValueError, match=message):
-        load_instance(path)
-    cls, names = problems._SNAPSHOT[prob.kind]
-    args = {name: getattr(prob, name) for name in names}
-    with pytest.raises(ValueError, match=message):
-        cls(**dict(args, box=BoxSet.symmetric(box_dim, 1.0)))
-
-
-# the archive layout of each kind: key names in order, with their dtypes
-SNAPSHOT_LAYOUT = {
-    "qcqp_finite_sum": [("kind", "<U15"), ("h", "float64"), ("c", "float64"), ("q", "float64"),
-                        ("a", "float64"), ("b", "float64"), ("box_lower", "float64"),
-                        ("box_upper", "float64")],
-    "npc_finite_sum": [("kind", "<U14"), ("features", "float64"), ("labels", "int64"),
-                       ("c_hat", "float64"), ("box_lower", "float64"), ("box_upper", "float64")],
-    "bilinear_saddle": [("kind", "<U15"), ("a_mat", "float64"), ("b", "float64"), ("c", "float64"),
-                        ("noise_sigma", "float64"), ("box_x_lower", "float64"),
-                        ("box_x_upper", "float64"), ("box_z_lower", "float64"),
-                        ("box_z_upper", "float64")],
-    "qcqp_frozen": [("kind", "<U11"), ("amat", "float64"), ("rvec", "float64"), ("s0", "float64"),
-                    ("q", "float64"), ("a", "float64"), ("b", "float64"),
-                    ("box_lower", "float64"), ("box_upper", "float64")],
-    "qcqp_expectation": [("kind", "<U16"), ("n", "int64"), ("p", "int64"),
-                         ("eval_samples", "int64"), ("h_normalization", "<U8")],
-}
-
-
-def _snapshot_problems(qcqp, npc):
-    return {
-        "qcqp_finite_sum": qcqp,
-        "npc_finite_sum": npc,
-        "bilinear_saddle": make_bilinear_saddle(3, 2, seed=5, noise_sigma=0.2),
-        "qcqp_frozen": ExpectationQcqpProblem(3, 2).freeze(n_samples=200, seed=7),
-        "qcqp_expectation": ExpectationQcqpProblem(4, 3, eval_samples=500,
-                                                   h_normalization="spectral"),
-    }
-
-
-def _archive(path):
-    with np.load(path, allow_pickle=False) as data:
-        return {key: data[key] for key in data.files}
-
-
-@pytest.mark.parametrize("kind", sorted(SNAPSHOT_LAYOUT))
-def test_snapshot_layout_and_round_trip_per_kind(tmp_path, qcqp, npc, kind):
-    prob = _snapshot_problems(qcqp, npc)[kind]
-    save_instance(prob, tmp_path / "first.npz")
-    first = _archive(tmp_path / "first.npz")
-    assert [(key, str(v.dtype)) for key, v in first.items()] == SNAPSHOT_LAYOUT[kind]
-    back = load_instance(tmp_path / "first.npz")
-    assert type(back) is type(prob) and back.kind == kind
-    save_instance(back, tmp_path / "again.npz")
-    again = _archive(tmp_path / "again.npz")
-    assert list(again) == list(first)
-    for key, value in first.items():
-        assert again[key].dtype == value.dtype and np.array_equal(again[key], value), key
-
-
-def test_snapshot_stores_the_npc_rows_positives_first(tmp_path, npc):
-    save_instance(npc, tmp_path / "n.npz")
-    data = _archive(tmp_path / "n.npz")
-    n_pos = len(npc._pos)
-    assert np.array_equal(data["features"][:n_pos], npc._pos)
-    assert np.array_equal(data["features"][n_pos:], npc._neg)
-    assert np.array_equal(data["labels"], [1] * n_pos + [-1] * len(npc._neg))
-
-
-def test_snapshot_written_by_hand_in_the_stored_layout_loads(tmp_path):
-    rng = np.random.default_rng(3)
-    box = dict(box_lower=-np.ones(2), box_upper=2 * np.ones(2))
-    h, c, q = rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3)), np.eye(2)[None]
-    features = rng.standard_normal((5, 2))
-    labels = np.array([1, 1, -1, -1, -1])
-    archives = {
-        "finite_sum": dict(kind="qcqp_finite_sum", h=h, c=c, q=q, a=np.ones((1, 2)),
-                           b=np.array([0.5]), **box),
-        "npc": dict(kind="npc_finite_sum", features=features, labels=labels, c_hat=0.3, **box),
-        "bilinear": dict(kind="bilinear_saddle", a_mat=np.eye(2), b=np.ones(2), c=np.ones(2),
-                         noise_sigma=0.25, box_x_lower=-np.ones(2), box_x_upper=np.ones(2),
-                         box_z_lower=-np.ones(2), box_z_upper=3 * np.ones(2)),
-        "frozen": dict(kind="qcqp_frozen", amat=np.eye(2), rvec=np.ones(2), s0=0.75, q=np.eye(2),
-                       a=np.zeros(2), b=0.4, **box),
-        "expectation": dict(kind="qcqp_expectation", n=4, p=3, eval_samples=700,
-                            h_normalization=np.asarray("spectral")),
-    }
-    for name, fields in archives.items():
-        np.savez(tmp_path / f"{name}.npz", **fields)
-    fs = load_instance(tmp_path / "finite_sum.npz")
-    assert isinstance(fs, FiniteSumQcqpProblem)
-    assert np.array_equal(fs.h, h) and np.array_equal(fs.b, [0.5])
-    assert np.array_equal(fs.box.upper, [2.0, 2.0])
-    npc = load_instance(tmp_path / "npc.npz")
-    assert isinstance(npc, NeymanPearsonProblem) and npc.c_hat == 0.3
-    assert np.array_equal(npc._pos, features[:2]) and np.array_equal(npc._neg, features[2:])
-    bil = load_instance(tmp_path / "bilinear.npz")
-    assert isinstance(bil, BilinearSaddleProblem) and bil.noise_sigma == 0.25
-    assert np.array_equal(bil.box_z.upper, [3.0, 3.0])
-    frozen = load_instance(tmp_path / "frozen.npz")
-    assert isinstance(frozen, FrozenQcqpProblem)
-    assert (frozen.s0, frozen.b) == (0.75, 0.4) and type(frozen.b) is float
-    exp = load_instance(tmp_path / "expectation.npz")
-    assert isinstance(exp, ExpectationQcqpProblem)
-    assert (exp.n, exp.p, exp.eval_samples, exp.h_normalization) == (4, 3, 700, "spectral")
-    assert type(exp.h_normalization) is str and type(exp.n) is int
+    with pytest.raises(ValueError, match=f"box dimension {box_dim} does not match n=3"):
+        type(prob)(*(getattr(prob, name) for name in arrays), box=BoxSet.symmetric(box_dim, 1.0))
 
 
 # -- the expectation problem's chunked draw loop ------------------------------
@@ -878,23 +701,17 @@ def _chi2(rng, df, take):
 
 def _evaluate_full_oracle(self, x, seed=None, top=_certified_top):
     # the sampled evaluation's documented two-phase draw order, written out as plain loops
-    # that always read both phases: per chunk, ||Hx||^2 (H and c under spectral), c.Hx,
-    # a.x and b, then every chunk's G, with Q scaled by the top eigenvalues from ``top``.
+    # that always read both phases: per chunk, ||Hx||^2, c.Hx, a.x and b, then every chunk's G, with Q scaled by the top eigenvalues from ``top``.
     # Returns (f0, [f1], the generator's state after phase 1)
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     n, p, total, xx = self.n, self.p, self.eval_samples, x @ x
     f0_sum = lin_sum = quad_sum = 0.0
     for take in _chunk_sizes(total):
-        if self.h_normalization == "fro":
-            s = rng.chisquare(p, take)
-            hx2 = xx * (s / (s + _chi2(rng, p * (n - 1), take)))
-            u = rng.standard_normal(take)
-            chx = np.sqrt(hx2) * (u / np.sqrt(u * u + _chi2(rng, p - 1, take)))
-        else:
-            h, c = _draw_objective_terms(rng, take, p, n, "spectral")
-            hx = h @ x
-            hx2, chx = np.einsum("sp,sp->s", hx, hx), np.einsum("sp,sp->s", c, hx)
+        s = rng.chisquare(p, take)
+        hx2 = xx * (s / (s + _chi2(rng, p * (n - 1), take)))
+        u = rng.standard_normal(take)
+        chx = np.sqrt(hx2) * (u / np.sqrt(u * u + _chi2(rng, p - 1, take)))
         f0_sum += (0.5 * (hx2 + 1.0) - chx).sum()
         v = rng.standard_normal(take)
         ax = np.sqrt(xx) * (v / np.sqrt(v * v + _chi2(rng, n - 1, take)))
@@ -917,7 +734,7 @@ def _freeze_oracle(self, n_samples, seed, top=_certified_top):
     abar = np.zeros(n)
     bbar = 0.0
     for take in _chunk_sizes(n_samples):
-        h, c = _draw_objective_terms(rng, take, self.p, n, self.h_normalization)
+        h, c = _draw_objective_terms(rng, take, self.p, n)
         amat += np.einsum("spn,spm->nm", h, h)
         rvec += np.einsum("spn,sp->n", h, c)
         s0 += 0.5 * float(np.sum(c * c))
@@ -931,10 +748,8 @@ def _freeze_oracle(self, n_samples, seed, top=_certified_top):
 
 @pytest.mark.parametrize("count", [1, _EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1,
                                    2 * _EVAL_CHUNK + 3, 2 * _EVAL_CHUNK + _GRAM_BLOCK + 3])
-@pytest.mark.parametrize("h_normalization", ["fro", "spectral"])
-def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, h_normalization,
-                                                                monkeypatch):
-    prob = ExpectationQcqpProblem(3, 2, eval_samples=count, h_normalization=h_normalization)
+def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, monkeypatch):
+    prob = ExpectationQcqpProblem(3, 2, eval_samples=count)
     phases = []  # the draw phases each evaluation or freeze reads, in order
     for name in ("_eval_terms", "_draws", "_grams"):
         real = getattr(ExpectationQcqpProblem, name)
@@ -1151,7 +966,7 @@ def _matrix_draw_terms(prob, x, count, rng):
     # the estimator's per-sample terms from whole H, c and a, as the freeze draws them
     f0, lin = [], []
     for take in _chunk_sizes(count):
-        h, c = _draw_objective_terms(rng, take, prob.p, prob.n, prob.h_normalization)
+        h, c = _draw_objective_terms(rng, take, prob.p, prob.n)
         r = h @ x - c
         f0.append(0.5 * np.sum(r * r, axis=1))
         a = _unit_2norm(rng.standard_normal((take, prob.n)))
@@ -1163,20 +978,19 @@ def _mean_and_se(terms):
     return terms.mean(), terms.std(ddof=1) / np.sqrt(terms.size)
 
 
-@pytest.mark.parametrize("h_normalization", ["fro", "spectral"])
 @pytest.mark.parametrize("n,p", [(10, 5), (1, 4), (6, 1), (1, 1)])
 @pytest.mark.parametrize("half_sq_norm", [0.0, 0.8, 3.0])
-def test_evaluation_draws_the_laws_of_the_matrix_draw_estimator(h_normalization, n, p,
-                                                                half_sq_norm, monkeypatch):
+def test_evaluation_draws_the_laws_of_the_matrix_draw_estimator(n, p, half_sq_norm,
+                                                                monkeypatch):
     # x = 0; 0.5 ||x||^2 = 0.8, past E[b] = 0.6, where the certificate's bound fails (the
     # band where E f1 < 0 still, at n = 6 and 10); 3.0, outside the ball E f1 <= 0 at every
-    # n. Each phase-1 mean lies within 4 combined standard errors of the closed form (f0
-    # under fro, E[a.x - b] = -0.6), and each mean and mean square within 4 of the same
+    # n. Each phase-1 mean lies within 4 combined standard errors of the closed form (f0,
+    # E[a.x - b] = -0.6), and each mean and mean square within 4 of the same
     # estimator's from whole matrices; 1e-12 allows for ||c||^2 = 1 to rounding
     count = 20_000
     direction = np.random.default_rng(n + 10 * p).standard_normal(n)
     x = np.sqrt(2 * half_sq_norm) * direction / np.linalg.norm(direction)
-    prob = ExpectationQcqpProblem(n, p, eval_samples=count, h_normalization=h_normalization)
+    prob = ExpectationQcqpProblem(n, p, eval_samples=count)
     real, seen = ExpectationQcqpProblem._eval_terms, []
 
     def recording(self, *args):
@@ -1189,11 +1003,9 @@ def test_evaluation_draws_the_laws_of_the_matrix_draw_estimator(h_normalization,
     lin = np.concatenate([t[1] - t[2] for t in seen])
     assert got.objective == sum(t[0].sum() for t in seen) / count and f0.size == count
     want_f0, want_lin = _matrix_draw_terms(prob, x, count, np.random.default_rng(8))
-    references = [(lin, -0.6, 0.0)]
+    references = [(lin, -0.6, 0.0), (f0, 0.5 * (x @ x / n + 1.0), 0.0)]
     for terms, want in ((f0, want_f0), (lin, want_lin)):
         references += [(terms, *_mean_and_se(want)), (terms ** 2, *_mean_and_se(want ** 2))]
-    if h_normalization == "fro":
-        references.append((f0, 0.5 * (x @ x / n + 1.0), 0.0))
     for terms, want, want_se in references:
         mean, se = _mean_and_se(terms)
         assert abs(mean - want) <= 4 * np.hypot(se, want_se) + 1e-12, (mean, want)
@@ -1201,8 +1013,8 @@ def test_evaluation_draws_the_laws_of_the_matrix_draw_estimator(h_normalization,
 
 def test_freeze_rejects_a_sample_count_below_one():
     prob = ExpectationQcqpProblem(3, 2)
-    for bad in (0, -4):
-        with pytest.raises(ValueError, match=f"n_samples must be positive, got {bad}"):
+    for bad in (0, -4, float("nan")):
+        with pytest.raises(ValueError, match=f"n_samples must be a positive integer, got {bad}"):
             prob.freeze(n_samples=bad)
     with pytest.raises(ValueError, match=r"n_samples must be a positive integer, got 2\.5"):
         prob.freeze(n_samples=2.5)

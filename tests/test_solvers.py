@@ -333,3 +333,26 @@ def test_aprid_obeys_the_objective_scaling_law_bit_for_bit(k, theta):
     for w, g in zip(want.records, got.records):
         for name in ("obj_err", "viol_avg", "viol_max"):
             assert getattr(g, name) == s * getattr(w, name), (w.iteration, name)
+
+
+@pytest.mark.parametrize("t, theta", [(8.0, 10.0), (0.25, 10.0), (8.0, 0.5), (0.25, 0.5)],
+                         ids=["8x", "1/4x", "8x-theta0.5", "1/4x-theta0.5"])
+def test_aprid_obeys_the_variable_scaling_law_bit_for_bit(t, theta):
+    # x = t y: H / t, Q / t^2, a / t and the box times t leave every f_j(x) = f_j(y), with
+    # alpha * t and theta / t. Powers of two scale exactly, so x_bar comes out exactly t
+    # times as large, and z_bar and every CSV row with the same bits. The clip acts on
+    # over 99 % of the steps at both theta; dropping the rescaling of alpha or of theta
+    # breaks the law
+    base = make_qcqp_finite_sum(10, 5, 200, 500, seed=7)
+    scaled = FiniteSumQcqpProblem(base.h / t, base.c, base.q / t**2, base.a / t, base.b,
+                                  box=BoxSet(t * base.box.lower, t * base.box.upper))
+    horizon = 2000
+    want, got = (aprid_run(prob, SolverParams.constant(horizon, alpha=alpha, theta=th),
+                           BatchSizes(), seed=3, checkpoints=[500, horizon], f0_ref=0.25,
+                           timing="algo")
+                 for prob, alpha, th in ((base, 10.0, theta), (scaled, 10.0 * t, theta / t)))
+    assert got.x_bar.tobytes() == (t * want.x_bar).tobytes()
+    assert got.z_bar.tobytes() == want.z_bar.tobytes()
+    assert want.final_record().viol_max > 0.0  # the law is not read off zeros only
+    assert [r.csv_values(zero_wall=True) for r in got.records] == \
+        [r.csv_values(zero_wall=True) for r in want.records]
