@@ -198,9 +198,9 @@ def _check_positive(**values):
 
 def _check_count(label, v):
     """``v`` as an int; raise ValueError naming ``label`` unless it is a positive integer
-    (NaN, an infinity or a non-number included)."""
+    (NaN, an infinity, a bool or a non-number included)."""
     try:
-        ok = int(v) == v and v >= 1
+        ok = not isinstance(v, (bool, np.bool_)) and int(v) == v and v >= 1
     except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
         ok = False
     if not ok:

@@ -682,6 +682,70 @@ def test_a_box_of_another_dimension_than_n_is_refused(build, arrays, box_dim):
         type(prob)(*(getattr(prob, name) for name in arrays), box=BoxSet.symmetric(box_dim, 1.0))
 
 
+def _bits(value):
+    """Every float of an oracle's answer as bytes, tuples and named tuples field by field."""
+    if isinstance(value, tuple):
+        return [_bits(v) for v in value]
+    return np.asarray(value).tobytes()
+
+
+def _rebuilt(prob):
+    """``prob`` built again by its constructor from its own fields alone."""
+    if prob.kind == "qcqp_finite_sum":
+        return FiniteSumQcqpProblem(prob.h, prob.c, prob.q, prob.a, prob.b, box=prob.box)
+    if prob.kind == "qcqp_frozen":
+        return FrozenQcqpProblem(prob.amat, prob.rvec, prob.s0, prob.q, prob.a, prob.b,
+                                 box=prob.box)
+    if prob.kind == "npc_finite_sum":
+        labels = [1] * len(prob._pos) + [-1] * len(prob._neg)
+        return NeymanPearsonProblem(Dataset(np.vstack([prob._pos, prob._neg]), np.array(labels)),
+                                    prob.c_hat, box=prob.box)
+    if prob.kind == "bilinear_saddle":
+        return BilinearSaddleProblem(prob.a_mat, prob.b, prob.c, prob.noise_sigma,
+                                     box_x=prob.box_x, box_z=prob.box_z)
+    return ExpectationQcqpProblem(prob.n, prob.p, eval_samples=prob.eval_samples)
+
+
+@pytest.mark.parametrize("kind", ["qcqp_finite_sum", "qcqp_frozen", "npc_finite_sum",
+                                  "bilinear_saddle", "qcqp_expectation"])
+def test_an_instance_rebuilt_from_its_own_fields_answers_every_oracle_alike(qcqp, npc, kind):
+    # an instance holds no state beyond the fields its constructor takes: the same fields
+    # give the same exact values and, from the same stream, the same sampled draws
+    prob = {
+        "qcqp_finite_sum": qcqp,
+        "qcqp_frozen": ExpectationQcqpProblem(3, 2).freeze(n_samples=200, seed=7),
+        "npc_finite_sum": npc,
+        "bilinear_saddle": make_bilinear_saddle(3, 2, seed=5, noise_sigma=0.2),
+        "qcqp_expectation": ExpectationQcqpProblem(4, 3, eval_samples=500),
+    }[kind]
+    back = _rebuilt(prob)
+    assert type(back) is type(prob) and back.kind == kind
+    x = np.linspace(-0.4, 0.7, prob.n)
+
+    def rng():
+        return np.random.default_rng(9)
+
+    if kind == "bilinear_saddle":
+        z = np.linspace(0.3, -0.2, prob.m)
+        oracles = [lambda q: q.gap(x, z), lambda q: q.lagrangian(x, z),
+                   lambda q: q.sample_grads(x, z, rng())]
+    else:
+        oracles = [lambda q: q.evaluate_full(x, seed=rng())]
+        if kind != "qcqp_expectation":
+            oracles += [lambda q: q.full_objective(x), lambda q: q.full_objective_grad(x),
+                        lambda q: q.full_constraint_grads(x)]
+        if kind != "qcqp_frozen":
+            oracles += [lambda q: q.sample_objective_grad(x, 4, rng()),
+                        lambda q: q.sample_constraint_block(x, 3, rng()),
+                        lambda q: q.constraint_value_estimate(x, 5, rng())]
+        if kind == "qcqp_expectation":
+            oracles.append(lambda q: _bits(tuple(
+                getattr(q.freeze(n_samples=300, seed=4), name)
+                for name in ("amat", "rvec", "s0", "q", "a", "b"))))
+    for oracle in oracles:
+        assert _bits(oracle(back)) == _bits(oracle(prob))
+
+
 # -- the expectation problem's chunked draw loop ------------------------------
 
 

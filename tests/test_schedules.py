@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from aprid import ErgodicAverager, ScheduleExhaustedError, StepSchedule
+from aprid import (BatchSizes, CsaParams, ErgodicAverager, ExpectationQcqpProblem, MsaParams,
+                   PdsgAdpParams, ScheduleExhaustedError, StepSchedule, log_spaced_checkpoints,
+                   make_bilinear_saddle, make_qcqp_finite_sum, make_synthetic_dataset)
 from aprid.schedules import LazyErgodicAverager
 
 from brute import double_sum_average, geometric_tail_weights
@@ -286,3 +288,42 @@ def test_next_emits_the_sequences_as_python_floats():
             with pytest.raises(ScheduleExhaustedError):
                 run.next()
             assert run.step_index == sch.horizon + 1
+
+
+# every public entry point that reads a count, keyed by the label its error names
+COUNT_READERS = {
+    "batch size j0": lambda v: BatchSizes(j0=v),
+    "batch size j1": lambda v: BatchSizes(j1=v),
+    "batch size jg": lambda v: BatchSizes(jg=v),
+    "schedule horizon": lambda v: StepSchedule.sqrt(1.0, 1.0, horizon=v, beta1=0.5),
+    "checkpoint horizon": lambda v: log_spaced_checkpoints(v),
+    "msa horizon": lambda v: MsaParams(horizon=v),
+    "csa horizon": lambda v: CsaParams(horizon=v),
+    "averaging start index": lambda v: CsaParams(horizon=10, s=v),
+    "pdsg horizon": lambda v: PdsgAdpParams(horizon=v),
+    "expectation n": lambda v: ExpectationQcqpProblem(v, 2),
+    "expectation p": lambda v: ExpectationQcqpProblem(3, v),
+    "eval_samples": lambda v: ExpectationQcqpProblem(3, 2, eval_samples=v),
+    "n_samples": lambda v: ExpectationQcqpProblem(3, 2).freeze(n_samples=v),
+    "finite-sum n": lambda v: make_qcqp_finite_sum(v, 2, 4, 4, seed=0),
+    "finite-sum p": lambda v: make_qcqp_finite_sum(3, v, 4, 4, seed=0),
+    "N": lambda v: make_qcqp_finite_sum(3, 2, v, 4, seed=0),
+    "M": lambda v: make_qcqp_finite_sum(3, 2, 4, v, seed=0),
+    "saddle n": lambda v: make_bilinear_saddle(v, 3, seed=0),
+    "saddle m": lambda v: make_bilinear_saddle(3, v, seed=0),
+    "dim": lambda v: make_synthetic_dataset(v, 4, 4, seed=0),
+    "n_pos": lambda v: make_synthetic_dataset(3, v, 4, seed=0),
+    "n_neg": lambda v: make_synthetic_dataset(3, 4, v, seed=0),
+}
+
+
+@pytest.mark.parametrize("label", sorted(COUNT_READERS))
+def test_a_bool_is_not_a_count(label):
+    # int(True) == True == 1, so a bool once passed as the count 1; a config refuses a bool
+    # for an int key, and the Python API now agrees with it. One stays a valid count
+    read = COUNT_READERS[label]
+    name = label.split()[-1]
+    for bad in (True, np.True_, False):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got"):
+            read(bad)
+    read(1)
