@@ -24,6 +24,13 @@ Deterministic problems additionally expose exact full quantities
 by penalty-based baselines. Saddle problems follow a different, smaller
 contract (see ``BilinearSaddleProblem``), whose sampled blocks are ndarrays too.
 
+The finite-sum QCQP stores each Q_j once, as its upper triangle, and unpacks only the
+rows a computation reads. Its row certificate: ||Q_j||_F >= ||Q_j||_2, so a row whose
+computed 0.5 ||Q_j||_F ||x||^2 + a_j.x - b_j lies below a rounding margin is negative
+(``screened_constraint_values``). ``evaluate_full`` gives such rows violation 0.0 without
+forming x'Q_j x, and the reference solver skips them while their multiplier is 0; every
+value either forms has the bits that the whole (M, n, n) stack gives.
+
 Sampling determinism: each sampling method consumes its generator in a fixed
 documented order (objective draws: matrices then vectors; constraint draws:
 quadratic terms, then linear terms, then offsets), so one seed reproduces a
@@ -46,11 +53,14 @@ family, is scaled to unit spectral norm by ``_certified_top``, within a relative
 
 What a draw holds at once: phase 2 one chunk of Q and one ``_GRAM_BLOCK`` of G
 (``_grams``' buffers, which every chunk overwrites); a finite-sum build its stored arrays
-and one block of G; ``_unit_2norm`` one chunk of squared rows and the H norm one block of
-them. Only Neyman-Pearson problems load scipy.
+(Q packed) and one block each of G and Q, ``_certified_top`` squaring in the dead G block;
+``_unit_2norm`` one chunk of squared rows and the H norm one block of them. A finite-sum
+evaluation holds O(M) vectors and one unpacked block of Q. Only Neyman-Pearson problems
+load scipy.
 """
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -104,6 +114,13 @@ def _check_shapes(problem, **shapes):
             raise ValueError(f"{name} has shape {getattr(problem, name).shape}, expected {shape}")
     if problem.box.dim != problem.n:
         raise ValueError(f"box dimension {problem.box.dim} does not match n={problem.n}")
+
+
+def _tau(k, slack=0.0):
+    """A certificate's relative margin over terms that pass through at most ``k`` roundings
+    each: 100 (slack + k eps), a hundredfold the first-order bound k eps plus a relative
+    ``slack`` of the data."""
+    return 100 * (slack + k * np.finfo(float).eps)
 
 
 def _subsample(rng, total, size):
@@ -437,7 +454,7 @@ def _eigvalsh_top(q):
     return np.linalg.eigvalsh(q)[:, -1]
 
 
-def _certified_top(q):
+def _certified_top(q, work=None):
     """Top eigenvalues of a stack of PSD matrices, each certified to a relative 1e-14.
 
     ``mu = v'Qv / v'v`` at ``v = P e_k``: P is Q squared 8 times (P ~ Q^256, scaled by
@@ -446,14 +463,16 @@ def _certified_top(q):
     <= r^2 / (nu (1/n - r))`` if ``r < 1/n`` (Parlett, The Symmetric Eigenvalue Problem,
     ch. 4, 10). Matrices left above 1e-14 (~3 % of Wishart draws, a repeated top
     eigenvalue, zeros) take ``eigvalsh``. A matrix's result depends on it alone. It works
-    in slabs of ``_GRAM_BLOCK`` matrices, which keep the temporaries small.
+    in slabs, which keep the temporaries small: P squares from one half of ``work``, a
+    (2, slab, n, n) buffer, to the other (``_GRAM_BLOCK``-matrix slabs if none is given).
     """
     top = np.empty(len(q))
     n = q.shape[-1]
-    slab = np.empty((2, min(len(q), _GRAM_BLOCK), n, n))  # P squares from one half to the other
-    for lo in range(0, len(q), _GRAM_BLOCK):
-        s = q[lo:lo + _GRAM_BLOCK]
-        p, spare = slab[0, :len(s)], slab[1, :len(s)]
+    if work is None:
+        work = np.empty((2, min(len(q), _GRAM_BLOCK), n, n))
+    for lo in range(0, len(q), work.shape[1]):
+        s = q[lo:lo + work.shape[1]]
+        p, spare = work[0, :len(s)], work[1, :len(s)]
         with np.errstate(divide="ignore", invalid="ignore"):  # zero matrices fall back
             np.divide(s, np.einsum("sii->si", s).max(axis=1)[:, None, None], out=p)
             for i in range(8):
@@ -473,14 +492,17 @@ def _certified_top(q):
     return top
 
 
-def _gram_chunk(rng, g, q):
-    """Fill ``q`` with Gram matrices G'G scaled by ``_certified_top``, drawing G into the
-    ``_GRAM_BLOCK``-matrix buffer ``g`` a block at a time (the same stream as one draw)."""
+def _gram_chunk(rng, g, q, work=None):
+    """Fill ``q`` with Gram matrices G'G scaled by ``_certified_top`` (squaring in ``work``),
+    drawing G into the ``_GRAM_BLOCK``-matrix buffer ``g`` a block at a time (the same
+    stream as one draw). Each Q is bitwise symmetric, which the packed finite-sum store
+    relies on: numpy sends G'G of one buffer to BLAS ``syrk``, which forms one triangle and
+    mirrors it, and the scaling divides both triangles alike."""
     for lo in range(0, len(q), _GRAM_BLOCK):
         block = q[lo:lo + _GRAM_BLOCK]
         gb = rng.standard_normal(out=g[:len(block)])
         np.matmul(gb.transpose(0, 2, 1), gb, out=block)
-    q /= np.maximum(_certified_top(q), 1e-300)[:, None, None]
+    q /= np.maximum(_certified_top(q, work), 1e-300)[:, None, None]
     return q
 
 
@@ -493,6 +515,41 @@ def _draw_grams(rng, count, n):
         block = q[lo:lo + _EVAL_CHUNK]
         _gram_chunk(rng, g, block)
     return q
+
+
+class _Triangle(NamedTuple):
+    """The packed layout of a symmetric n x n matrix: its upper triangle, row by row."""
+
+    upper: np.ndarray   # (n(n+1)/2,) flat positions i*n + k, i <= k, of the packed entries
+    unpack: np.ndarray  # (n^2,) packed index of entry (min(i, k), max(i, k)), for each i*n + k
+    weight: np.ndarray  # (n(n+1)/2,) 1 on the diagonal, 2 off it: each entry's count in Q
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle(n):
+    i, k = np.triu_indices(n)
+    unpack = np.empty((n, n), dtype=np.intp)
+    unpack[i, k] = unpack[k, i] = np.arange(i.size)
+    tri = _Triangle(i * n + k, unpack.ravel(), np.where(i == k, 1.0, 2.0))
+    for arr in tri:
+        arr.flags.writeable = False
+    return tri
+
+
+def _draw_packed_grams(rng, count, n):
+    """``_draw_grams``' matrices, the same stream and bits, each stored as its upper triangle:
+    (count, n(n+1)/2). Each ``_GRAM_BLOCK`` of Q is drawn, scaled and packed before the next,
+    and ``_certified_top`` squares in halves of the block's dead G buffer, so the draw holds
+    one block of G and one of Q beside the result, never a whole (count, n, n) array."""
+    upper = _triangle(n).upper
+    packed = np.empty((count, upper.size))
+    size = min(_GRAM_BLOCK, count)
+    work = np.empty((2, -(-size // 2), n, n))  # G, then the two halves P squares between
+    q = np.empty((size, n, n))
+    for lo in range(0, count, _GRAM_BLOCK):
+        block = _gram_chunk(rng, work.reshape(-1, n, n), q[:min(size, count - lo)], work)
+        block.reshape(len(block), n * n).take(upper, axis=1, out=packed[lo:lo + len(block)])
+    return packed
 
 
 def _unit_coordinates(rng, dim, count):
@@ -632,13 +689,12 @@ class ExpectationQcqpProblem:
         max(n^2, n + 6) + _EVAL_CHUNK + chunks + 1 roundings (x'Q_i x n^2 + 1 or a_i.x - b_i
         n + 7, as ||x|| v / sqrt(v^2 + w) - b_i; a chunk's sum _EVAL_CHUNK - 1, the chunks'
         sum `chunks`, the final add 1). So computed F <= computed U + (1e-13 + 1.01 k eps) B,
-        and U < -tau B certifies, with tau = 100 (1e-13 + k eps) (1.0e-10 at n = 10, 1e5 draws).
+        and U < -tau B certifies, with tau = ``_tau(k, 1e-13)`` (1.0e-10 at n = 10, 1e5 draws).
         """
         n, total = self.n, self.eval_samples
         k = max(n * n, n + 6) + _EVAL_CHUNK + -(-total // _EVAL_CHUNK) + 1
-        tau = 100 * (1e-13 + k * np.finfo(float).eps)
         # a NaN or infinite x makes U NaN or +inf: it certifies nothing
-        return u_sum < -tau * (total * (0.5 * np.sqrt(n) * xx + np.sqrt(xx)) + b_sum)
+        return u_sum < -_tau(k, 1e-13) * (total * (0.5 * np.sqrt(n) * xx + np.sqrt(xx)) + b_sum)
 
     def freeze(self, n_samples=100_000, seed=0) -> "FrozenQcqpProblem":
         """Exact sample-average instance over ``n_samples`` fresh draws.
@@ -735,6 +791,15 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
     so exact evaluation is O(n^2) regardless of N. Constraint subsampling is uniform
     without replacement; sampled values are exact, so this family supports
     penalty-based baselines directly.
+
+    Each symmetric Q_j is stored once, as its upper triangle: ``q_upper`` is (M, n(n+1)/2),
+    row j holding Q_j's entries (i, k), i <= k, row by row (``_triangle``). ``q`` may be
+    given so packed or as a full (M, n, n) stack, which must be bitwise symmetric. A
+    computation unpacks only the rows it reads, into C-contiguous blocks of at most
+    ``_GRAM_BLOCK`` matrices, so each row gets the bits the whole stack gave it; the ``q``
+    property materializes all M n^2 floats, for tests and hand-built comparisons.
+    ``q_norm[j] = ||Q_j||_F``, at least Q_j's spectral norm, bounds the rows that
+    ``screened_constraint_values`` skips.
     """
 
     kind = "qcqp_finite_sum"
@@ -743,28 +808,105 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
     def __init__(self, h, c, q, a, b, box=None):
         self.h = np.asarray(h, dtype=float)
         self.c = np.asarray(c, dtype=float)
-        self.q = np.asarray(q, dtype=float)
+        q = np.asarray(q, dtype=float)
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        if self.h.ndim != 3 or self.q.ndim != 3:
-            raise ValueError("h must be (N, p, n) and q must be (M, n, n)")
+        if self.h.ndim != 3 or q.ndim not in (2, 3):
+            raise ValueError("h must be (N, p, n) and q must be (M, n, n) or (M, n(n+1)/2)")
         nn, p, n = self.h.shape
-        m = self.num_constraints = self.q.shape[0]
+        m = self.num_constraints = q.shape[0]
         self.num_objective_terms, self.n = nn, n
         self.box = box if box is not None else BoxSet.symmetric(n, 10.0)
-        _check_shapes(self, c=(nn, p), q=(m, n, n), a=(m, n), b=(m,))
+        tri = _triangle(n)
+        if q.ndim == 3:
+            if q.shape != (m, n, n):
+                raise ValueError(f"q has shape {q.shape}, expected {(m, n, n)}")
+            if not np.array_equal(q, q.transpose(0, 2, 1), equal_nan=True):
+                raise ValueError("q must be a stack of symmetric matrices")
+            q = q.reshape(m, n * n).take(tri.upper, axis=1)
+        self.q_upper = q
+        _check_shapes(self, c=(nn, p), q_upper=(m, tri.upper.size), a=(m, n), b=(m,))
+        self.q_norm = np.sqrt(np.einsum("st,st,t->s", q, q, tri.weight))
         # exact aggregates: f0 is itself a quadratic
         self.amat = np.einsum("ipn,ipm->nm", self.h, self.h) / self.num_objective_terms
         self.rvec = np.einsum("ipn,ip->n", self.h, self.c) / self.num_objective_terms
         self.s0 = 0.5 * float(np.mean(np.sum(self.c * self.c, axis=1)))
 
+    @property
+    def q(self):
+        """The (M, n, n) stack of constraint matrices, materialized (read-only)."""
+        q = self._unpack(self.q_upper)
+        q.flags.writeable = False
+        return q
+
+    def _unpack(self, upper):
+        """Packed rows ``upper`` (k, n(n+1)/2) as a C-contiguous (k, n, n) stack (a strided
+        one, as fancy indexing gives, would change the einsum bits)."""
+        return upper.take(_triangle(self.n).unpack, axis=1).reshape(len(upper), self.n, self.n)
+
+    def _rows(self, idx):
+        """(Q_j, a_j) of the constraints ``idx``, Q unpacked."""
+        return self._unpack(self.q_upper.take(idx, axis=0)), self.a.take(idx, axis=0)
+
+    def _exact_values(self, x, ax, rows):
+        """f_j(x) of the constraint indices ``rows``, given every a_j.x in ``ax``: per row the
+        arithmetic of ``_constraint_values_at`` on the whole stack, with its bits. The rows
+        are unpacked ``_GRAM_BLOCK`` at a time; every exact value is formed here."""
+        quad = np.empty(len(rows))
+        for lo in range(0, len(rows), _GRAM_BLOCK):
+            q = self._unpack(self.q_upper.take(rows[lo:lo + _GRAM_BLOCK], axis=0))
+            quad[lo:lo + len(q)] = np.einsum("sij,i,j->s", q, x, x)
+        return 0.5 * quad + ax[rows] - self.b[rows]
+
     # exact full quantities
 
-    def full_constraint_values(self, x):
-        return _constraint_values_at(self.q, self.a, self.b, np.asarray(x, dtype=float))
+    def full_constraint_values(self, x, rows=None):
+        """Every f_j(x), or only those of the constraint indices ``rows``."""
+        x = np.asarray(x, dtype=float)
+        rows = np.arange(self.num_constraints) if rows is None else rows
+        return self._exact_values(x, serial_matmul(self.a, x), rows)
 
     def full_constraint_grads(self, x):
-        return _constraint_grads_at(self.q, self.a, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        grads = np.empty((self.num_constraints, self.n))
+        for lo in range(0, self.num_constraints, _GRAM_BLOCK):
+            q = self._unpack(self.q_upper[lo:lo + _GRAM_BLOCK])
+            grads[lo:lo + len(q)] = _constraint_grads_at(q, self.a[lo:lo + len(q)], x)
+        return grads
+
+    def screened_constraint_values(self, x, keep=None):
+        """``(f, skipped)``: ``full_constraint_values(x)``, except on the rows ``skipped``,
+        which the certificate below proves negative and ``keep`` (a mask) does not mark;
+        each skipped f_j holds its bound u_j < 0 instead of its value.
+
+        |x'Q_j x| <= L_j ||x||^2 with L_j = ``q_norm[j]``, so u_j = 0.5 L_j ||x||^2 + a_j.x
+        - b_j bounds f_j. Every term of both is at most its term of B_j = L_j ||x||^2 +
+        |a_j.x| + |b_j| (|x|'|Q_j||x| <= ||Q_j||_F ||x||^2), and both share the computed
+        a_j.x. Past it, the computed f_j passes through n^2 + 3 roundings (x'Q_j x n^2 + 1,
+        then + a_j.x and - b_j) and u_j through n(n+1)/2 + n + 5 (L_j's sum of squares and
+        its root, ||x||^2, the product, then 2). So a computed u_j < -tau B_j, with tau =
+        ``_tau(k)`` for k the sum of both counts, proves the computed f_j negative: its
+        violation is exactly 0.0 (subnormal operands aside). A NaN or infinite x, or a NaN
+        row, certifies nothing.
+        """
+        x = np.asarray(x, dtype=float)
+        n, ax = self.n, serial_matmul(self.a, x)
+        lxx = self.q_norm * (x @ x)
+        # in place, since every M-float temporary costs page faults: f = 0.5 lxx + ax - b,
+        # margin = -tau (lxx + |ax| + |b|)
+        f = np.multiply(lxx, 0.5)
+        f += ax
+        f -= self.b
+        margin = np.abs(ax)
+        margin += lxx
+        margin += np.abs(self.b, out=lxx)
+        margin *= -_tau(n * n + 3 + n * (n + 1) // 2 + n + 5)
+        skipped = f < margin
+        if keep is not None:
+            skipped &= ~keep
+        rows = np.flatnonzero(~skipped)
+        f[rows] = self._exact_values(x, ax, rows)
+        return f, skipped
 
     # sampled quantities
 
@@ -774,41 +916,40 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
 
     def sample_constraint_block(self, x, j1, rng):
         idx = _subsample(rng, self.num_constraints, j1)
-        q, a = self.q.take(idx, axis=0), self.a.take(idx, axis=0)
+        q, a = self._rows(idx)
         return idx, _constraint_values_at(q, a, self.b.take(idx), x), _constraint_grads_at(q, a, x)
 
     sample_constraint_block_exact = sample_constraint_block
 
     def constraint_value_estimate(self, x, jg, rng) -> float:
         idx = _subsample(rng, self.num_constraints, jg)
-        values = _constraint_values_at(self.q.take(idx, axis=0), self.a.take(idx, axis=0),
-                                       self.b.take(idx), x)
+        values = _constraint_values_at(*self._rows(idx), self.b.take(idx), x)
         return float(np.sum(np.maximum(values, 0.0)) * (self.num_constraints / idx.size))
 
     def evaluate_full(self, x, seed=None) -> FullEval:
-        return _full_eval(self.full_objective(x), self.full_constraint_values(x))
+        # a skipped row's bound is negative: its violation is 0.0, as its value gives
+        return _full_eval(self.full_objective(x), self.screened_constraint_values(x)[0])
 
 
 def make_qcqp_finite_sum(n, p, num_objective_terms, num_constraints, seed,
                          max_elements=250_000_000):
     """Draw a finite-sum QCQP instance; generation is seed-deterministic.
 
-    Draws H, c, then G a block at a time (each Q = G'G / ``_certified_top``), then a, b.
-    Refuses instances whose stored arrays would exceed ``max_elements`` floats (M * n^2
-    for Q alone); the budget bounds peak build memory too: the stored arrays plus a block.
+    Draws H, c, then G a block at a time (each Q = G'G / ``_certified_top``, stored as its
+    upper triangle), then a, b. Refuses instances whose stored arrays would exceed
+    ``max_elements`` floats (M n(n+1)/2 for Q); the budget bounds peak build memory too:
+    the stored arrays plus a block.
     """
     n, p = _check_count("n", n), _check_count("p", p)
     nn, mm = _check_count("N", num_objective_terms), _check_count("M", num_constraints)
-    elements = nn * p * n + nn * p + mm * n * n + mm * n + mm
+    elements = nn * p * n + nn * p + mm * n * (n + 1) // 2 + mm * n + mm
     if elements > max_elements:
         raise ValueError(
-            f"instance would store {elements} floats "
-            f"(N*p*n + M*n^2 dominated), over the {max_elements} budget"
-        )
+            f"instance would store {elements} floats, over the {max_elements} budget")
     rng = np.random.default_rng(seed)
     h, c = _draw_objective_terms(rng, nn, p, n)
-    q, a, b = _draw_constraint_terms(rng, mm, n)
-    return FiniteSumQcqpProblem(h, c, q, a, b)
+    q = _draw_packed_grams(rng, mm, n)
+    return FiniteSumQcqpProblem(h, c, q, *_draw_linear_terms(rng, mm, n))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ and penalty growth whenever feasibility stalls. Convergence is declared by an
 independent KKT residual check, never by the loop's own progress measures.
 Constraint values are computed once per distinct point (by value), shared by
 the inner objective and gradient and by the post-round update and KKT check.
+A problem with ``screened_constraint_values`` (the finite-sum QCQP) evaluates at
+a point only the rows with z_j > 0 and those its certificate cannot prove
+negative; the skipped rows' shifted multipliers are exactly 0 either way, and
+they are evaluated once, at the point the solver returns.
 The M x n constraint-gradient matrix is formed only when a multiplier is nonzero.
 """
 
@@ -123,26 +127,46 @@ def _spg_minimize(fun, grad, x0, box, tol, max_iters=5000):
 
 
 def _constraint_values_once(problem):
-    """``problem.full_constraint_values``, recomputed only when the point's
-    values differ from the last point's."""
-    last = [None, None]
+    """``(values, complete)``. ``values(x, z)`` is ``problem.full_constraint_values(x)``,
+    recomputed only when the point differs (by value) from the last one.
 
-    def values(x):
+    Where the problem offers ``screened_constraint_values``, rows with z_j = 0 that its
+    certificate proves negative hold a negative bound instead: their shifted multiplier
+    max(z_j + beta f_j, 0), their update and their KKT terms are exactly 0 as with the
+    value. A row that a later z at the same point makes positive has f_j > 0, so it was
+    evaluated. ``complete(x)``, at the last point, evaluates its skipped rows and returns
+    every value there exact.
+    """
+    screened = getattr(problem, "screened_constraint_values", None)
+    last = [None, None, None]  # the point's bytes, its values, the rows they skip
+
+    def values(x, z):
         if x.tobytes() != last[0]:
-            last[:] = x.tobytes(), problem.full_constraint_values(x)
+            if screened is None:
+                last[:] = x.tobytes(), problem.full_constraint_values(x), None
+            else:
+                last[:] = x.tobytes(), *screened(x, z > 0)
         return last[1]
 
-    return values
+    def complete(x):
+        f, skipped = last[1], last[2]
+        if skipped is not None and skipped.any():
+            rows = np.flatnonzero(skipped)
+            f[rows] = problem.full_constraint_values(x, rows)
+            last[2] = None
+        return f
+
+    return values, complete
 
 
 def _augmented_lagrangian(problem, values, z, beta):
     def fun(x):
-        f = values(x)
+        f = values(x, z)
         shifted = np.maximum(z + beta * f, 0.0)
         return problem.full_objective(x) + float(np.sum(shifted**2 - z**2)) / (2.0 * beta)
 
     def grad(x):
-        f = values(x)
+        f = values(x, z)
         shifted = np.maximum(z + beta * f, 0.0)
         return problem.full_objective_grad(x) + _weighted_constraint_grad(problem, x, shifted)
 
@@ -169,7 +193,7 @@ def solve_reference(problem, tol=1e-6, max_outer=100, freeze_samples=100_000,
     box = problem.box
     x = box.project(np.zeros(box.dim))
     z = np.zeros(problem.num_constraints)
-    values = _constraint_values_once(problem)
+    values, complete = _constraint_values_once(problem)
     beta = 10.0
     inner_tol = max(1e-3, 10.0 * tol)
     prev_viol = np.inf
@@ -177,7 +201,7 @@ def solve_reference(problem, tol=1e-6, max_outer=100, freeze_samples=100_000,
     for outer in range(1, max_outer + 1):
         fun, grad = _augmented_lagrangian(problem, values, z, beta)
         x = _spg_minimize(fun, grad, x, box, inner_tol)
-        f = values(x)
+        f = values(x, z)
         z = np.maximum(z + beta * f, 0.0)
         res = _kkt_at(problem, x, z, f)
         if best is None or res.worst < best[2].worst:
@@ -185,7 +209,7 @@ def solve_reference(problem, tol=1e-6, max_outer=100, freeze_samples=100_000,
         if res.worst <= tol:
             return ReferenceSolution(
                 x=x, z=z, objective=problem.full_objective(x),
-                residuals=res, outer_iterations=outer, constraint_values=f,
+                residuals=res, outer_iterations=outer, constraint_values=complete(x),
             )
         viol = float(np.max(np.maximum(f, 0.0)))
         if viol > 0.25 * prev_viol:

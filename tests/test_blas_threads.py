@@ -29,8 +29,9 @@ from aprid.solvers import _NormWatch
 
 rng = np.random.default_rng(5)
 m, n = 48_773, 10
-prob = FiniteSumQcqpProblem(rng.standard_normal((3, 2, n)), rng.standard_normal((3, 2)),
-                            rng.standard_normal((m, n, n)), rng.standard_normal((m, n)),
+h, c = rng.standard_normal((3, 2, n)), rng.standard_normal((3, 2))
+g = rng.standard_normal((m, n, n))  # Q = g + g', bitwise symmetric as the store requires
+prob = FiniteSumQcqpProblem(h, c, g + g.transpose(0, 2, 1), rng.standard_normal((m, n)),
                             rng.standard_normal(m))
 x = rng.standard_normal(n)
 avg = LazyErgodicAverager(rng.random(m), StepSchedule.constant(1.0, 1.0, 50, 0.9))
@@ -59,8 +60,9 @@ def cpu_s():
 
 rng = np.random.default_rng(6)
 m, n = 100_000, 10
-prob = FiniteSumQcqpProblem(rng.standard_normal((3, 2, n)), rng.standard_normal((3, 2)),
-                            rng.standard_normal((m, n, n)), rng.standard_normal((m, n)),
+h, c = rng.standard_normal((3, 2, n)), rng.standard_normal((3, 2))
+g = rng.standard_normal((m, n, n))  # Q = g + g', bitwise symmetric as the store requires
+prob = FiniteSumQcqpProblem(h, c, g + g.transpose(0, 2, 1), rng.standard_normal((m, n)),
                             rng.standard_normal(m))
 prob.evaluate_full(rng.standard_normal(n))
 _NormWatch(rng.random(20_001), 1e9).norm()

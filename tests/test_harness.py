@@ -446,9 +446,9 @@ def test_every_qcqp_and_bilinear_problem_key_reaches_its_problem():
     want = make_qcqp_finite_sum(3, 2, 11, 6, seed=5)
     assert (prob.n, prob.num_objective_terms, prob.num_constraints) == (3, 11, 6)
     assert np.array_equal(prob.h, want.h) and np.array_equal(prob.q, want.q)
-    # 11*2*3 + 11*2 + 6*9 + 6*3 + 6 = 166 stored floats
-    with pytest.raises(ConfigError, match="166 floats .* over the 165 budget"):
-        _built({**finite_sum, "max_elements": "165"})
+    # 11*2*3 + 11*2 + 6*6 + 6*3 + 6 = 148 stored floats (each Q its 6-entry triangle)
+    with pytest.raises(ConfigError, match="148 floats, over the 147 budget"):
+        _built({**finite_sum, "max_elements": "147"})
 
     bilinear = {"kind": "bilinear", "n": "3", "m": "4", "instance_seed": "6",
                 "noise_sigma": "0.3"}

@@ -350,7 +350,8 @@ def test_qcqp_determinism_and_memory_guard():
     a = make_qcqp_finite_sum(5, 3, 30, 20, seed=6)
     b = make_qcqp_finite_sum(5, 3, 30, 20, seed=6)
     assert np.array_equal(a.h, b.h) and np.array_equal(a.q, b.q)
-    with pytest.raises(ValueError, match="budget"):
+    # N p n + N p + M n(n+1)/2 + M n + M: Q counts its stored triangle, not n^2
+    with pytest.raises(ValueError, match="102010000 floats, over the 10000 budget"):
         make_qcqp_finite_sum(100, 50, 10_000, 10_000, seed=0, max_elements=10_000)
 
 
@@ -401,6 +402,11 @@ def test_every_q_has_unit_top_eigenvalue_by_eigvalsh_wherever_it_is_drawn(monkey
         assert_unit(chunk)
 
 
+def _stored_bytes(prob):
+    """The bytes of every array an instance keeps (for the finite sum, Q packed)."""
+    return sum(v.nbytes for v in vars(prob).values() if isinstance(v, np.ndarray))
+
+
 def _traced_peak(fn):
     """``fn()`` and the peak bytes tracemalloc saw allocated while it ran."""
     tracemalloc.start()
@@ -420,7 +426,7 @@ def _traced_peak(fn):
 def test_finite_sum_build_never_holds_the_whole_gaussian_tensor(n, m, whole):
     block_bytes = _EVAL_CHUNK * n * n * 8
     prob, peak = _traced_peak(lambda: make_qcqp_finite_sum(n, 5, 100, m, seed=0))
-    stored = sum(arr.nbytes for arr in (prob.h, prob.c, prob.q, prob.a, prob.b))
+    stored = _stored_bytes(prob)
     assert whole > 2 * block_bytes
     assert peak < stored + 2 * block_bytes, (peak, stored)
 
@@ -435,7 +441,8 @@ def test_freeze_holds_one_chunk_of_g_and_one_of_q():
 
 def test_gram_draws_hold_one_block_of_g_not_one_chunk():
     # at n = 10 a chunk of G is 3.3 MB and a _GRAM_BLOCK of it 0.4 MB; holding a chunk
-    # read 7.9 MB (freeze), 7.6 MB (evaluation) and 3.4 MB above the build's stored arrays
+    # read 7.9 MB (freeze), 7.6 MB (evaluation) and 3.4 MB above the build's stored arrays.
+    # The packed build holds one block of G, which _certified_top squares in, and one of Q
     prob = ExpectationQcqpProblem(10, 5, eval_samples=20_000)
     _, peak = _traced_peak(lambda: prob.freeze(n_samples=20_000, seed=1))
     assert peak <= 5.5e6, peak
@@ -443,7 +450,8 @@ def test_gram_draws_hold_one_block_of_g_not_one_chunk():
     assert full.viol_max > 0.0  # not certified from phase 1: every G was drawn
     assert peak <= 5.5e6, peak
     built, peak = _traced_peak(lambda: make_qcqp_finite_sum(10, 5, 10_000, 10_000, 0))
-    stored = sum(arr.nbytes for arr in (built.h, built.c, built.q, built.a, built.b))
+    stored = _stored_bytes(built)  # Q as its packed triangles: 4.4 MB, not 8 MB
+    assert built.q_upper.nbytes == 10_000 * 55 * 8
     assert peak - stored <= 1e6, (peak, stored)
 
 

@@ -142,23 +142,38 @@ def _reference_name(label, field):
 @pytest.mark.parametrize("label,problem", GOLDEN_INSTANCES, ids=[c[0] for c in GOLDEN_INSTANCES])
 def test_reference_is_bitwise_golden_and_evaluates_each_point_once(label, problem):
     prob = _golden_problem(problem)
-    assert prob.num_constraints == {"finite_sum": 20, "npc": 1}[label]
-    seen = []
+    m = prob.num_constraints
+    assert m == {"finite_sum": 20, "npc": 1}[label]
+    points, seen = [], []  # the point of every evaluation call, and each (point, row) formed
     full_values = prob.full_constraint_values
+    if label == "finite_sum":  # every exact row of the finite-sum family is formed here
+        exact = prob._exact_values
 
-    def recording(x):
-        seen.append(np.asarray(x, dtype=float).tobytes())
-        return full_values(x)
+        def recording(x, ax, rows):
+            points.append(x.tobytes())
+            seen.extend((x.tobytes(), int(j)) for j in rows)
+            return exact(x, ax, rows)
 
-    prob.full_constraint_values = recording
+        prob._exact_values = recording
+    else:
+        def recording(x):
+            points.append(np.asarray(x, dtype=float).tobytes())
+            seen.append((points[-1], 0))
+            return full_values(x)
+
+        prob.full_constraint_values = recording
     sol = solve_reference(prob, tol=1e-6)
     for field in ("x", "z", "objective"):
         want = np.load(_reference_name(label, field))
         got = np.asarray(getattr(sol, field))
         assert got.dtype == want.dtype and np.array_equal(got, want), field
-    assert len(seen) > sol.outer_iterations
-    assert len(set(seen)) == len(seen), "a point was evaluated more than once"
-    # the values the final KKT check used are those at the returned point
+    assert len(set(points)) > sol.outer_iterations
+    assert len(set(seen)) == len(seen), "a row was evaluated twice at one point"
+    # every row at the returned point, and, for the finite sum, rows skipped elsewhere
+    assert {j for x, j in seen if x == sol.x.tobytes()} == set(range(m))
+    if label == "finite_sum":
+        assert len(seen) < m * len(set(points))
+    # the values returned are exact at the returned point
     assert np.array_equal(sol.constraint_values, full_values(sol.x))
 
 

@@ -12,6 +12,7 @@ from aprid import (
     FiniteSumQcqpProblem,
     GradSample,
     MinimaxState,
+    MsaParams,
     PrimalState,
     SolverParams,
     aprid_run,
@@ -20,6 +21,7 @@ from aprid import (
     apriad_step,
     make_bilinear_saddle,
     make_qcqp_finite_sum,
+    msa_run,
     primal_dual_gap,
     sample_lagrangian_subgradient,
     sample_minimax_subgradient,
@@ -330,6 +332,31 @@ def test_aprid_obeys_the_objective_scaling_law_bit_for_bit(k, theta):
     assert got.x_bar.tobytes() == want.x_bar.tobytes()
     assert got.z_bar.tobytes() == want.z_bar.tobytes()
     assert want.final_record().viol_max > 0.0  # the law is not read off zeros only
+    for w, g in zip(want.records, got.records):
+        for name in ("obj_err", "viol_avg", "viol_max"):
+            assert getattr(g, name) == s * getattr(w, name), (w.iteration, name)
+
+
+@pytest.mark.parametrize("alpha", [10.0, 1000.0])
+@pytest.mark.parametrize("k", [1, -2, 3])
+def test_msa_obeys_the_objective_scaling_law_bit_for_bit(k, alpha):
+    # f0 and every f_j times s = 4^k (H, c by 2^k; Q, a, b by 4^k), with alpha / s and
+    # rho / s and z_cap as it was: z and its updates keep their bits, so x_bar and z_bar
+    # come out with the same bits and every metric exactly s times as large. The law is
+    # read where the cap binds and the constraints are violated, not off zeros only
+    base = make_qcqp_finite_sum(10, 5, 200, 500, seed=7)
+    scaled = FiniteSumQcqpProblem(2.0**k * base.h, 2.0**k * base.c, 4.0**k * base.q,
+                                  4.0**k * base.a, 4.0**k * base.b, box=base.box)
+    s, horizon, checkpoints = 4.0**k, 2000, [1, 5, 20, 100, 500, 2000]
+    want, got = (msa_run(prob, MsaParams(horizon, alpha=alpha / scale, rho=1.0 / scale),
+                         BatchSizes(), seed=3, checkpoints=checkpoints, f0_ref=0.25 * scale,
+                         timing="algo")
+                 for prob, scale in ((base, 1.0), (scaled, s)))
+    assert got.x_bar.tobytes() == want.x_bar.tobytes()
+    assert got.z_bar.tobytes() == want.z_bar.tobytes()
+    assert want.z_bar.max() == MsaParams(horizon).z_cap
+    assert [r.iteration for r in want.records] == checkpoints
+    assert want.records[3].viol_max > 0.0
     for w, g in zip(want.records, got.records):
         for name in ("obj_err", "viol_avg", "viol_max"):
             assert getattr(g, name) == s * getattr(w, name), (w.iteration, name)
