@@ -362,19 +362,29 @@ def format_report(rows) -> str:
 def sweep(cfg: ExperimentConfig, param, values, out_root, seeds=None):
     """Run the experiment once per override value of ``section.key``.
 
-    Each value gets its own subdirectory under ``out_root``; a summary CSV
-    and the report rows aggregate the final metrics.
+    Each value gets its own subdirectory directly under ``out_root``, named
+    ``<section>-<key>_<value>`` with every path separator of the value read as
+    ``-``; a summary CSV and the report rows aggregate the final metrics.
     """
     if not values:
         raise ConfigError(["sweep needs at least one value"])
     if len({str(v) for v in values}) < len(values):
         raise ConfigError([f"sweep: repeated value in {list(values)}; "
                            "each value writes one run directory"])
+    run_dirs = {}
+    for value in values:
+        name = f"{param.replace('.', '-')}_{value}"
+        for sep in filter(None, (os.sep, os.altsep)):
+            name = name.replace(sep, "-")
+        if name in run_dirs:
+            raise ConfigError([f"sweep: values {run_dirs[name]!r} and {value!r} would "
+                               f"share the run directory {name!r}"])
+        run_dirs[name] = value
     os.makedirs(out_root, exist_ok=True)
     outputs = []
-    for value in values:
+    for name, value in run_dirs.items():
         sub_cfg = cfg.with_override(param, value)
-        sub_dir = os.path.join(out_root, f"{param.replace('.', '-')}_{value}")
+        sub_dir = os.path.join(out_root, name)
         out = run_experiment(sub_cfg, sub_dir, seeds=seeds,
                              extra_manifest={"sweep.param": param, "sweep.value": value})
         outputs.append(out)

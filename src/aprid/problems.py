@@ -36,27 +36,27 @@ documented order (objective draws: matrices then vectors; constraint draws:
 quadratic terms, then linear terms, then offsets), so one seed reproduces a
 run bit for bit; finite families subsample through ``_subsample``. The
 expectation QCQP's training oracles read the next j records of their own
-stream (``rng.read_records``), (H, c) or (Q, a, b), drawn a block at a time by
-the same draw functions (a plain Generator gives j fresh records a call); the
-constraint oracles evaluate once, at the records' mean Q, a and b. Its sampled
+stream (``rng.read_records``), (H, c) or (Q, a, b) with Q packed as in the finite sum,
+drawn a block at a time by the same draw functions (a plain Generator gives j fresh records
+a call); the constraint oracles evaluate once, at the records' mean Q, a and b. Its sampled
 evaluation reads ||Hx||^2, then c.Hx, then a.x, then b per ``_EVAL_CHUNK`` of draws
 (phase 1, ``_eval_terms``) from their one-dimensional laws: HR has H's law for every
 rotation R, so Hx is ||x|| H e_1 in law and ||Hx||^2 = ||x||^2 X / (X + Y) (X ~ chi^2_p,
-Y ~ chi^2_{p(n-1)}); c.Hx and a.x are
-||Hx|| and ||x|| times one coordinate of an independent uniform unit vector. The freeze,
-whose aggregates need them whole, reads H, c, a, b per chunk (phase 1, ``_draws``). Both
-then read each chunk's G (phase 2, ``_grams``): f0 and f1 are means of sums, so this
-pairing of Q_i with (a_i, b_i) leaves every law as it was. An evaluation whose violation
-phase 1 certifies to be zero (``_certifies_zero``) draws no G. Every Q = G'G, in every
-family, is scaled to unit spectral norm by ``_certified_top``, within a relative 1e-14 of
-``eigvalsh`` (its fallback).
+Y ~ chi^2_{p(n-1)}); c.Hx and a.x are ||Hx|| and ||x|| times one coordinate of an
+independent uniform unit vector. The freeze, whose aggregates need them whole, reads H, c,
+a, b per chunk (phase 1, ``_draws``). Both then read every G (phase 2, ``_gram_blocks``),
+summing per chunk as phase 1 does: f0 and f1 are means of sums, so this pairing of Q_i with
+(a_i, b_i) leaves every law as it was. An evaluation whose violation phase 1 certifies to
+be zero (``_certifies_zero``) draws no G. Every Q = G'G, in every family, is drawn by
+``_gram_blocks`` and scaled to unit spectral norm by ``_certified_top``, within a relative
+1e-14 of ``eigvalsh`` (its fallback).
 
-What a draw holds at once: phase 2 one chunk of Q and one ``_GRAM_BLOCK`` of G
-(``_grams``' buffers, which every chunk overwrites); a finite-sum build its stored arrays
-(Q packed) and one block each of G and Q, ``_certified_top`` squaring in the dead G block;
-``_unit_2norm`` one chunk of squared rows and the H norm one block of them. A finite-sum
-evaluation holds O(M) vectors and one unpacked block of Q. Only Neyman-Pearson problems
-load scipy.
+What a draw holds at once: every Gram draw one ``_GRAM_BLOCK`` each of G and Q
+(``_gram_blocks``' buffers, which every block overwrites; ``_certified_top`` squares in the
+dead G block), and the freeze and evaluation no more of Q; a record block and a finite-sum
+build their stored arrays (Q packed); ``_unit_2norm`` one block of squared rows. A
+finite-sum evaluation holds O(M) vectors and one unpacked block of Q. Only Neyman-Pearson
+problems load scipy.
 """
 
 import csv
@@ -431,23 +431,21 @@ def make_npc(dataset, c_hat=None, c_target=None, kappa=0.0, box_halfwidth=100.0)
 
 
 def _unit_2norm(v):
-    """``v``'s rows divided in place by their 2-norms (zero rows stay zero). It squares
-    ``_EVAL_CHUNK`` rows at a time, so it holds one chunk's squares, never all of ``v``'s."""
-    for lo in range(0, len(v), _EVAL_CHUNK):
-        rows = v[lo:lo + _EVAL_CHUNK]
-        norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    """``v``'s rows divided in place by their 2-norms (zero rows stay zero), a row being all
+    of ``v[i]`` (H's p x n entries at once). It squares ``_GRAM_BLOCK`` rows at a time, so
+    it holds one block's squares, never all of ``v``'s."""
+    rows = v.reshape(len(v), -1)
+    for lo in range(0, len(v), _GRAM_BLOCK):
+        block = rows[lo:lo + _GRAM_BLOCK]
+        norms = np.linalg.norm(block, axis=-1, keepdims=True)
         norms[norms == 0] = 1.0
-        rows /= norms
+        block /= norms
     return v
 
 
 def _draw_objective_terms(rng, count, p, n):
-    h = rng.standard_normal((count, p, n))
-    for lo in range(0, count, _GRAM_BLOCK):  # one block's squares, not the chunk's
-        rows = h[lo:lo + _GRAM_BLOCK]
-        rows /= np.maximum(np.sqrt(np.sum(rows * rows, axis=(1, 2), keepdims=True)), 1e-300)
-    c = _unit_2norm(rng.standard_normal((count, p)))
-    return h, c
+    h = _unit_2norm(rng.standard_normal((count, p, n)))
+    return h, _unit_2norm(rng.standard_normal((count, p)))
 
 
 def _eigvalsh_top(q):
@@ -492,29 +490,22 @@ def _certified_top(q, work=None):
     return top
 
 
-def _gram_chunk(rng, g, q, work=None):
-    """Fill ``q`` with Gram matrices G'G scaled by ``_certified_top`` (squaring in ``work``),
-    drawing G into the ``_GRAM_BLOCK``-matrix buffer ``g`` a block at a time (the same
-    stream as one draw). Each Q is bitwise symmetric, which the packed finite-sum store
-    relies on: numpy sends G'G of one buffer to BLAS ``syrk``, which forms one triangle and
-    mirrors it, and the scaling divides both triangles alike."""
-    for lo in range(0, len(q), _GRAM_BLOCK):
-        block = q[lo:lo + _GRAM_BLOCK]
-        gb = rng.standard_normal(out=g[:len(block)])
-        np.matmul(gb.transpose(0, 2, 1), gb, out=block)
-    q /= np.maximum(_certified_top(q, work), 1e-300)[:, None, None]
-    return q
-
-
-def _draw_grams(rng, count, n):
-    # each _EVAL_CHUNK of q is filled by _gram_chunk: q, one block of G and
-    # _certified_top's slab live at once
-    q = np.empty((count, n, n))
-    g = np.empty((min(_GRAM_BLOCK, count), n, n))
-    for lo in range(0, count, _EVAL_CHUNK):
-        block = q[lo:lo + _EVAL_CHUNK]
-        _gram_chunk(rng, g, block)
-    return q
+def _gram_blocks(rng, count, n):
+    """``(lo, Q)`` for each ``_GRAM_BLOCK`` of ``count`` Gram matrices G'G scaled by
+    ``_certified_top``: ``lo`` indexes Q's first matrix, and Q is one reused (block, n, n)
+    buffer, which the next block overwrites. Each block's G is drawn into a second buffer
+    (the same stream as one draw), in whose two halves ``_certified_top`` squares once G is
+    dead. Each Q is bitwise symmetric, which the packed stores rely on: numpy sends G'G of
+    one buffer to BLAS ``syrk``, which forms one triangle and mirrors it, and the scaling
+    divides both triangles alike."""
+    size = min(_GRAM_BLOCK, count)
+    work = np.empty((2, -(-size // 2), n, n))  # G, then the two halves P squares between
+    g, q = work.reshape(-1, n, n), np.empty((size, n, n))
+    for lo in range(0, count, _GRAM_BLOCK):
+        gb = rng.standard_normal(out=g[:min(size, count - lo)])
+        block = np.matmul(gb.transpose(0, 2, 1), gb, out=q[:len(gb)])
+        block /= np.maximum(_certified_top(block, work), 1e-300)[:, None, None]
+        yield lo, block
 
 
 class _Triangle(NamedTuple):
@@ -537,18 +528,11 @@ def _triangle(n):
 
 
 def _draw_packed_grams(rng, count, n):
-    """``_draw_grams``' matrices, the same stream and bits, each stored as its upper triangle:
-    (count, n(n+1)/2). Each ``_GRAM_BLOCK`` of Q is drawn, scaled and packed before the next,
-    and ``_certified_top`` squares in halves of the block's dead G buffer, so the draw holds
-    one block of G and one of Q beside the result, never a whole (count, n, n) array."""
+    """``_gram_blocks``' matrices, each stored as its upper triangle: (count, n(n+1)/2)."""
     upper = _triangle(n).upper
     packed = np.empty((count, upper.size))
-    size = min(_GRAM_BLOCK, count)
-    work = np.empty((2, -(-size // 2), n, n))  # G, then the two halves P squares between
-    q = np.empty((size, n, n))
-    for lo in range(0, count, _GRAM_BLOCK):
-        block = _gram_chunk(rng, work.reshape(-1, n, n), q[:min(size, count - lo)], work)
-        block.reshape(len(block), n * n).take(upper, axis=1, out=packed[lo:lo + len(block)])
+    for lo, q in _gram_blocks(rng, count, n):
+        q.reshape(len(q), n * n).take(upper, axis=1, out=packed[lo:lo + len(q)])
     return packed
 
 
@@ -563,7 +547,7 @@ def _draw_linear_terms(rng, count, n):
 
 
 def _draw_constraint_terms(rng, count, n):
-    return (_draw_grams(rng, count, n), *_draw_linear_terms(rng, count, n))  # G, a, b
+    return (_draw_packed_grams(rng, count, n), *_draw_linear_terms(rng, count, n))  # Q, a, b
 
 
 # The mean gradient of 0.5 ||h x - c||^2, per-constraint values and gradients of
@@ -618,7 +602,8 @@ class ExpectationQcqpProblem:
 
     def _constraint_at(self, x, count, rng):
         q, a, b = read_records(rng, CONSTRAINT_TAG, self._constraint_records, int(count))
-        qx, abar = q.sum(axis=0) @ x / len(b), a.sum(axis=0) / len(b)
+        qbar = q.sum(axis=0).take(_triangle(self.n).unpack).reshape(self.n, self.n)
+        qx, abar = qbar @ x / len(b), a.sum(axis=0) / len(b)
         return 0.5 * qx @ x + abar @ x - b.sum() / len(b), qx + abar
 
     def sample_objective_grad(self, x, j0, rng):
@@ -652,15 +637,6 @@ class ExpectationQcqpProblem:
             ax = np.sqrt(xx) * _unit_coordinates(rng, n, take)
             yield 0.5 * (hx2 + 1.0) - chx, ax, rng.uniform(0.1, 1.1, size=take)
 
-    def _grams(self, rng, total):
-        """Phase 2, read on from where phase 1 stopped: each chunk's Q. Q has one chunk-sized
-        buffer and G one ``_GRAM_BLOCK``-sized buffer, which every chunk overwrites."""
-        q = np.empty((min(_EVAL_CHUNK, total), self.n, self.n))
-        g = np.empty((min(_GRAM_BLOCK, total), self.n, self.n))
-        for lo in range(0, total, _EVAL_CHUNK):
-            take = min(_EVAL_CHUNK, total - lo)
-            yield _gram_chunk(rng, g, q[:take])
-
     def evaluate_full(self, x, seed=None) -> FullEval:
         x = np.asarray(x, dtype=float)
         rng = np.random.default_rng(seed)
@@ -672,9 +648,12 @@ class ExpectationQcqpProblem:
             b_sum += b.sum()
         if self._certifies_zero(0.5 * xx * total + lin_sum, xx, b_sum):
             return _full_eval(f0_sum / total, [0.0])
-        quad_sum = 0.0
-        for q in self._grams(rng, total):
-            quad_sum += np.einsum("sij,i,j->s", q, x, x).sum()
+        quad_sum, quad = 0.0, np.empty(min(_EVAL_CHUNK, total))
+        for lo, q in _gram_blocks(rng, total, self.n):
+            at, end = lo % _EVAL_CHUNK, lo + len(q)
+            quad[at:at + len(q)] = np.einsum("sij,i,j->s", q, x, x)
+            if end % _EVAL_CHUNK == 0 or end == total:  # each chunk's values, summed at once
+                quad_sum += quad[:at + len(q)].sum()
         return _full_eval(f0_sum / total, [(0.5 * quad_sum + lin_sum) / total])
 
     def _certifies_zero(self, u_sum, xx, b_sum):
@@ -717,8 +696,12 @@ class ExpectationQcqpProblem:
             abar += a.sum(axis=0)
             bbar += float(b.sum())
             del h, c  # not held through the next chunk's draw
-        for q in self._grams(rng, n_samples):
-            qbar += q.sum(axis=0)
+        for lo, q in _gram_blocks(rng, n_samples, n):
+            if lo % _EVAL_CHUNK:  # numpy's sequential axis-0 sum of the chunk, continued
+                q[0] += chunk
+            chunk, end = q.sum(axis=0), lo + len(q)
+            if end % _EVAL_CHUNK == 0 or end == n_samples:
+                qbar += chunk
         return FrozenQcqpProblem(
             amat / n_samples, rvec / n_samples, s0 / n_samples,
             qbar / n_samples, abar / n_samples, bbar / n_samples,

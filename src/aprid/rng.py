@@ -9,17 +9,18 @@ through numpy's ``SeedSequence`` spawning-by-key mechanism:
 The training stream is a ``TrainingStream``: the Generator on ``(seed, TRAIN_TAG)``,
 which the finite-sum, NPC and bilinear oracles read, plus the expectation QCQP's
 two record streams, children of that ``SeedSequence`` under spawn key
-``OBJECTIVE_TAG`` ((H, c) records) and ``CONSTRAINT_TAG`` ((Q, a, b) records),
-each drawn ``RECORD_BLOCK`` records at a time and read in order (``read_records``).
+``OBJECTIVE_TAG`` ((H, c) records) and ``CONSTRAINT_TAG`` ((Q, a, b) records, each
+Q stored as its upper triangle), each drawn ``RECORD_BLOCK`` records at a time and read in
+order (``read_records``).
 
 Training and evaluation therefore never share a stream, and re-running with
 the same master seed reproduces every draw bit for bit. Freezing an
 expectation problem into its sample-average instance is not one of these
 streams: ``ExpectationQcqpProblem.freeze`` seeds ``default_rng(seed)``
 directly, with ``seed`` the ``run.freeze_seed`` config value. The freeze reads
-every chunk's (H, c, a, b), then every chunk's G. Each evaluation reads every
-chunk's scalars ||Hx||^2, c.Hx, a.x and b, then every chunk's G; one whose violation
-the first phase certifies to be zero draws no G.
+every chunk's (H, c, a, b), then every G, a block at a time. Each evaluation reads
+every chunk's scalars ||Hx||^2, c.Hx, a.x and b, then every G; one whose violation the
+first phase certifies to be zero draws no G.
 """
 
 import numpy as np

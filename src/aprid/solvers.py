@@ -97,18 +97,6 @@ class SolverParams:
     def horizon(self) -> int:
         return self.schedule.horizon
 
-    @classmethod
-    def constant(cls, horizon, alpha=10.0, rho=1.0, beta1=0.9, **kwargs):
-        return cls(StepSchedule.constant(alpha, rho, horizon, beta1), **kwargs)
-
-    @classmethod
-    def sqrt_log(cls, horizon, alpha=10.0, rho=1.0, beta1=0.9, **kwargs):
-        return cls(StepSchedule.sqrt_log(alpha, rho, horizon, beta1), **kwargs)
-
-    @classmethod
-    def sqrt(cls, horizon, alpha=1.0, rho=1.0, beta1=0.9, **kwargs):
-        return cls(StepSchedule.sqrt(alpha, rho, horizon, beta1), **kwargs)
-
 
 @dataclass
 class PrimalState:

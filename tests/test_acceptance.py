@@ -112,7 +112,7 @@ def test_criterion_02_adaptive_state_invariants():
     non-negative, at every single step. Budget: 5 s."""
     t0 = time.perf_counter()
     problem = make_qcqp_finite_sum(10, 5, 50, 40, seed=3)
-    params = SolverParams.constant(1000, alpha=5.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(5.0, 1.0, 1000, 0.9))
     batches = BatchSizes(j0=5, j1=8, jg=8)
     sched = params.schedule.fresh()
     rng = training_rng(17)
@@ -333,7 +333,7 @@ def test_criterion_07_and_09_desk_scale_solve_and_rate():
     t0 = time.perf_counter()
     problem, ref = desk_qcqp()
     horizon = 20000
-    params = SolverParams.constant(horizon, alpha=10.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(10.0, 1.0, horizon, 0.9))
     batches = BatchSizes(j0=10, j1=10, jg=100)
     cps = [1000, 5000, 10000, horizon]
     runs = [aprid_run(problem, params, batches, seed, checkpoints=cps,
@@ -362,7 +362,7 @@ def test_criterion_08_comparative_ordering():
     batches = BatchSizes(j0=10, j1=10, jg=100)
 
     def medians(problem, f0_ref):
-        aprid_p = SolverParams.constant(horizon, alpha=10.0, rho=1.0)
+        aprid_p = SolverParams(StepSchedule.constant(10.0, 1.0, horizon, 0.9))
         msa_p = MsaParams(horizon, alpha=10.0, rho=1.0)
         csa_p = CsaParams(horizon, gamma=10.0)
         out = {"aprid": [], "msa": [], "csa1": [], "csa2": []}
@@ -416,7 +416,7 @@ def test_criterion_10_saddle_gap_contraction():
     assert init_gap > 1.0
 
     horizon = 10000
-    params = SolverParams.constant(horizon, alpha=1.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(1.0, 1.0, horizon, 0.9))
     finals = []
     for seed in (1, 2, 3, 4, 5):
         res = apriad_run(problem, params, seed,

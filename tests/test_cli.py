@@ -183,6 +183,52 @@ def test_reference_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "reference solver failed: no KKT point" in capsys.readouterr().err
 
 
+NPC_DATA_CONFIG = """\
+[problem]
+kind = npc
+data = unused.txt
+c_hat = 0.8
+preprocess = false
+
+[algorithm]
+name = msa
+
+[run]
+horizon = 20
+checkpoints = 5 20
+seeds = 1
+timing = none
+reference = none
+"""
+
+
+def test_sweep_over_data_paths_writes_every_run_directory_in_out(tmp_path, monkeypatch,
+                                                                 capsys):
+    # run from x/y/z, each value climbs out of the working directory and back to x
+    work = tmp_path / "x" / "y" / "z"
+    work.mkdir(parents=True)
+    for name in ("d1.txt", "d2.txt"):
+        (tmp_path / "x" / name).write_text("+1 1:0.5 2:1.0\n-1 1:1.5 2:0.7\n+1 1:-0.4 2:0.1\n")
+    (work / "exp.ini").write_text(NPC_DATA_CONFIG)
+    monkeypatch.chdir(work)
+    before = set(tmp_path.rglob("*"))
+    values = ["../../../x/d1.txt", "../../../x/d2.txt"]
+    code = main(["sweep", "--config", "exp.ini", "--param", "problem.data",
+                 "--values", ",".join(values), "--out", "out"])
+    assert code == 0, capsys.readouterr().err
+    out = work / "out"
+    assert all(p == out or out in p.parents for p in set(tmp_path.rglob("*")) - before)
+    run_dirs = sorted(p for p in out.iterdir() if p.is_dir())
+    assert [p.name for p in run_dirs] == [f"problem-data_..-..-..-x-d{i}.txt" for i in (1, 2)]
+    assert [harness.read_manifest(p / "manifest.txt")["sweep.value"] for p in run_dirs] == values
+    # two values that name one directory are refused before any run
+    code = main(["sweep", "--config", "exp.ini", "--param", "problem.data",
+                 "--values", "../../../x/d1.txt,../..-../x/d1.txt", "--out", "taken"])
+    assert code == 2
+    assert "share the run directory" in capsys.readouterr().err
+    assert not (work / "taken").exists()
+
+
 def test_diverged_sweep_exit_code(tmp_path, capsys):
     path = tmp_path / "div.ini"
     path.write_text(DIVERGING_CONFIG)

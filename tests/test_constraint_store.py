@@ -21,21 +21,22 @@ from aprid.rng import CONSTRAINT_TAG, RECORD_BLOCK, read_records
 def test_every_gram_chunk_is_bitwise_symmetric(monkeypatch):
     # the packing's premise, wherever Q is formed: a finite-sum build over more than one
     # block, a training record block and the freeze's chunks
-    real, chunks = problems._gram_chunk, []
+    real, chunks = problems._gram_blocks, []
 
     def checked(*args, **kwargs):
-        q = real(*args, **kwargs)
-        chunks.append(len(q))
-        assert q.tobytes() == np.ascontiguousarray(q.transpose(0, 2, 1)).tobytes()
-        return q
+        for lo, q in real(*args, **kwargs):
+            chunks.append(len(q))
+            assert q.tobytes() == np.ascontiguousarray(q.transpose(0, 2, 1)).tobytes()
+            yield lo, q
 
-    monkeypatch.setattr(problems, "_gram_chunk", checked)
+    monkeypatch.setattr(problems, "_gram_blocks", checked)
     make_qcqp_finite_sum(10, 2, 3, 2 * _GRAM_BLOCK + 5, seed=3)
     assert chunks == [_GRAM_BLOCK, _GRAM_BLOCK, 5]
     prob = ExpectationQcqpProblem(10, 2)
     read_records(training_rng(4), CONSTRAINT_TAG, prob._constraint_records, RECORD_BLOCK)
     prob.freeze(n_samples=_EVAL_CHUNK + 3, seed=5)
-    assert chunks[3:] == [RECORD_BLOCK, _EVAL_CHUNK, 3]
+    blocks = RECORD_BLOCK // _GRAM_BLOCK + _EVAL_CHUNK // _GRAM_BLOCK
+    assert chunks[3:] == [_GRAM_BLOCK] * blocks + [3]
 
 
 def _parent_answers(prob, x, seed):

@@ -19,6 +19,7 @@ from aprid import (
     MsaParams,
     PdsgAdpParams,
     SolverParams,
+    StepSchedule,
     apriad_run,
     aprid_run,
     csa_run,
@@ -84,7 +85,7 @@ def saddle():
     (False, r"non-finite point passed to project_box_weighted"),
 ])
 def test_aprid_stops_at_poisoned_step(qcqp, monkeypatch, adaptive, message):
-    params = SolverParams.constant(20, alpha=3.0, rho=1.0, adaptive=adaptive)
+    params = SolverParams(StepSchedule.constant(3.0, 1.0, 20, 0.9), adaptive=adaptive)
     run = lambda p: aprid_run(p, params, BATCHES, seed=3, checkpoints=CHECKPOINTS,  # noqa: E731
                               f0_ref=0.5)
     check_stops_at_k(run, qcqp, monkeypatch, "sample_objective_grad",
@@ -96,7 +97,7 @@ def test_aprid_stops_at_poisoned_step(qcqp, monkeypatch, adaptive, message):
     (False, r"non-finite point passed to project_box_weighted"),
 ])
 def test_apriad_stops_at_poisoned_step(saddle, monkeypatch, adaptive, message):
-    params = SolverParams.constant(20, alpha=1.0, rho=1.0, adaptive=adaptive)
+    params = SolverParams(StepSchedule.constant(1.0, 1.0, 20, 0.9), adaptive=adaptive)
     run = lambda p: apriad_run(p, params, seed=3, checkpoints=CHECKPOINTS)  # noqa: E731
     check_stops_at_k(run, saddle, monkeypatch, "sample_grads",
                      lambda uw: (uw[0], poisoned(uw[1])), message)
@@ -124,7 +125,7 @@ def test_pdsg_adp_stops_at_poisoned_step(qcqp, monkeypatch):
 
 
 def test_aprid_stops_at_a_non_finite_multiplier(qcqp, monkeypatch):
-    params = SolverParams.constant(20, alpha=3.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(3.0, 1.0, 20, 0.9))
     run = lambda p: aprid_run(p, params, BATCHES, seed=3, checkpoints=CHECKPOINTS,  # noqa: E731
                               f0_ref=0.5)
     check_stops_at_k(run, qcqp, monkeypatch, "sample_constraint_block",

@@ -27,7 +27,7 @@ from aprid import (
 from aprid import problems
 from aprid.problems import (_EVAL_CHUNK, _GRAM_BLOCK, _certified_top, _constraint_values_at,
                             _draw_constraint_terms, _draw_objective_terms, _eigvalsh_top,
-                            _unit_2norm)
+                            _triangle, _unit_2norm)
 from aprid.rng import CONSTRAINT_TAG, OBJECTIVE_TAG, RECORD_BLOCK, TRAIN_TAG, read_records
 from brute import central_difference_gradient, logistic_losses, saddle_gap_grid
 
@@ -373,7 +373,8 @@ def test_block_wise_constraint_draw_is_the_one_shot_draw_bitwise(count):
     for seed in (0, 1, 2):
         rng_blocks, rng_once = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _draw_constraint_terms(rng_blocks, count, 4)
-        want = _one_shot_constraint_terms(rng_once, count, 4)
+        q, a, b = _one_shot_constraint_terms(rng_once, count, 4)
+        want = q.reshape(count, 16)[:, _triangle(4).upper], a, b  # Q packed
         for name, g, w in zip("qab", got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), (name, seed)
         # the generator stands at the same place in its stream
@@ -391,15 +392,20 @@ def test_every_q_has_unit_top_eigenvalue_by_eigvalsh_wherever_it_is_drawn(monkey
     q, _, _ = read_records(training_rng(4), CONSTRAINT_TAG, prob._constraint_records,
                            RECORD_BLOCK)
     assert len(q) == RECORD_BLOCK
-    assert_unit(q)
-    chunks, real = [], ExpectationQcqpProblem._grams
-    # a copy of each chunk: the next one overwrites its buffer
-    monkeypatch.setattr(ExpectationQcqpProblem, "_grams", lambda self, rng, total: (
-        chunks.append(chunk.copy()) or chunk for chunk in real(self, rng, total)))
+    assert_unit(_full(q, 10))
+    chunks, real = [], problems._gram_blocks
+    # a copy of each block: the next one overwrites its buffer
+    monkeypatch.setattr(problems, "_gram_blocks", lambda rng, count, n: (
+        chunks.append(chunk.copy()) or (lo, chunk) for lo, chunk in real(rng, count, n)))
     prob.freeze(n_samples=_EVAL_CHUNK + 3, seed=5)
-    assert [len(chunk) for chunk in chunks] == [_EVAL_CHUNK, 3]
+    assert [len(chunk) for chunk in chunks] == [_GRAM_BLOCK] * (_EVAL_CHUNK // _GRAM_BLOCK) + [3]
     for chunk in chunks:
         assert_unit(chunk)
+
+
+def _full(packed, n):
+    """Packed records as their (k, n, n) matrices."""
+    return packed[:, _triangle(n).unpack].reshape(-1, n, n)
 
 
 def _stored_bytes(prob):
@@ -570,6 +576,7 @@ def test_expectation_oracles_evaluate_their_records():
     x = np.array([0.3, -1.2, 0.8, 0.1])
     h, c = _record_blocks(6, OBJECTIVE_TAG, prob._objective_records, 1)
     q, a, b = _record_blocks(6, CONSTRAINT_TAG, prob._constraint_records, 1)
+    q = _full(q, 4)
     stream = training_rng(6)
     # the objective gradient averages the records' own; the constraint oracles evaluate
     # once at the records' mean
@@ -616,6 +623,7 @@ def test_a_plain_generator_is_read_as_every_record_stream_at_once():
     ref, rng = np.random.default_rng(4), np.random.default_rng(4)
     h, c = _draw_objective_terms(ref, 6, 2, 3)
     q, a, b = _draw_constraint_terms(ref, 5, 3)
+    q = _full(q, 3)
     want = np.einsum("spn,sp->n", h, np.einsum("spn,n->sp", h, x) - c) / 6
     assert np.array_equal(prob.sample_objective_grad(x, 6, rng), want)
     assert prob.constraint_value_estimate(x, 5, rng) == pytest.approx(
@@ -823,15 +831,15 @@ def _freeze_oracle(self, n_samples, seed, top=_certified_top):
 def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, monkeypatch):
     prob = ExpectationQcqpProblem(3, 2, eval_samples=count)
     phases = []  # the draw phases each evaluation or freeze reads, in order
-    for name in ("_eval_terms", "_draws", "_grams"):
-        real = getattr(ExpectationQcqpProblem, name)
-        monkeypatch.setattr(ExpectationQcqpProblem, name,
-                            lambda self, *args, real=real, name=name:
-                            phases.append(name) or real(self, *args))
+    for owner, name in ((ExpectationQcqpProblem, "_eval_terms"),
+                        (ExpectationQcqpProblem, "_draws"), (problems, "_gram_blocks")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name:
+                            phases.append(name) or real(*args))
     # 0.5 ||x||^2 = 3.3: both phases; 7e-4: certified from phase 1; 0.607 at seed
     # count + 24, inside the band: the bound fails there at every count, and phase 2
     # follows phase 1
-    both, certified = ["_eval_terms", "_grams"], ["_eval_terms"]
+    both, certified = ["_eval_terms", "_gram_blocks"], ["_eval_terms"]
     for x, seed, want in ((np.array([0.4, -1.3, 2.2]), count, both),
                           (np.array([0.02, -0.03, 0.01]), count, certified),
                           (np.array([0.0, 0.911, 0.62]), count + 24, both)):
@@ -846,7 +854,7 @@ def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, monkeypat
             assert rng.bit_generator.state == phase_1_end
     phases.clear()
     frozen = prob.freeze(n_samples=count, seed=5)
-    assert phases == ["_draws", "_grams"]  # the freeze keeps the matrix layout
+    assert phases == ["_draws", "_gram_blocks"]  # the freeze keeps the matrix layout
     want = _freeze_oracle(prob, count, 5)
     for name, g, w in zip(("amat", "rvec", "s0", "q", "a", "b"),
                           (frozen.amat, frozen.rvec, frozen.s0, frozen.q, frozen.a, frozen.b),
@@ -857,7 +865,7 @@ def test_evaluation_and_freeze_draw_loops_are_bitwise_unchanged(count, monkeypat
 def test_evaluation_forms_no_q_where_certified_and_never_certifies_a_non_finite_point(
         monkeypatch):
     prob = ExpectationQcqpProblem(3, 2, eval_samples=2 * _EVAL_CHUNK + 3)
-    calls = {"_certified_top": 0, "matmul": 0, "_eval_terms": 0, "_grams": 0}
+    calls = {"_certified_top": 0, "matmul": 0, "_eval_terms": 0, "_gram_blocks": 0}
 
     def spy(owner, name):
         real = getattr(owner, name)
@@ -869,15 +877,17 @@ def test_evaluation_forms_no_q_where_certified_and_never_certifies_a_non_finite_
 
     spy(problems, "_certified_top")
     # only the Gram product of each _GRAM_BLOCK of G and _certified_top's 8 squarings per
-    # slab of as many Q call it by name; the rest use @ or einsum
+    # slab, half a block, call it by name; the rest use @ or einsum
     spy(np, "matmul")
     spy(ExpectationQcqpProblem, "_eval_terms")
-    spy(ExpectationQcqpProblem, "_grams")
+    spy(problems, "_gram_blocks")
 
-    blocks = sum(-(-take // _GRAM_BLOCK) for take in _chunk_sizes(prob.eval_samples))
-    certified = {"_certified_top": 0, "matmul": 0, "_eval_terms": 1, "_grams": 0}
-    with_q = {"_certified_top": 3, "matmul": blocks + 8 * blocks, "_eval_terms": 1,
-              "_grams": 1}
+    total = prob.eval_samples
+    blocks = [min(_GRAM_BLOCK, total - lo) for lo in range(0, total, _GRAM_BLOCK)]
+    slabs = sum(-(-size // (_GRAM_BLOCK // 2)) for size in blocks)
+    certified = {"_certified_top": 0, "matmul": 0, "_eval_terms": 1, "_gram_blocks": 0}
+    with_q = {"_certified_top": len(blocks), "matmul": len(blocks) + 8 * slabs,
+              "_eval_terms": 1, "_gram_blocks": 1}
     prob.evaluate_full(np.array([0.02, -0.03, 0.01]), seed=1)
     assert calls == certified
     # 0.5 ||x||^2 one ulp past E[b] = 0.6 needs no gate of its own: phase 1's bound

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from aprid import (
     BatchSizes,
     BilinearSaddleProblem,
     BoxSet,
+    CsaParams,
     DivergenceError,
     DualState,
     FiniteSumQcqpProblem,
@@ -15,10 +17,12 @@ from aprid import (
     MsaParams,
     PrimalState,
     SolverParams,
+    StepSchedule,
     aprid_run,
     aprid_step,
     apriad_run,
     apriad_step,
+    csa_run,
     make_bilinear_saddle,
     make_qcqp_finite_sum,
     msa_run,
@@ -39,21 +43,21 @@ def qcqp():
 
 def test_solver_params_validation():
     with pytest.raises(ValueError):
-        SolverParams.constant(10, beta2=1.0)
+        SolverParams(StepSchedule.constant(10.0, 1.0, 10, 0.9), beta2=1.0)
     with pytest.raises(ValueError):
-        SolverParams.constant(10, theta=0.0)
+        SolverParams(StepSchedule.constant(10.0, 1.0, 10, 0.9), theta=0.0)
     with pytest.raises(ValueError):
-        SolverParams.constant(10, divergence_cap=0.0)
-    params = SolverParams.constant(10)
+        SolverParams(StepSchedule.constant(10.0, 1.0, 10, 0.9), divergence_cap=0.0)
+    params = SolverParams(StepSchedule.constant(10.0, 1.0, 10, 0.9))
     assert params.horizon == 10 and params.schedule.kind == "constant"
-    assert SolverParams.sqrt(10).schedule.kind == "sqrt"
-    assert SolverParams.sqrt_log(10).schedule.kind == "sqrt_log"
+    assert SolverParams(StepSchedule.sqrt(1.0, 1.0, 10, 0.9)).schedule.kind == "sqrt"
+    assert SolverParams(StepSchedule.sqrt_log(10.0, 1.0, 10, 0.9)).schedule.kind == "sqrt_log"
 
 
 def test_momentum_keeps_raw_gradient_second_moment_uses_clipped():
     # the clip applies only inside the second-moment update
     box = BoxSet.symmetric(2, 10.0)
-    params = SolverParams.constant(5, beta1=0.9, beta2=0.5, theta=5.0)
+    params = SolverParams(StepSchedule.constant(10.0, 1.0, 5, 0.9), beta2=0.5, theta=5.0)
     pstate = PrimalState.fresh(np.zeros(2))
     dstate = DualState.fresh(1)
     sample = GradSample(u=np.array([60.0, 80.0]), w=np.zeros(1), w_support=np.array([0]))
@@ -67,7 +71,7 @@ def test_momentum_keeps_raw_gradient_second_moment_uses_clipped():
 def test_untouched_coordinate_does_not_move():
     # 0/0 = 0: no gradient energy in a coordinate means no step there
     box = BoxSet.symmetric(2, 10.0)
-    params = SolverParams.constant(5, beta1=0.9)
+    params = SolverParams(StepSchedule.constant(10.0, 1.0, 5, 0.9))
     pstate = PrimalState.fresh(np.array([1.0, 2.0]))
     dstate = DualState.fresh(1)
     sample = GradSample(u=np.array([1.0, 0.0]), w=np.zeros(1), w_support=np.array([0]))
@@ -77,7 +81,7 @@ def test_untouched_coordinate_does_not_move():
 
 
 def test_state_invariants_along_a_run(qcqp):
-    params = SolverParams.constant(300, alpha=10.0, rho=1.0, theta=2.0)
+    params = SolverParams(StepSchedule.constant(10.0, 1.0, 300, 0.9), theta=2.0)
     sch = params.schedule.fresh()
     pstate = PrimalState.fresh(qcqp.box.project(np.zeros(5)))
     dstate = DualState.fresh(20)
@@ -99,8 +103,8 @@ def test_reduces_to_projected_stochastic_subgradient(qcqp):
     # beta1 = 0 and adaptive off collapse the update to plain PGD, bit for bit
     K = 50
     batches = BatchSizes(4, 4, 8)
-    params = SolverParams.constant(K, alpha=2.0, rho=1.0, beta1=0.0, adaptive=False,
-                                   z_init=np.full(20, 0.5))
+    params = SolverParams(StepSchedule.constant(2.0, 1.0, K, 0.0), adaptive=False,
+                          z_init=np.full(20, 0.5))
     res = aprid_run(qcqp, params, batches, seed=21, checkpoints=[K])
     sch = params.schedule.fresh()
     rng = training_rng(21)
@@ -122,8 +126,7 @@ def test_reduces_to_projected_stochastic_subgradient(qcqp):
 def test_ergodic_average_matches_double_sum(qcqp):
     K = 40
     batches = BatchSizes(4, 4, 8)
-    params = SolverParams.constant(K, alpha=3.0, rho=1.0, beta1=0.9,
-                                   z_init=np.full(20, 0.5))
+    params = SolverParams(StepSchedule.constant(3.0, 1.0, K, 0.9), z_init=np.full(20, 0.5))
     res = aprid_run(qcqp, params, batches, seed=33, checkpoints=[K])
     sch = params.schedule.fresh()
     rng = training_rng(33)
@@ -142,7 +145,7 @@ def test_ergodic_average_matches_double_sum(qcqp):
 
 
 def test_checkpoint_records_and_determinism(qcqp):
-    params = SolverParams.constant(60, alpha=3.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(3.0, 1.0, 60, 0.9))
     batches = BatchSizes(4, 4, 8)
     res = aprid_run(qcqp, params, batches, seed=1, checkpoints=[10, 30, 60], f0_ref=0.0)
     assert [r.iteration for r in res.records] == [10, 30, 60]
@@ -157,14 +160,14 @@ def test_checkpoint_records_and_determinism(qcqp):
 
 
 def test_missing_reference_gives_nan_errors(qcqp):
-    params = SolverParams.constant(20, alpha=3.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(3.0, 1.0, 20, 0.9))
     res = aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1, checkpoints=[20])
     assert np.isnan(res.records[0].obj_err)
     assert np.isfinite(res.records[0].viol_max)
 
 
 def test_checkpoint_validation(qcqp):
-    params = SolverParams.constant(20, alpha=3.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(3.0, 1.0, 20, 0.9))
     with pytest.raises(ValueError):
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1, checkpoints=[0, 10])
     with pytest.raises(ValueError):
@@ -176,7 +179,7 @@ def test_checkpoint_validation(qcqp):
 
 
 def test_default_checkpoints_cover_the_horizon(qcqp):
-    params = SolverParams.constant(500, alpha=3.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(3.0, 1.0, 500, 0.9))
     res = aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1)
     iters = [r.iteration for r in res.records]
     assert iters == sorted(set(iters))
@@ -185,20 +188,22 @@ def test_default_checkpoints_cover_the_horizon(qcqp):
 
 def test_z_init_validation(qcqp):
     with pytest.raises(ValueError):
-        params = SolverParams.constant(10, z_init=np.full(3, 0.1))  # wrong shape
+        # wrong shape
+        params = SolverParams(StepSchedule.constant(10.0, 1.0, 10, 0.9), z_init=np.full(3, 0.1))
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1)
     with pytest.raises(ValueError):
-        params = SolverParams.constant(10, z_init=np.full(20, -0.1))
+        params = SolverParams(StepSchedule.constant(10.0, 1.0, 10, 0.9), z_init=np.full(20, -0.1))
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
-            params = SolverParams.constant(10, z_init=np.full(20, bad))
+            params = SolverParams(StepSchedule.constant(10.0, 1.0, 10, 0.9),
+                                  z_init=np.full(20, bad))
             aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1)
 
 
 def test_divergence_cap_carries_context(qcqp):
-    params = SolverParams.constant(200, alpha=3.0, rho=1.0, divergence_cap=1e-6,
-                                   z_init=np.full(20, 1.0))
+    params = SolverParams(StepSchedule.constant(3.0, 1.0, 200, 0.9), divergence_cap=1e-6,
+                          z_init=np.full(20, 1.0))
     with pytest.raises(DivergenceError) as excinfo:
         aprid_run(qcqp, params, BatchSizes(4, 4, 8), seed=1)
     assert excinfo.value.iteration == 1
@@ -211,7 +216,7 @@ def test_divergence_step_matches_dense_norm_replay(qcqp):
     # message and records. A cap equal to the norm at one step (not passed
     # there) or one ulp below it (passed there) needs the exact recompute.
     batches, cps = BatchSizes(4, 4, 8), [5, 10, 20, 50, 200]
-    params = SolverParams.constant(200, alpha=3.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(3.0, 1.0, 200, 0.9))
     full = aprid_run(qcqp, params, batches, seed=1, checkpoints=cps, f0_ref=0.5)
     sch, rng = params.schedule.fresh(), training_rng(1)
     pstate, dstate = PrimalState.fresh(qcqp.box.project(np.zeros(5))), DualState.fresh(20)
@@ -225,7 +230,7 @@ def test_divergence_step_matches_dense_norm_replay(qcqp):
     for cap in (at, np.nextafter(at, 0.0)):
         k = next(k for k, n in enumerate(norms, 1) if n > cap)
         assert k > 5
-        capped = SolverParams.constant(200, alpha=3.0, rho=1.0, divergence_cap=cap)
+        capped = SolverParams(StepSchedule.constant(3.0, 1.0, 200, 0.9), divergence_cap=cap)
         with pytest.raises(DivergenceError) as excinfo:
             aprid_run(qcqp, capped, batches, seed=1, checkpoints=cps, f0_ref=0.5)
         err = excinfo.value
@@ -269,7 +274,7 @@ def test_minimax_blocks_clip_separately():
     # rescaled before entering the second moment
     prob = BilinearSaddleProblem(np.zeros((2, 2)), b=np.array([30.0, 40.0]),
                                  c=np.array([-0.2, 0.0]))
-    params = SolverParams.sqrt(5, alpha=1.0, rho=1.0, beta1=0.9, beta2=0.5, theta=5.0)
+    params = SolverParams(StepSchedule.sqrt(1.0, 1.0, 5, 0.9), beta2=0.5, theta=5.0)
     state = MinimaxState.fresh(np.zeros(2), np.zeros(2))
     sample = sample_minimax_subgradient(prob, state.x, state.z, training_rng(0))
     assert np.array_equal(sample.u, [30.0, 40.0])  # sigma = 0, exact grads
@@ -285,10 +290,10 @@ def test_minimax_blocks_clip_separately():
 
 def test_minimax_ratio_drift_warning():
     prob = make_bilinear_saddle(3, 3, seed=2)
-    drifting = SolverParams.sqrt_log(30, alpha=1.0, rho=1.0)
+    drifting = SolverParams(StepSchedule.sqrt_log(1.0, 1.0, 30, 0.9))
     with pytest.warns(UserWarning, match="proportional"):
         apriad_run(prob, drifting, seed=1, checkpoints=[30])
-    proportional = SolverParams.sqrt(30, alpha=1.0, rho=2.0)
+    proportional = SolverParams(StepSchedule.sqrt(1.0, 2.0, 30, 0.9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         apriad_run(prob, proportional, seed=1, checkpoints=[30])
@@ -296,7 +301,7 @@ def test_minimax_ratio_drift_warning():
 
 def test_minimax_run_records_and_determinism():
     prob = make_bilinear_saddle(4, 4, seed=7, noise_sigma=0.1)
-    params = SolverParams.constant(100, alpha=1.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(1.0, 1.0, 100, 0.9))
     res = apriad_run(prob, params, seed=3, checkpoints=[10, 100])
     assert [r.iteration for r in res.records] == [10, 100]
     assert all(r.gap >= -1e-9 for r in res.records)
@@ -324,8 +329,8 @@ def test_aprid_obeys_the_objective_scaling_law_bit_for_bit(k, theta):
     scaled = FiniteSumQcqpProblem(2.0**k * base.h, 2.0**k * base.c, 4.0**k * base.q,
                                   4.0**k * base.a, 4.0**k * base.b, box=base.box)
     s, horizon, f0_ref = 4.0**k, 2000, 0.25
-    runs = [aprid_run(prob, SolverParams.constant(horizon, rho=rho, theta=th), BatchSizes(),
-                      seed=3, checkpoints=[500, horizon], f0_ref=ref, timing="algo")
+    runs = [aprid_run(prob, SolverParams(StepSchedule.constant(10.0, rho, horizon, 0.9), theta=th),
+                      BatchSizes(), seed=3, checkpoints=[500, horizon], f0_ref=ref, timing="algo")
             for prob, rho, th, ref in ((base, 1.0, theta, f0_ref),
                                        (scaled, 1.0 / s, s * theta, s * f0_ref))]
     want, got = runs
@@ -362,6 +367,38 @@ def test_msa_obeys_the_objective_scaling_law_bit_for_bit(k, alpha):
             assert getattr(g, name) == s * getattr(w, name), (w.iteration, name)
 
 
+@pytest.mark.parametrize("eta_tol", [0.04, 2.0])
+@pytest.mark.parametrize("k", [1, -2, 3])
+def test_csa_obeys_the_objective_scaling_law_bit_for_bit(k, eta_tol, monkeypatch):
+    # f0 and every f_j times s = 4^k (H, c by 2^k; Q, a, b by 4^k), with gamma / s, eta_tol
+    # * s and f0_ref * s: each step's violation estimate is s times as large, so it takes
+    # the same branch, and its direction s times as large, so the step keeps its bits.
+    # Both lanes' x_bar come out with the same bits and every metric exactly s times as
+    # large. Both branches are taken (9 and 209 objective steps of 2000), and csa2 reads
+    # a violation at step 100
+    base = make_qcqp_finite_sum(10, 5, 200, 500, seed=7)
+    scaled = FiniteSumQcqpProblem(2.0**k * base.h, 2.0**k * base.c, 4.0**k * base.q,
+                                  4.0**k * base.a, 4.0**k * base.b, box=base.box)
+    s, horizon, checkpoints = 4.0**k, 2000, [1, 5, 20, 100, 500, 2000]
+    for prob in (base, scaled):  # counts the objective steps
+        monkeypatch.setattr(prob, "sample_objective_grad",
+                            mock.Mock(wraps=prob.sample_objective_grad))
+    want, got = (csa_run(prob, CsaParams(horizon, gamma=10.0 / scale, eta_tol=eta_tol * scale),
+                         BatchSizes(), seed=3, checkpoints=checkpoints, f0_ref=0.25 * scale,
+                         timing="algo")
+                 for prob, scale in ((base, 1.0), (scaled, s)))
+    objective_steps = base.sample_objective_grad.call_count
+    assert scaled.sample_objective_grad.call_count == objective_steps
+    assert 0 < objective_steps < horizon
+    assert want[1].records[3].viol_max > 0.0
+    for w_lane, g_lane in zip(want, got):
+        assert g_lane.x_bar.tobytes() == w_lane.x_bar.tobytes()
+        assert [r.iteration for r in w_lane.records] == checkpoints
+        for w, g in zip(w_lane.records, g_lane.records):
+            for name in ("obj_err", "viol_avg", "viol_max"):
+                assert getattr(g, name) == s * getattr(w, name), (w.iteration, name)
+
+
 @pytest.mark.parametrize("t, theta", [(8.0, 10.0), (0.25, 10.0), (8.0, 0.5), (0.25, 0.5)],
                          ids=["8x", "1/4x", "8x-theta0.5", "1/4x-theta0.5"])
 def test_aprid_obeys_the_variable_scaling_law_bit_for_bit(t, theta):
@@ -374,7 +411,8 @@ def test_aprid_obeys_the_variable_scaling_law_bit_for_bit(t, theta):
     scaled = FiniteSumQcqpProblem(base.h / t, base.c, base.q / t**2, base.a / t, base.b,
                                   box=BoxSet(t * base.box.lower, t * base.box.upper))
     horizon = 2000
-    want, got = (aprid_run(prob, SolverParams.constant(horizon, alpha=alpha, theta=th),
+    want, got = (aprid_run(prob, SolverParams(StepSchedule.constant(alpha, 1.0, horizon, 0.9),
+                                              theta=th),
                            BatchSizes(), seed=3, checkpoints=[500, horizon], f0_ref=0.25,
                            timing="algo")
                  for prob, alpha, th in ((base, 10.0, theta), (scaled, 10.0 * t, theta / t)))

@@ -5,6 +5,7 @@ import math
 from aprid import (
     BatchSizes,
     SolverParams,
+    StepSchedule,
     aprid_run,
     make_qcqp_expectation,
     make_qcqp_finite_sum,
@@ -18,7 +19,7 @@ BATCHES = BatchSizes(j0=4, j1=4, jg=4)
 
 def test_wall_monotone_and_bounded():
     problem = make_qcqp_finite_sum(4, 2, 12, 6, seed=1)
-    params = SolverParams.constant(60, alpha=2.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(2.0, 1.0, 60, 0.9))
     for timing in ("algo", "total"):
         res = aprid_run(problem, params, BATCHES, seed=1,
                         checkpoints=[10, 30, 60], timing=timing)
@@ -33,7 +34,7 @@ def test_total_timing_includes_evaluation_cost():
     # evaluation redraws 150k samples per checkpoint, dwarfing the 60 cheap
     # steps, so the eval-inclusive clock has to come out far ahead
     problem = make_qcqp_expectation(6, 4, eval_samples=150_000)
-    params = SolverParams.constant(60, alpha=2.0, rho=1.0)
+    params = SolverParams(StepSchedule.constant(2.0, 1.0, 60, 0.9))
     cps = [20, 40, 60]
     algo = aprid_run(problem, params, BATCHES, seed=2, checkpoints=cps, timing="algo")
     total = aprid_run(problem, params, BATCHES, seed=2, checkpoints=cps, timing="total")
