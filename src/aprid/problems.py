@@ -55,12 +55,13 @@ What a draw holds at once: every Gram draw one ``_GRAM_BLOCK`` each of G and Q
 (``_gram_blocks``' buffers, which every block overwrites; ``_certified_top`` squares in the
 dead G block), and the freeze and evaluation no more of Q; a record block and a finite-sum
 build their stored arrays (Q packed); ``_unit_2norm`` one block of squared rows. A
-finite-sum evaluation holds O(M) vectors and one unpacked block of Q. Only Neyman-Pearson
-problems load scipy.
+finite-sum evaluation holds O(M) vectors and one unpacked block of Q. Every family runs on
+numpy alone: the Neyman-Pearson logistic function is ``_expit``, built on libm's ``exp``.
 """
 
 import csv
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -333,6 +334,26 @@ def _softplus(t):
     return np.logaddexp(0.0, t)
 
 
+def _libm_exp(v):
+    try:
+        return math.exp(v)
+    except OverflowError:  # libm's exp returns inf here
+        return math.inf
+
+
+def _expit(t):
+    """The logistic function ``1 / (1 + exp(-t))`` of a 1-D array, with libm's ``exp``
+    taken one element at a time through ``math.exp``: the bits of the C expression, which
+    numpy's own SIMD ``exp`` misses in the last place on about 2 % of inputs. An ``exp``
+    that overflows is libm's inf, so its element is exactly 0.0."""
+    neg = (-t).tolist()
+    try:
+        e = np.fromiter(map(math.exp, neg), float, len(neg))
+    except OverflowError:
+        e = np.fromiter(map(_libm_exp, neg), float, len(neg))
+    return 1.0 / (1.0 + e)
+
+
 class NeymanPearsonProblem:
     """Minimize the positive-class logistic loss subject to a cap on the
     negative-class logistic loss.
@@ -344,7 +365,9 @@ class NeymanPearsonProblem:
     Per-sample estimates are exact subgradients of the sampled terms, so
     uniform mini-batches give unbiased estimates of both functions. The
     single constraint is itself a finite sum, so its exact value is
-    computable per step (used by penalty-based baselines).
+    computable per step (used by penalty-based baselines). Every gradient's logistic
+    weights are ``_expit``'s: ``1 / (1 + exp(-t))`` with libm's ``exp``, the bits of the
+    C expression on every input, 0.0 where ``exp`` overflows.
     """
 
     kind = "npc_finite_sum"
@@ -366,8 +389,6 @@ class NeymanPearsonProblem:
         self.box = box if box is not None else BoxSet.symmetric(self.n, 100.0)
         if self.box.dim != self.n:
             raise ValueError(f"box dimension {self.box.dim} does not match d={self.n}")
-        from scipy.special import expit  # no other family loads scipy
-        self._expit = expit
 
     # exact full quantities
 
@@ -376,27 +397,27 @@ class NeymanPearsonProblem:
 
     def full_objective_grad(self, x):
         t = self._pos @ x
-        return -(self._expit(-t) @ self._pos) / self._pos.shape[0]
+        return -(_expit(-t) @ self._pos) / self._pos.shape[0]
 
     def full_constraint_values(self, x):
         return np.array([np.mean(_softplus(self._neg @ x)) - self.c_hat])
 
     def full_constraint_grads(self, x):
         t = self._neg @ x
-        return ((self._expit(t) @ self._neg) / self._neg.shape[0])[None, :]
+        return ((_expit(t) @ self._neg) / self._neg.shape[0])[None, :]
 
     # sampled quantities
 
     def sample_objective_grad(self, x, j0, rng):
         rows = self._pos.take(_subsample(rng, len(self._pos), j0), axis=0)
         t = rows @ x
-        return -(self._expit(-t) @ rows) / rows.shape[0]
+        return -(_expit(-t) @ rows) / rows.shape[0]
 
     def sample_constraint_block(self, x, j1, rng):
         rows = self._neg.take(_subsample(rng, len(self._neg), j1), axis=0)
         t = rows @ x
         value = float(np.mean(_softplus(t))) - self.c_hat
-        grad = (self._expit(t) @ rows) / rows.shape[0]
+        grad = (_expit(t) @ rows) / rows.shape[0]
         return np.array([0]), np.array([value]), grad[None, :]
 
     def sample_constraint_block_exact(self, x, j1, rng):

@@ -155,31 +155,33 @@ def test_an_expectation_run_replays_byte_for_byte(tmp_path):
         pathlib.Path(outs[0].csv_paths[2]).read_bytes()
 
 
-# runs one short expectation and one finite-sum experiment, then builds an NPC problem
-SCIPY_ON_DEMAND = """
+# runs one short expectation, one finite-sum and one NPC experiment with scipy blocked: a
+# None entry in sys.modules makes every import of scipy or of a submodule raise ImportError
+NO_SCIPY = """
 import json
 import sys
-from aprid import make_npc, make_synthetic_dataset, resolve_config, run_experiment
+sys.modules["scipy"] = None
+from aprid import resolve_config, run_experiment
 
 out, problems, run = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
 for i, problem in enumerate(problems):
     run_experiment(resolve_config({"problem": problem, "algorithm": {"name": "aprid"},
                                    "run": run}), f"{out}/{i}")
-print("scipy.special" in sys.modules)
-make_npc(make_synthetic_dataset(3, 4, 4, seed=0), c_hat=0.5)
-print("scipy.special" in sys.modules)
+print([name for name in sys.modules if name.startswith("scipy.")])
 """
 
 
-def test_scipy_is_loaded_by_the_npc_family_alone(tmp_path):
+def test_no_family_loads_scipy(tmp_path):
     expectation = {"kind": "qcqp_expectation", "n": "3", "p": "2", "eval_samples": "300"}
+    npc = {"kind": "npc_synthetic", "d": "4", "n_pos": "40", "n_neg": "40",
+           "instance_seed": "2", "c_hat": "0.5"}
     run = {**RUN, "reference": "exact", "freeze_samples": "300"}
-    proc = subprocess.run([sys.executable, "-c", SCIPY_ON_DEMAND, str(tmp_path),
-                           json.dumps([expectation, FINITE_SUM]), json.dumps(run)],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path),
+                           json.dumps([expectation, FINITE_SUM, npc]), json.dumps(run)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
-    assert len(list(tmp_path.glob("*/*.csv"))) == 2  # each experiment wrote its run
+    assert proc.stdout.split() == ["[]"]  # scipy.special was never loaded
+    assert len(list(tmp_path.glob("*/*.csv"))) == 3  # each experiment wrote its run
 
 
 def test_manifest_splits_out_the_set_up_time(tmp_path):

@@ -9,12 +9,14 @@ from aprid import (
     BilinearSaddleProblem,
     BoxSet,
     CsaParams,
+    Dataset,
     DivergenceError,
     DualState,
     FiniteSumQcqpProblem,
     GradSample,
     MinimaxState,
     MsaParams,
+    NeymanPearsonProblem,
     PrimalState,
     SolverParams,
     StepSchedule,
@@ -24,8 +26,11 @@ from aprid import (
     apriad_step,
     csa_run,
     make_bilinear_saddle,
+    make_npc,
     make_qcqp_finite_sum,
+    make_synthetic_dataset,
     msa_run,
+    preprocess,
     primal_dual_gap,
     sample_lagrangian_subgradient,
     sample_minimax_subgradient,
@@ -419,5 +424,31 @@ def test_aprid_obeys_the_variable_scaling_law_bit_for_bit(t, theta):
     assert got.x_bar.tobytes() == (t * want.x_bar).tobytes()
     assert got.z_bar.tobytes() == want.z_bar.tobytes()
     assert want.final_record().viol_max > 0.0  # the law is not read off zeros only
+    assert [r.csv_values(zero_wall=True) for r in got.records] == \
+        [r.csv_values(zero_wall=True) for r in want.records]
+
+
+@pytest.mark.parametrize("t, theta", [(8.0, 10.0), (0.25, 10.0), (8.0, 0.05), (0.25, 0.05)],
+                         ids=["8x", "1/4x", "8x-theta0.05", "1/4x-theta0.05"])
+def test_aprid_obeys_the_variable_scaling_law_on_npc_bit_for_bit(t, theta):
+    # x = t y: features a_i / t and the box times t leave every margin a_i.x, so every
+    # logistic term, as it was, with alpha * t and theta / t. Powers of two scale exactly,
+    # so x_bar comes out exactly t times as large, and z_bar and every CSV row with the same
+    # bits. The constraint is violated at both checkpoints; the clip acts on 98 % of the
+    # steps at theta = 0.05 and on none at 10. Dropping the rescaling of alpha, or of theta
+    # where the clip acts, breaks the law
+    data = preprocess(make_synthetic_dataset(5, 60, 60, seed=2, separation=2.0))
+    base = make_npc(data, c_hat=0.3, box_halfwidth=4.0)
+    scaled = NeymanPearsonProblem(Dataset(data.features / t, data.labels), c_hat=0.3,
+                                  box=BoxSet(t * base.box.lower, t * base.box.upper))
+    horizon = 2000
+    want, got = (aprid_run(prob, SolverParams(StepSchedule.constant(alpha, 1.0, horizon, 0.9),
+                                              theta=th),
+                           BatchSizes(j0=10, j1=10, jg=20), seed=3, checkpoints=[500, horizon],
+                           f0_ref=0.3, timing="algo")
+                 for prob, alpha, th in ((base, 10.0, theta), (scaled, 10.0 * t, theta / t)))
+    assert got.x_bar.tobytes() == (t * want.x_bar).tobytes()
+    assert got.z_bar.tobytes() == want.z_bar.tobytes()
+    assert min(r.viol_max for r in want.records) > 0.0  # the law is not read off zeros only
     assert [r.csv_values(zero_wall=True) for r in got.records] == \
         [r.csv_values(zero_wall=True) for r in want.records]
