@@ -179,6 +179,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
                               freeze_seed=cfg.run["freeze_seed"])
         f0_ref = ref.objective
         ref_lines["reference.f0"] = format(f0_ref, ".17g")
+        ref_lines["reference.start_gap"] = format(ref.start_objective - f0_ref, ".3e")
         ref_lines["reference.kkt_worst"] = format(ref.residuals.worst, ".3e")
         ref_lines["reference.outer_iterations"] = str(ref.outer_iterations)
         active = int(np.sum(ref.constraint_values >= -cfg.run["reference_tol"]))

@@ -29,7 +29,8 @@ rows a computation reads. Its row certificate: ||Q_j||_F >= ||Q_j||_2, so a row 
 computed 0.5 ||Q_j||_F ||x||^2 + a_j.x - b_j lies below a rounding margin is negative
 (``screened_constraint_values``). ``evaluate_full`` gives such rows violation 0.0 without
 forming x'Q_j x, and the reference solver skips them while their multiplier is 0; every
-value either forms has the bits that the whole (M, n, n) stack gives.
+value either forms has the bits that the whole (M, n, n) stack gives. The screen goes
+``_EVAL_CHUNK`` rows at a time, writing f over a.x, so no O(M) temporary is formed.
 
 Sampling determinism: each sampling method consumes its generator in a fixed
 documented order (objective draws: matrices then vectors; constraint draws:
@@ -55,8 +56,9 @@ What a draw holds at once: every Gram draw one ``_GRAM_BLOCK`` each of G and Q
 (``_gram_blocks``' buffers, which every block overwrites; ``_certified_top`` squares in the
 dead G block), and the freeze and evaluation no more of Q; a record block and a finite-sum
 build their stored arrays (Q packed); ``_unit_2norm`` one block of squared rows. A
-finite-sum evaluation holds O(M) vectors and one unpacked block of Q. Every family runs on
-numpy alone: the Neyman-Pearson logistic function is ``_expit``, built on libm's ``exp``.
+finite-sum evaluation holds f (a.x until a chunk overwrites it), its skip mask and one
+``_EVAL_CHUNK`` of rows' temporaries. Every family runs on numpy alone: the Neyman-Pearson
+logistic function is ``_expit``, built on libm's ``exp``.
 """
 
 import csv
@@ -90,7 +92,7 @@ __all__ = [
     "make_bilinear_saddle",
 ]
 
-_EVAL_CHUNK = 4096
+_EVAL_CHUNK = 4096  # draws, or finite-sum rows, that an evaluation forms at once
 _GRAM_BLOCK = 512  # G matrices drawn, H rows normed and Q matrices squared at once
 
 
@@ -104,7 +106,9 @@ class FullEval(NamedTuple):
 
 
 def _full_eval(objective, raw_constraint_values):
-    v = np.maximum(np.asarray(raw_constraint_values, dtype=float), 0.0)
+    """The violations overwrite ``raw_constraint_values``, which every caller forms afresh."""
+    v = np.asarray(raw_constraint_values, dtype=float)
+    np.maximum(v, 0.0, out=v)
     return FullEval(float(objective), v, float(v.mean()), float(v.max()))
 
 
@@ -860,6 +864,7 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
         for lo in range(0, len(rows), _GRAM_BLOCK):
             q = self._unpack(self.q_upper.take(rows[lo:lo + _GRAM_BLOCK], axis=0))
             quad[lo:lo + len(q)] = np.einsum("sij,i,j->s", q, x, x)
+            del q  # else it is held while the next block is unpacked
         return 0.5 * quad + ax[rows] - self.b[rows]
 
     # exact full quantities
@@ -894,22 +899,27 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
         row, certifies nothing.
         """
         x = np.asarray(x, dtype=float)
-        n, ax = self.n, serial_matmul(self.a, x)
-        lxx = self.q_norm * (x @ x)
-        # in place, since every M-float temporary costs page faults: f = 0.5 lxx + ax - b,
-        # margin = -tau (lxx + |ax| + |b|)
-        f = np.multiply(lxx, 0.5)
-        f += ax
-        f -= self.b
-        margin = np.abs(ax)
-        margin += lxx
-        margin += np.abs(self.b, out=lxx)
-        margin *= -_tau(n * n + 3 + n * (n + 1) // 2 + n + 5)
-        skipped = f < margin
-        if keep is not None:
-            skipped &= ~keep
-        rows = np.flatnonzero(~skipped)
-        f[rows] = self._exact_values(x, ax, rows)
+        n, xx, f = self.n, x @ x, serial_matmul(self.a, x)
+        tau = _tau(n * n + 3 + n * (n + 1) // 2 + n + 5)
+        skipped = np.empty(self.num_constraints, dtype=bool)
+        # f holds a.x until a chunk overwrites its rows, so it is the one M-float array:
+        # per chunk u = 0.5 lxx + ax - b and margin = -tau (lxx + |ax| + |b|), in place
+        for lo in range(0, self.num_constraints, _EVAL_CHUNK):
+            ax, b = f[lo:lo + _EVAL_CHUNK], self.b[lo:lo + _EVAL_CHUNK]
+            lxx = self.q_norm[lo:lo + _EVAL_CHUNK] * xx
+            u = np.multiply(lxx, 0.5)
+            u += ax
+            u -= b
+            margin = np.abs(ax)
+            margin += lxx
+            margin += np.abs(b, out=lxx)
+            margin *= -tau
+            skip = np.less(u, margin, out=skipped[lo:lo + _EVAL_CHUNK])
+            if keep is not None:
+                skip &= ~keep[lo:lo + _EVAL_CHUNK]
+            kept = np.flatnonzero(~skip)
+            u[kept] = self._exact_values(x, f, lo + kept)
+            ax[:] = u
         return f, skipped
 
     # sampled quantities

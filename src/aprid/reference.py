@@ -11,8 +11,9 @@ the inner objective and gradient and by the post-round update and KKT check.
 A problem with ``screened_constraint_values`` (the finite-sum QCQP) evaluates at
 a point only the rows with z_j > 0 and those its certificate cannot prove
 negative; the skipped rows' shifted multipliers are exactly 0 either way, and
-they are evaluated once, at the point the solver returns.
+they are evaluated once, at the point the solver returns, a chunk at a time.
 The M x n constraint-gradient matrix is formed only when a multiplier is nonzero.
+Otherwise a solve holds z, the point's values and skip mask and at most two more M-arrays.
 """
 
 from collections import deque
@@ -22,6 +23,7 @@ import numpy as np
 
 from .errors import ReferenceError
 from .kernels import serial_matmul
+from .problems import _EVAL_CHUNK
 
 __all__ = [
     "KktResiduals",
@@ -75,8 +77,9 @@ def _kkt_at(problem, x, z, f):
     """``kkt_residuals`` given the constraint values ``f`` at ``x``."""
     grad = problem.full_objective_grad(x) + _weighted_constraint_grad(problem, x, z)
     stationarity = float(np.linalg.norm(x - problem.box.project(x - grad)))
-    feasibility = float(np.max(np.maximum(f, 0.0)))
-    complementarity = float(np.max(np.abs(z * f)))
+    work = np.maximum(f, 0.0)
+    feasibility = float(np.max(work))
+    complementarity = float(np.max(np.abs(np.multiply(z, f, out=work), out=work)))
     return KktResiduals(stationarity, feasibility, complementarity)
 
 
@@ -88,6 +91,7 @@ class ReferenceSolution:
     residuals: KktResiduals
     outer_iterations: int
     constraint_values: np.ndarray  # f_j(x), as the final KKT check saw them
+    start_objective: float  # f0 at box.project(0), where every solver starts
 
 
 def _spg_minimize(fun, grad, x0, box, tol, max_iters=5000):
@@ -135,7 +139,8 @@ def _constraint_values_once(problem):
     max(z_j + beta f_j, 0), their update and their KKT terms are exactly 0 as with the
     value. A row that a later z at the same point makes positive has f_j > 0, so it was
     evaluated. ``complete(x)``, at the last point, evaluates its skipped rows and returns
-    every value there exact.
+    every value there exact: it forms a.x once and hands the problem's ``_exact_values``
+    one chunk of skipped rows at a time.
     """
     screened = getattr(problem, "screened_constraint_values", None)
     last = [None, None, None]  # the point's bytes, its values, the rows they skip
@@ -151,23 +156,32 @@ def _constraint_values_once(problem):
     def complete(x):
         f, skipped = last[1], last[2]
         if skipped is not None and skipped.any():
-            rows = np.flatnonzero(skipped)
-            f[rows] = problem.full_constraint_values(x, rows)
+            ax = serial_matmul(problem.a, x)  # once, for every chunk of skipped rows
+            for lo in range(0, f.size, _EVAL_CHUNK):
+                rows = lo + np.flatnonzero(skipped[lo:lo + _EVAL_CHUNK])
+                f[rows] = problem._exact_values(x, ax, rows)
             last[2] = None
         return f
 
     return values, complete
 
 
+def _shifted(z, beta, f):
+    """max(z + beta f, 0), formed in one buffer as beta f + z (addition commutes)."""
+    out = np.multiply(f, beta)
+    out += z
+    return np.maximum(out, 0.0, out=out)
+
+
 def _augmented_lagrangian(problem, values, z, beta):
     def fun(x):
-        f = values(x, z)
-        shifted = np.maximum(z + beta * f, 0.0)
-        return problem.full_objective(x) + float(np.sum(shifted**2 - z**2)) / (2.0 * beta)
+        terms = _shifted(z, beta, values(x, z))
+        np.square(terms, out=terms)
+        terms -= np.square(z)
+        return problem.full_objective(x) + float(np.sum(terms)) / (2.0 * beta)
 
     def grad(x):
-        f = values(x, z)
-        shifted = np.maximum(z + beta * f, 0.0)
+        shifted = _shifted(z, beta, values(x, z))
         return problem.full_objective_grad(x) + _weighted_constraint_grad(problem, x, shifted)
 
     return fun, grad
@@ -199,25 +213,26 @@ def solve_reference(problem, tol=1e-6, max_outer=100, freeze_samples=100_000,
     prev_viol = np.inf
     best = None
     for outer in range(1, max_outer + 1):
-        fun, grad = _augmented_lagrangian(problem, values, z, beta)
-        x = _spg_minimize(fun, grad, x, box, inner_tol)
+        # no reference to this round's z outlives the minimization
+        x = _spg_minimize(*_augmented_lagrangian(problem, values, z, beta), x, box, inner_tol)
         f = values(x, z)
-        z = np.maximum(z + beta * f, 0.0)
+        z = _shifted(z, beta, f)
         res = _kkt_at(problem, x, z, f)
-        if best is None or res.worst < best[2].worst:
-            best = (x.copy(), z.copy(), res, outer)
+        del f  # else it is held while the next round's points form theirs
+        if best is None or res.worst < best.worst:
+            best = res
         if res.worst <= tol:
             return ReferenceSolution(
                 x=x, z=z, objective=problem.full_objective(x),
                 residuals=res, outer_iterations=outer, constraint_values=complete(x),
+                start_objective=problem.full_objective(box.project(np.zeros(box.dim))),
             )
-        viol = float(np.max(np.maximum(f, 0.0)))
-        if viol > 0.25 * prev_viol:
+        if res.feasibility > 0.25 * prev_viol:
             beta = min(beta * 4.0, 1e14)
-        prev_viol = max(viol, 1e-300)
+        prev_viol = max(res.feasibility, 1e-300)
         inner_tol = max(0.25 * tol, 0.2 * inner_tol)
     raise ReferenceError(
         f"no KKT point within tolerance {tol:g} after {max_outer} outer rounds; "
-        f"best residuals: {best[2]}",
-        residuals=best[2],
+        f"best residuals: {best}",
+        residuals=best,
     )

@@ -78,14 +78,6 @@ class RunResult:
             raise ValueError("run produced no checkpoint records")
         return self.records[-1]
 
-    def check_monotone(self):
-        """Iteration counters must strictly increase and wall time must not
-        decrease along a trajectory."""
-        _check_iterations(self.records)
-        walls = [r.wall_s for r in self.records]
-        if any(b < a for a, b in zip(walls, walls[1:])):
-            raise ValueError("wall_s decreased along the trajectory")
-
 
 def log_spaced_checkpoints(horizon, count=50):
     """About ``count`` geometrically spaced iteration indices ending at
@@ -109,12 +101,6 @@ def _resolve_checkpoints(checkpoints, horizon):
     return cps
 
 
-def _check_iterations(records):
-    its = [r.iteration for r in records]
-    if any(b <= a for a, b in zip(its, its[1:])):
-        raise ValueError(f"checkpoint iterations not strictly increasing: {its}")
-
-
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -122,7 +108,9 @@ def _fmt(x) -> str:
 def write_run_csv(path, records, zero_wall=False):
     """Write checkpoint records; enforces the trajectory monotonicity
     invariants and the flags column being comma-free."""
-    _check_iterations(records)
+    its = [r.iteration for r in records]
+    if any(b <= a for a, b in zip(its, its[1:])):
+        raise ValueError(f"checkpoint iterations not strictly increasing: {its}")
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
         if "," in rec.flags or "\n" in rec.flags:

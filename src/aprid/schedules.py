@@ -325,4 +325,5 @@ class LazyErgodicAverager:
         b, a_t, tail = self._beta1, self._prefix[t], self._eta[t]
         recent = b ** (t + 1 - t // self._period * self._period) * tail
         weighted = serial_matmul(self._sums, np.array([a_t, -1.0, recent]))
-        return weighted / (a_t - self._coef[0, 1] + b ** (t + 1) * tail)
+        weighted /= a_t - self._coef[0, 1] + b ** (t + 1) * tail
+        return weighted

@@ -10,12 +10,14 @@ tests compare two code paths on one BLAS kernel, so they hold on any kernel.
 import numpy as np
 import pytest
 
-from aprid import (ExpectationQcqpProblem, FiniteSumQcqpProblem, make_qcqp_finite_sum,
-                   training_rng)
+from aprid import (BatchSizes, ExpectationQcqpProblem, FiniteSumQcqpProblem, SolverParams,
+                   StepSchedule, aprid_run, make_qcqp_finite_sum, solve_reference, training_rng)
 from aprid import problems
+from aprid.kernels import serial_matmul
 from aprid.problems import (_EVAL_CHUNK, _GRAM_BLOCK, _constraint_grads_at,
-                            _constraint_values_at, _full_eval, _subsample)
+                            _constraint_values_at, _full_eval, _subsample, _tau)
 from aprid.rng import CONSTRAINT_TAG, RECORD_BLOCK, read_records
+from memory import traced_peak
 
 
 def test_every_gram_chunk_is_bitwise_symmetric(monkeypatch):
@@ -51,7 +53,7 @@ def _parent_answers(prob, x, seed):
     estimate = float(np.sum(np.maximum(values, 0.0)) * (m / idx.size))
     full = _constraint_values_at(q, a, b, x)
     return (block, estimate, full, _constraint_grads_at(q, a, x),
-            _full_eval(prob.full_objective(x), full))
+            _full_eval(prob.full_objective(x), full.copy()))
 
 
 def _answers(prob, x, seed):
@@ -152,3 +154,86 @@ def test_screened_values_evaluate_every_kept_row():
     exact = prob.full_constraint_values(x)
     assert f[[3, 599]].tobytes() == exact[[3, 599]].tobytes()
     assert prob.full_constraint_values(x, np.array([599, 3])).tobytes() == exact[[599, 3]].tobytes()
+
+
+def _whole_stack_screen(prob, x, keep=None):
+    """``screened_constraint_values`` on whole M-arrays: the bound and its margin over
+    every row at once, and every exact value by the formula on the (M, n, n) stack."""
+    n, ax = prob.n, serial_matmul(prob.a, x)
+    lxx = prob.q_norm * (x @ x)
+    bound = 0.5 * lxx + ax - prob.b
+    margin = (np.abs(ax) + lxx + np.abs(prob.b)) * -_tau(n * n + 3 + n * (n + 1) // 2 + n + 5)
+    skipped = bound < margin
+    if keep is not None:
+        skipped &= ~keep
+    return np.where(skipped, bound, _constraint_values_at(prob.q, prob.a, prob.b, x)), skipped
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf at infinite x
+@pytest.mark.parametrize("m", [_EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1, 2 * _EVAL_CHUNK + 3])
+def test_chunked_screen_has_the_bits_of_the_whole_stack_screen(m):
+    # the chunks overwrite a.x with f a chunk at a time; every row, skipped or exact,
+    # and every evaluation must come out as the formulas on whole arrays give them
+    prob = make_qcqp_finite_sum(10, 3, 5, m, seed=m)
+    rng = np.random.default_rng(m)
+    keep = rng.random(m) < 0.3
+    direction = rng.standard_normal(10)
+    points = [direction * (r / np.linalg.norm(direction)) for r in (0.0, 0.3, 0.6, 5.0)]
+    points += [np.full(10, np.nan), np.full(10, np.inf), np.where(direction > 0, np.inf, 0.0)]
+    mixed = 0
+    for x in points:
+        for mask in (None, keep):
+            f, skipped = prob.screened_constraint_values(x, mask)
+            want_f, want_skipped = _whole_stack_screen(prob, x, mask)
+            assert f.tobytes() == want_f.tobytes() and skipped.tobytes() == want_skipped.tobytes()
+            mixed += 0 < skipped.sum() < m
+        want = _full_eval(prob.full_objective(x), _whole_stack_screen(prob, x)[0])
+        assert _bits(tuple(prob.evaluate_full(x))) == _bits(tuple(want))
+    assert mixed >= 2  # some points skip part of the rows and evaluate the rest
+
+
+def test_reference_values_are_the_full_values_at_its_point():
+    # M > 2 chunks: the rows skipped at the returned point are evaluated there at the end,
+    # a chunk at a time
+    prob = make_qcqp_finite_sum(10, 3, 5, 2 * _EVAL_CHUNK + 3, seed=21)
+    sol = solve_reference(prob, tol=1e-6)
+    assert prob.screened_constraint_values(sol.x, sol.z > 0)[1].any()
+    assert sol.constraint_values.tobytes() == prob.full_constraint_values(sol.x).tobytes()
+
+
+@pytest.fixture(scope="module")
+def many_constraints():
+    """The benchmark's M = 1e5 instance: 58 MB stored, its Q packed."""
+    return make_qcqp_finite_sum(10, 5, 10_000, 100_000, seed=0)
+
+
+MiB = 2**20
+
+
+def test_a_full_evaluation_holds_one_m_array_and_a_chunk(many_constraints):
+    # f (0.76 MiB), the skip mask and one chunk's bound, margin and unpacked Q. Whole-array
+    # temporaries traced 3.2 MiB at the origin, where every row is skipped, and 5-6 MiB
+    # where most rows are evaluated
+    for scale in (0.0, 0.3, 2.0):
+        _, peak = traced_peak(lambda: many_constraints.evaluate_full(np.full(10, scale)))
+        assert peak <= 2 * MiB, (scale, peak / MiB)
+
+
+def test_an_aprid_run_holds_its_state_and_one_evaluation(many_constraints):
+    # z (0.76 MiB), the averager's (M, 3) sums (2.3 MiB) and one evaluation or the final
+    # average; whole-array temporaries in the evaluations traced 9.4 MiB
+    params = SolverParams(StepSchedule.constant(10.0, 3.1622776601683795, 400, 0.9))
+    run, peak = traced_peak(lambda: aprid_run(many_constraints, params, BatchSizes(), seed=1,
+                                              checkpoints=[100, 400], f0_ref=0.5))
+    assert run.final_record().viol_max > 0.0
+    assert peak <= 6 * MiB, peak / MiB
+
+
+def test_the_reference_solve_holds_a_few_m_arrays(many_constraints):
+    # z, the point's f and skip mask, the augmented Lagrangian's terms and z squared, or
+    # while a new point is screened the last point's f: the whole-array temporaries of fun,
+    # grad and the outer loop traced 7.1 MiB. No multiplier turns positive on this
+    # instance, so the (M, n) constraint gradients are never formed
+    sol, peak = traced_peak(lambda: solve_reference(many_constraints, tol=1e-6))
+    assert not sol.z.any()
+    assert peak <= 4.5 * MiB, peak / MiB

@@ -102,12 +102,7 @@ def test_csv_reader_rejects_malformed_files(tmp_path):
         read_run_csv(path2)
 
 
-def test_run_result_monotonicity_check():
-    res = RunResult(algorithm="x", seed=0,
-                    records=[CheckpointRecord(1, wall_s=2.0),
-                             CheckpointRecord(2, wall_s=1.0)])
-    with pytest.raises(ValueError, match="wall_s"):
-        res.check_monotone()
+def test_final_record_of_an_empty_run_raises():
     with pytest.raises(ValueError, match="no checkpoint"):
         RunResult(algorithm="x", seed=0).final_record()
 

@@ -1,5 +1,4 @@
 import pathlib
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +29,7 @@ from aprid.problems import (_EVAL_CHUNK, _GRAM_BLOCK, _certified_top, _constrain
                             _triangle, _unit_2norm)
 from aprid.rng import CONSTRAINT_TAG, OBJECTIVE_TAG, RECORD_BLOCK, TRAIN_TAG, read_records
 from brute import central_difference_gradient, logistic_losses, saddle_gap_grid
+from memory import stored_bytes, traced_peak
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -424,22 +424,6 @@ def _full(packed, n):
     return packed[:, _triangle(n).unpack].reshape(-1, n, n)
 
 
-def _stored_bytes(prob):
-    """The bytes of every array an instance keeps (for the finite sum, Q packed)."""
-    return sum(v.nbytes for v in vars(prob).values() if isinstance(v, np.ndarray))
-
-
-def _traced_peak(fn):
-    """``fn()`` and the peak bytes tracemalloc saw allocated while it ran."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # (n, M, bytes of the array the build must not hold whole): at n = 10, the Gaussian
 # tensor G; at n = 4, the squares of every a, which a norm over all M rows would form
 @pytest.mark.parametrize("n, m, whole", [(10, 20_000, 20_000 * 10 * 10 * 8),
@@ -447,8 +431,8 @@ def _traced_peak(fn):
                          ids=["G", "a squared"])
 def test_finite_sum_build_never_holds_the_whole_gaussian_tensor(n, m, whole):
     block_bytes = _EVAL_CHUNK * n * n * 8
-    prob, peak = _traced_peak(lambda: make_qcqp_finite_sum(n, 5, 100, m, seed=0))
-    stored = _stored_bytes(prob)
+    prob, peak = traced_peak(lambda: make_qcqp_finite_sum(n, 5, 100, m, seed=0))
+    stored = stored_bytes(prob)
     assert whole > 2 * block_bytes
     assert peak < stored + 2 * block_bytes, (peak, stored)
 
@@ -456,7 +440,7 @@ def test_finite_sum_build_never_holds_the_whole_gaussian_tensor(n, m, whole):
 def test_freeze_holds_one_chunk_of_g_and_one_of_q():
     prob = ExpectationQcqpProblem(10, 5)
     block_bytes = _EVAL_CHUNK * 10 * 10 * 8
-    _, peak = _traced_peak(lambda: prob.freeze(n_samples=2 * _EVAL_CHUNK + 3, seed=1))
+    _, peak = traced_peak(lambda: prob.freeze(n_samples=2 * _EVAL_CHUNK + 3, seed=1))
     # a third block would be the previous chunk's Q, held while the next G and Q are drawn
     assert peak < 2.5 * block_bytes, peak / block_bytes
 
@@ -466,13 +450,13 @@ def test_gram_draws_hold_one_block_of_g_not_one_chunk():
     # read 7.9 MB (freeze), 7.6 MB (evaluation) and 3.4 MB above the build's stored arrays.
     # The packed build holds one block of G, which _certified_top squares in, and one of Q
     prob = ExpectationQcqpProblem(10, 5, eval_samples=20_000)
-    _, peak = _traced_peak(lambda: prob.freeze(n_samples=20_000, seed=1))
+    _, peak = traced_peak(lambda: prob.freeze(n_samples=20_000, seed=1))
     assert peak <= 5.5e6, peak
-    full, peak = _traced_peak(lambda: prob.evaluate_full(np.full(10, 2.0), seed=1))
+    full, peak = traced_peak(lambda: prob.evaluate_full(np.full(10, 2.0), seed=1))
     assert full.viol_max > 0.0  # not certified from phase 1: every G was drawn
     assert peak <= 5.5e6, peak
-    built, peak = _traced_peak(lambda: make_qcqp_finite_sum(10, 5, 10_000, 10_000, 0))
-    stored = _stored_bytes(built)  # Q as its packed triangles: 4.4 MB, not 8 MB
+    built, peak = traced_peak(lambda: make_qcqp_finite_sum(10, 5, 10_000, 10_000, 0))
+    stored = stored_bytes(built)  # Q as its packed triangles: 4.4 MB, not 8 MB
     assert built.q_upper.nbytes == 10_000 * 55 * 8
     assert peak - stored <= 1e6, (peak, stored)
 

@@ -31,7 +31,8 @@ from aprid import (
     solve_reference,
 )
 from aprid import reference
-from test_golden_trajectories import FINITE_SUM, FINITE_SUM_FULL, GOLDEN, NPC, _config
+from test_golden_trajectories import (EXPECTATION, FINITE_SUM, FINITE_SUM_FULL, GOLDEN, NPC,
+                                      _config)
 
 # (label, problem section) of the golden trajectory instances
 GOLDEN_INSTANCES = [("finite_sum", FINITE_SUM), ("npc", NPC)]
@@ -257,6 +258,31 @@ def test_manifest_warns_when_no_reference_constraint_is_active(tmp_path):
     slack = -float(np.max(sol.constraint_values))
     assert slack > 1e-6
     assert manifest["reference.min_slack"] == format(slack, ".3e")
+
+
+def _start_objective_by_hand(problem, cfg):
+    """f0 at box.project(0), as the mean of 0.5 ||H_i x0 - c_i||^2 over the instance's own
+    terms: the finite sum's N, or the freeze's draws of the expectation family."""
+    x0 = problem.box.project(np.zeros(problem.n))
+    if problem.kind == "qcqp_finite_sum":
+        terms = [(problem.h, problem.c)]
+    else:
+        rng = np.random.default_rng(cfg.run["freeze_seed"])
+        terms = [(h, c) for h, c, _, _ in problem._draws(rng, cfg.run["freeze_samples"])]
+    residual_sums = [np.sum((np.einsum("spn,n->sp", h, x0) - c) ** 2) for h, c in terms]
+    return 0.5 * sum(residual_sums) / sum(len(c) for _, c in terms)
+
+
+@pytest.mark.filterwarnings("ignore:no constraint is active")  # the expectation instance
+@pytest.mark.parametrize("problem", [FINITE_SUM, EXPECTATION], ids=["finite_sum", "expectation"])
+def test_manifest_reports_the_start_gap(tmp_path, problem):
+    # every solver starts at box.project(0); the gap is f0 there minus f0_ref, on the frozen
+    # instance for the expectation family
+    cfg = _config(problem, {"name": "aprid"})
+    manifest = read_manifest(run_experiment(cfg, str(tmp_path)).manifest_path)
+    want = _start_objective_by_hand(_golden_problem(problem), cfg) - float(manifest["reference.f0"])
+    assert abs(want) > 1e-6
+    assert float(manifest["reference.start_gap"]) == pytest.approx(want, rel=1e-3)
 
 
 if __name__ == "__main__":

@@ -404,6 +404,13 @@ def test_csa_obeys_the_objective_scaling_law_bit_for_bit(k, eta_tol, monkeypatch
                 assert getattr(g, name) == s * getattr(w, name), (w.iteration, name)
 
 
+def _variable_scaled(base, t):
+    """x = t y on a finite-sum instance: H / t, Q / t^2, a / t and the box times t leave
+    every f_j(x) = f_j(y) and f0, and make every gradient 1/t as large."""
+    return FiniteSumQcqpProblem(base.h / t, base.c, base.q / t**2, base.a / t, base.b,
+                                box=BoxSet(t * base.box.lower, t * base.box.upper))
+
+
 @pytest.mark.parametrize("t, theta", [(8.0, 10.0), (0.25, 10.0), (8.0, 0.5), (0.25, 0.5)],
                          ids=["8x", "1/4x", "8x-theta0.5", "1/4x-theta0.5"])
 def test_aprid_obeys_the_variable_scaling_law_bit_for_bit(t, theta):
@@ -413,8 +420,7 @@ def test_aprid_obeys_the_variable_scaling_law_bit_for_bit(t, theta):
     # over 99 % of the steps at both theta; dropping the rescaling of alpha or of theta
     # breaks the law
     base = make_qcqp_finite_sum(10, 5, 200, 500, seed=7)
-    scaled = FiniteSumQcqpProblem(base.h / t, base.c, base.q / t**2, base.a / t, base.b,
-                                  box=BoxSet(t * base.box.lower, t * base.box.upper))
+    scaled = _variable_scaled(base, t)
     horizon = 2000
     want, got = (aprid_run(prob, SolverParams(StepSchedule.constant(alpha, 1.0, horizon, 0.9),
                                               theta=th),
@@ -452,3 +458,95 @@ def test_aprid_obeys_the_variable_scaling_law_on_npc_bit_for_bit(t, theta):
     assert min(r.viol_max for r in want.records) > 0.0  # the law is not read off zeros only
     assert [r.csv_values(zero_wall=True) for r in got.records] == \
         [r.csv_values(zero_wall=True) for r in want.records]
+
+
+def _bilinear_scaled(base, matrix, vector, boxes=1.0, noise=None):
+    """``base`` with A times ``matrix``, b and c times ``vector``, both boxes times ``boxes``."""
+    return BilinearSaddleProblem(
+        matrix * base.a_mat, vector * base.b, vector * base.c,
+        noise_sigma=(vector if noise is None else noise) * base.noise_sigma,
+        box_x=BoxSet(boxes * base.box_x.lower, boxes * base.box_x.upper),
+        box_z=BoxSet(boxes * base.box_z.lower, boxes * base.box_z.upper))
+
+
+@pytest.mark.parametrize("theta", [10.0, 0.3], ids=["unclipped", "clipped"])
+@pytest.mark.parametrize("k", [1, -2, 3])
+def test_apriad_obeys_the_objective_scaling_law_bit_for_bit(k, theta):
+    # L times s = 4^k (A, b, c and the noise by s), with theta * s: both blocks' gradients
+    # are s times as large, so every adaptive direction keeps its bits at the same alpha and
+    # rho, x_bar and z_bar come out with the same bits and every gap exactly s times as large.
+    # The clip acts on most steps at theta = 0.3 and never at 10
+    base = make_bilinear_saddle(6, 4, seed=5, noise_sigma=0.1)
+    s, horizon = 4.0**k, 2000
+    want, got = (apriad_run(prob, SolverParams(StepSchedule.constant(0.5, 0.5, horizon, 0.9),
+                                               theta=th), seed=3, checkpoints=[100, horizon])
+                 for prob, th in ((base, theta), (_bilinear_scaled(base, s, s), s * theta)))
+    assert got.x_bar.tobytes() == want.x_bar.tobytes()
+    assert got.z_bar.tobytes() == want.z_bar.tobytes()
+    assert [g.gap for g in got.records] == [s * w.gap for w in want.records]
+    assert min(w.gap for w in want.records) > 0.0
+
+
+@pytest.mark.parametrize("theta", [10.0, 0.3], ids=["unclipped", "clipped"])
+@pytest.mark.parametrize("t", [8.0, 0.25])
+def test_apriad_obeys_the_variable_scaling_law_bit_for_bit(t, theta):
+    # x = t y and z = t w: A / t^2, b / t, c / t and the noise / t with both boxes times t
+    # leave L, and make both blocks' gradients 1/t as large; with alpha * t, rho * t and
+    # theta / t (one clip threshold serves both blocks, so both variables scale), x_bar and
+    # z_bar come out exactly t times as large and every gap with the same bits
+    base = make_bilinear_saddle(6, 4, seed=5, noise_sigma=0.1)
+    horizon = 2000
+    want, got = (apriad_run(prob, SolverParams(StepSchedule.constant(step, step, horizon, 0.9),
+                                               theta=th), seed=3, checkpoints=[100, horizon])
+                 for prob, step, th in ((base, 0.5, theta),
+                                        (_bilinear_scaled(base, 1 / t**2, 1 / t, t), 0.5 * t,
+                                         theta / t)))
+    assert got.x_bar.tobytes() == (t * want.x_bar).tobytes()
+    assert got.z_bar.tobytes() == (t * want.z_bar).tobytes()
+    assert [g.gap for g in got.records] == [w.gap for w in want.records]
+    assert min(w.gap for w in want.records) > 0.0
+
+
+@pytest.mark.parametrize("alpha", [10.0, 1000.0])
+@pytest.mark.parametrize("t", [8.0, 0.25])
+def test_msa_obeys_the_variable_scaling_law_bit_for_bit(t, alpha):
+    # x = t y with alpha * t^2 (a plain step moves x by alpha times a gradient 1/t as large)
+    # and rho and z_cap as they were, since every constraint value keeps its bits: x_bar
+    # comes out exactly t times as large, and z_bar and every CSV row with the same bits.
+    # At alpha = 1000 the cap binds
+    base = make_qcqp_finite_sum(10, 5, 200, 500, seed=7)
+    horizon, checkpoints = 2000, [1, 5, 20, 100, 500, 2000]
+    want, got = (msa_run(prob, MsaParams(horizon, alpha=alpha * scale, rho=1.0), BatchSizes(),
+                         seed=3, checkpoints=checkpoints, f0_ref=0.25, timing="algo")
+                 for prob, scale in ((base, 1.0), (_variable_scaled(base, t), t * t)))
+    assert got.x_bar.tobytes() == (t * want.x_bar).tobytes()
+    assert got.z_bar.tobytes() == want.z_bar.tobytes()
+    assert want.records[3].viol_max > 0.0
+    assert [r.csv_values(zero_wall=True) for r in got.records] == \
+        [r.csv_values(zero_wall=True) for r in want.records]
+
+
+@pytest.mark.parametrize("eta_tol", [0.04, 2.0])
+@pytest.mark.parametrize("t", [8.0, 0.25])
+def test_csa_obeys_the_variable_scaling_law_bit_for_bit(t, eta_tol, monkeypatch):
+    # x = t y with gamma * t^2 and eta_tol as it was: each violation estimate keeps its bits,
+    # so each step takes the same branch, and its direction is 1/t as large. Both lanes'
+    # x_bar come out exactly t times as large and every CSV row with the same bits; both
+    # branches are taken
+    base = make_qcqp_finite_sum(10, 5, 200, 500, seed=7)
+    scaled = _variable_scaled(base, t)
+    horizon, checkpoints = 2000, [1, 5, 20, 100, 500, 2000]
+    for prob in (base, scaled):  # counts the objective steps
+        monkeypatch.setattr(prob, "sample_objective_grad",
+                            mock.Mock(wraps=prob.sample_objective_grad))
+    want, got = (csa_run(prob, CsaParams(horizon, gamma=10.0 * scale, eta_tol=eta_tol),
+                         BatchSizes(), seed=3, checkpoints=checkpoints, f0_ref=0.25,
+                         timing="algo")
+                 for prob, scale in ((base, 1.0), (scaled, t * t)))
+    objective_steps = base.sample_objective_grad.call_count
+    assert scaled.sample_objective_grad.call_count == objective_steps
+    assert 0 < objective_steps < horizon
+    for w_lane, g_lane in zip(want, got):
+        assert g_lane.x_bar.tobytes() == (t * w_lane.x_bar).tobytes()
+        assert [r.csv_values(zero_wall=True) for r in g_lane.records] == \
+            [r.csv_values(zero_wall=True) for r in w_lane.records]

@@ -27,7 +27,6 @@ def test_wall_monotone_and_bounded():
         assert all(w >= 0.0 for w in walls)
         assert all(b >= a for a, b in zip(walls, walls[1:]))
         assert res.wall_total >= walls[-1]
-        res.check_monotone()
 
 
 def test_total_timing_includes_evaluation_cost():
