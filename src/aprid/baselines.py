@@ -119,7 +119,8 @@ def msa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             raise DivergenceError("non-finite iterate")
 
     lanes = [Lane("msa", avg_x, lambda: z.copy())]
-    return drive(problem, seed, params.horizon, step, lanes, checkpoints, f0_ref, timing)[0]
+    return drive(problem, seed, params.horizon, step, lanes, checkpoints, f0_ref, timing,
+                 batches)[0]
 
 
 def csa_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
@@ -210,4 +211,5 @@ def pdsg_adp_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
             raise DivergenceError(f"iterate diverged (multiplier norm {watch.norm():.3e})")
 
     lanes = [Lane("pdsg_adp", avg_x, lambda: z.copy())]
-    return drive(problem, seed, params.horizon, step, lanes, checkpoints, f0_ref, timing)[0]
+    return drive(problem, seed, params.horizon, step, lanes, checkpoints, f0_ref, timing,
+                 batches)[0]

@@ -17,6 +17,8 @@ Problems are duck-typed. Every constrained problem exposes
         estimate (single constraint: plain estimate of f1, sign kept)
     evaluate_full(x, seed=None)         -> FullEval
 
+Finite families also expose ``draw_plan(j0, j1)``: the ``(total, size)`` index sets that
+``sample_objective_grad`` and ``sample_constraint_block`` draw, in that order.
 Deterministic problems additionally expose exact full quantities
 (``full_objective``, ``full_objective_grad``, ``full_constraint_values``,
 ``full_constraint_grads``) consumed by the reference solver, and
@@ -32,10 +34,10 @@ forming x'Q_j x, and the reference solver skips them while their multiplier is 0
 value either forms has the bits that the whole (M, n, n) stack gives. The screen goes
 ``_EVAL_CHUNK`` rows at a time, writing f over a.x, so no O(M) temporary is formed.
 
-Sampling determinism: each sampling method consumes its generator in a fixed
-documented order (objective draws: matrices then vectors; constraint draws:
-quadratic terms, then linear terms, then offsets), so one seed reproduces a
-run bit for bit; finite families subsample through ``_subsample``. The
+Sampling determinism: each sampling method consumes its generator in a fixed documented
+order (objective draws: matrices then vectors; constraint draws: quadratic terms, then linear
+terms, then offsets), so one seed reproduces a run bit for bit; finite families subsample
+through ``_subsample``: ``choice``'s sets, read ahead on a planned training stream. The
 expectation QCQP's training oracles read the next j records of their own
 stream (``rng.read_records``), (H, c) or (Q, a, b) with Q packed as in the finite sum,
 drawn a block at a time by the same draw functions (a plain Generator gives j fresh records
@@ -71,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import BoxSet, serial_matmul
-from .rng import CONSTRAINT_TAG, OBJECTIVE_TAG, read_records
+from .rng import CONSTRAINT_TAG, OBJECTIVE_TAG, TrainingStream, read_records
 from .schedules import _check_count
 
 __all__ = [
@@ -130,7 +132,9 @@ def _tau(k, slack=0.0):
 
 def _subsample(rng, total, size):
     """``min(size, total)`` distinct indices of ``range(total)``, uniformly at random."""
-    return rng.choice(total, size=min(int(size), total), replace=False)
+    size = min(int(size), total)
+    idx = rng.planned_choice(total, size) if isinstance(rng, TrainingStream) else None
+    return rng.choice(total, size=size, replace=False) if idx is None else idx
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +415,9 @@ class NeymanPearsonProblem:
         return ((_expit(t) @ self._neg) / self._neg.shape[0])[None, :]
 
     # sampled quantities
+
+    def draw_plan(self, j0, j1):
+        return (len(self._pos), j0), (len(self._neg), j1)
 
     def sample_objective_grad(self, x, j0, rng):
         rows = self._pos.take(_subsample(rng, len(self._pos), j0), axis=0)
@@ -870,10 +877,15 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
     # exact full quantities
 
     def full_constraint_values(self, x, rows=None):
-        """Every f_j(x), or only those of the constraint indices ``rows``."""
+        """Every f_j(x), over a.x ``_EVAL_CHUNK`` rows at a time, or those of indices ``rows``."""
         x = np.asarray(x, dtype=float)
-        rows = np.arange(self.num_constraints) if rows is None else rows
-        return self._exact_values(x, serial_matmul(self.a, x), rows)
+        f, m = serial_matmul(self.a, x), self.num_constraints
+        if rows is not None:
+            return self._exact_values(x, f, rows)
+        for lo in range(0, m, _EVAL_CHUNK):
+            rows = np.arange(lo, min(lo + _EVAL_CHUNK, m))
+            f[lo:lo + _EVAL_CHUNK] = self._exact_values(x, f, rows)
+        return f
 
     def full_constraint_grads(self, x):
         x = np.asarray(x, dtype=float)
@@ -923,6 +935,9 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
         return f, skipped
 
     # sampled quantities
+
+    def draw_plan(self, j0, j1):
+        return (self.num_objective_terms, j0), (self.num_constraints, j1)
 
     def sample_objective_grad(self, x, j0, rng):
         idx = _subsample(rng, self.num_objective_terms, j0)

@@ -11,7 +11,11 @@ which the finite-sum, NPC and bilinear oracles read, plus the expectation QCQP's
 two record streams, children of that ``SeedSequence`` under spawn key
 ``OBJECTIVE_TAG`` ((H, c) records) and ``CONSTRAINT_TAG`` ((Q, a, b) records, each
 Q stored as its upper triangle), each drawn ``RECORD_BLOCK`` records at a time and read in
-order (``read_records``).
+order (``read_records``). A run whose index sets do not depend on the iterate declares
+each step's, its ``plan``: one ``integers`` call over their bounds draws ``READ_AHEAD``
+steps' sets, each row then run through numpy's ``choice`` (Floyd's values, a repeat replaced
+by its bound - 1, a Fisher-Yates pass). Both draw through ``random_bounded_uint64``, so
+every set, and the state after it, is ``choice``'s per call (its tail shuffle stays so).
 
 Training and evaluation therefore never share a stream, and re-running with
 the same master seed reproduces every draw bit for bit. Freezing an
@@ -33,6 +37,7 @@ EVAL_TAG = 2
 OBJECTIVE_TAG = 0
 CONSTRAINT_TAG = 1
 RECORD_BLOCK = 1024
+READ_AHEAD = 64  # steps whose index sets a planned stream draws at once
 
 
 def stream_seed(master_seed, *tags) -> np.random.SeedSequence:
@@ -44,11 +49,45 @@ def stream_seed(master_seed, *tags) -> np.random.SeedSequence:
 
 
 class TrainingStream(np.random.Generator):
-    """``default_rng(seq)``'s Generator, holding the state of its record streams."""
+    """``default_rng(seq)``'s Generator, holding its record streams and ``plan``'s read-ahead."""
 
-    def __init__(self, seq):
+    def __init__(self, seq, plan=(), horizon=0):
         super().__init__(np.random.PCG64(seq))
         self._seq, self._records = seq, {}  # tag -> [child Generator, block, records read]
+        plan = tuple((int(total), min(int(size), int(total))) for total, size in plan)
+        tail = any(total > 10000 and size > total // 50 for total, size in plan)
+        self._plan, self._horizon, self._served = () if tail else plan, int(horizon), 0
+
+    def planned_choice(self, total, size):
+        """The plan's next index set, with the bits of ``choice(total, size, replace=False)``;
+        None without a plan (or with a set in choice's tail shuffle). Any other set raises."""
+        if not self._plan:
+            return None
+        step, slot = divmod(self._served, len(self._plan))
+        if step >= self._horizon or self._plan[slot] != (total, size):
+            raise RuntimeError(f"{(total, size)} is not next in {self._plan} at step {step + 1}")
+        if slot == 0 and step % READ_AHEAD == 0:
+            # per step and set: Floyd's bounds total - size + 1 .. total, the shuffle's size .. 2
+            highs = np.concatenate([np.r_[t - s + 1:t + 1, s:1:-1] for t, s in self._plan])
+            steps = min(READ_AHEAD, self._horizon - step)
+            draws = self.integers(0, np.tile(highs, steps)).reshape(steps, -1)
+            cuts = np.cumsum([2 * s - 1 for _, s in self._plan])[:-1]
+            self._sets = [_choice_rows(d, t - s)
+                          for d, (t, s) in zip(np.split(draws, cuts, axis=1), self._plan)]
+        self._served += 1
+        return self._sets[slot][step % READ_AHEAD]
+
+
+def _choice_rows(draws, base):
+    """Per row of ``draws`` (size Floyd values, then size - 1 swaps), ``choice``'s set."""
+    size, rows = (draws.shape[1] + 1) // 2, np.arange(len(draws))
+    out, ordered = draws[:, :size].copy(), np.sort(draws[:, :size], axis=1)
+    dup = rows[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]  # the rows Floyd's rule changes
+    for t in range(1, size if dup.size else 0):  # a value already taken becomes base + t
+        out[dup[(out[dup, :t] == out[dup, t, None]).any(axis=1)], t] = base + t
+    for i, j in zip(range(size - 1, 0, -1), draws[:, size:].T):
+        out[rows, i], out[rows, j] = out[rows, j], out[rows, i]
+    return out
 
 
 def read_records(rng, tag, draw, count):
@@ -70,9 +109,9 @@ def read_records(rng, tag, draw, count):
     return tuple(column[pos:pos + count] for column in block)
 
 
-def training_rng(master_seed) -> TrainingStream:
-    """The stream consumed by a solver's per-iteration oracle draws."""
-    return TrainingStream(stream_seed(master_seed, TRAIN_TAG))
+def training_rng(master_seed, plan=(), horizon=0) -> TrainingStream:
+    """The stream of a solver's oracle draws, reading ``plan``'s sets of each step ahead."""
+    return TrainingStream(stream_seed(master_seed, TRAIN_TAG), plan, horizon)
 
 
 def eval_seed(master_seed, iteration, lane=0) -> np.random.SeedSequence:

@@ -132,7 +132,8 @@ def _adaptive_direction(state, g, blocks, params):
     state.m = b1 * state.m + (1.0 - b1) * g
     if not params.adaptive:
         return np.ones_like(state.m), state.m
-    g_hat = np.concatenate([clip_gradient(block, params.theta) for block in blocks])
+    clipped = [clip_gradient(block, params.theta) for block in blocks]
+    g_hat = clipped[0] if len(clipped) == 1 else np.concatenate(clipped)
     state.v = b2 * state.v + (1.0 - b2) * (g_hat * g_hat)
     state.v_hat = np.maximum(state.v_hat, state.v)
     # 0/0 = 0: coordinates never touched by gradient energy do not move.
@@ -230,7 +231,8 @@ def aprid_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
                 f"multiplier norm {znorm:.3e} exceeded divergence cap at step {k}")
 
     lanes = [Lane("aprid", avg_x, avg_z.finalize)]
-    return drive(problem, seed, schedule.horizon, step, lanes, checkpoints, f0_ref, timing)[0]
+    return drive(problem, seed, schedule.horizon, step, lanes, checkpoints, f0_ref, timing,
+                 batches)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +352,10 @@ def _score(problem, lane, k, seed, f0_ref) -> CheckpointRecord:
                             viol_max=ev.viol_max, objective=ev.objective)
 
 
-def drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing) -> list:
+def drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing,
+          batches=None) -> list:
     """Run ``step(1, rng)..step(horizon, rng)`` on ``seed``'s training stream ``rng``
-    and return one RunResult per lane.
+    and return one RunResult per lane; given ``batches``, ``rng`` reads ahead ``draw_plan``.
 
     ``wall_s`` counts the steps and, with ``timing='total'``, the checkpoint
     scoring too. A DivergenceError raised by a step leaves with
@@ -364,7 +367,8 @@ def drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing) -> l
     cpset = set(_resolve_checkpoints(checkpoints, horizon))
     records = [[] for _ in lanes]
     wall = 0.0
-    rng = training_rng(seed)
+    plan = getattr(problem, "draw_plan", None)
+    rng = training_rng(seed, plan(batches.j0, batches.j1) if batches and plan else (), horizon)
     try:
         for k in range(1, horizon + 1):
             tic = time.perf_counter()

@@ -189,6 +189,8 @@ def test_chunked_screen_has_the_bits_of_the_whole_stack_screen(m):
             mixed += 0 < skipped.sum() < m
         want = _full_eval(prob.full_objective(x), _whole_stack_screen(prob, x)[0])
         assert _bits(tuple(prob.evaluate_full(x))) == _bits(tuple(want))
+        whole = _constraint_values_at(prob.q, prob.a, prob.b, x)
+        assert prob.full_constraint_values(x).tobytes() == whole.tobytes()
     assert mixed >= 2  # some points skip part of the rows and evaluate the rest
 
 
@@ -216,6 +218,14 @@ def test_a_full_evaluation_holds_one_m_array_and_a_chunk(many_constraints):
     # where most rows are evaluated
     for scale in (0.0, 0.3, 2.0):
         _, peak = traced_peak(lambda: many_constraints.evaluate_full(np.full(10, scale)))
+        assert peak <= 2 * MiB, (scale, peak / MiB)
+
+
+def test_full_constraint_values_hold_one_m_array_and_a_chunk(many_constraints):
+    # what kkt_residuals reads: a.x (0.76 MiB), overwritten a chunk at a time; every row's
+    # index, product and sum at once traced 3.8 MiB
+    for scale in (0.0, 2.0):
+        _, peak = traced_peak(lambda: many_constraints.full_constraint_values(np.full(10, scale)))
         assert peak <= 2 * MiB, (scale, peak / MiB)
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -12,7 +13,9 @@ from aprid import (
     Dataset,
     DivergenceError,
     DualState,
+    ExpectationQcqpProblem,
     FiniteSumQcqpProblem,
+    FullEval,
     GradSample,
     MinimaxState,
     MsaParams,
@@ -456,6 +459,70 @@ def test_aprid_obeys_the_variable_scaling_law_on_npc_bit_for_bit(t, theta):
     assert got.x_bar.tobytes() == (t * want.x_bar).tobytes()
     assert got.z_bar.tobytes() == want.z_bar.tobytes()
     assert min(r.viol_max for r in want.records) > 0.0  # the law is not read off zeros only
+    assert [r.csv_values(zero_wall=True) for r in got.records] == \
+        [r.csv_values(zero_wall=True) for r in want.records]
+
+
+class _ScaledExpectation(ExpectationQcqpProblem):
+    """The expectation QCQP with f0 and f1 times s and x = t y: every record drawn as the
+    base law draws it, then H by sqrt(s) / t, c by sqrt(s), Q by s / t^2, a by s / t and b by
+    s, and the box times t. Its evaluation is the base one at x / t, times s."""
+
+    def __init__(self, s=1.0, t=1.0):
+        super().__init__(10, 5, eval_samples=512)
+        self.s, self.t, self.box = s, t, BoxSet.symmetric(10, 10.0 * t)
+
+    def _objective_records(self, rng, count):
+        h, c = super()._objective_records(rng, count)
+        return math.sqrt(self.s) / self.t * h, math.sqrt(self.s) * c
+
+    def _constraint_records(self, rng, count):
+        q, a, b = super()._constraint_records(rng, count)
+        return self.s / self.t**2 * q, self.s / self.t * a, self.s * b
+
+    def evaluate_full(self, x, seed=None):
+        ev = super().evaluate_full(x / self.t, seed)
+        return FullEval(self.s * ev.objective, self.s * ev.violations, self.s * ev.viol_avg,
+                        self.s * ev.viol_max)
+
+
+def _expectation_runs(cases, theta):
+    """aprid at horizon 2000 with alpha = 1000 on each (instance, alpha, rho, theta, f0_ref)
+    factor of ``cases``: x leaves the feasible set early (viol_max 2.9 at step 5, z_bar
+    about 3500) and the clip acts on over 99.9 % of the steps at theta = 10 and at 0.05."""
+    return [aprid_run(prob, SolverParams(StepSchedule.constant(1000.0 * a, 1.0 * r, 2000, 0.9),
+                                         theta=theta * th),
+                      BatchSizes(j0=10, j1=10, jg=20), seed=3, f0_ref=0.3 * ref,
+                      checkpoints=[1, 5, 20, 100, 500, 2000], timing="algo")
+            for prob, a, r, th, ref in cases]
+
+
+@pytest.mark.parametrize("theta", [10.0, 0.05])
+@pytest.mark.parametrize("k", [1, -2, 3])
+def test_aprid_obeys_the_objective_scaling_law_on_expectation_bit_for_bit(k, theta):
+    # f0 and f1 times s = 4^k in every record, with rho / s, theta * s and f0_ref * s: x_bar
+    # and z_bar come out with the same bits and every metric exactly s times as large
+    s = 4.0**k
+    want, got = _expectation_runs([(_ScaledExpectation(), 1, 1, 1, 1),
+                                   (_ScaledExpectation(s=s), 1, 1 / s, s, s)], theta)
+    assert got.x_bar.tobytes() == want.x_bar.tobytes()
+    assert got.z_bar.tobytes() == want.z_bar.tobytes()
+    assert want.records[1].viol_max > 0.0 and want.z_bar[0] > 0.0
+    for w, g in zip(want.records, got.records):
+        for name in ("obj_err", "viol_avg", "viol_max"):
+            assert getattr(g, name) == s * getattr(w, name), (w.iteration, name)
+
+
+@pytest.mark.parametrize("theta", [10.0, 0.05])
+@pytest.mark.parametrize("t", [8.0, 0.25])
+def test_aprid_obeys_the_variable_scaling_law_on_expectation_bit_for_bit(t, theta):
+    # x = t y in every record and the box, with alpha * t and theta / t: x_bar comes out
+    # exactly t times as large, and z_bar and every CSV row with the same bits
+    want, got = _expectation_runs([(_ScaledExpectation(), 1, 1, 1, 1),
+                                   (_ScaledExpectation(t=t), t, 1, 1 / t, 1)], theta)
+    assert got.x_bar.tobytes() == (t * want.x_bar).tobytes()
+    assert got.z_bar.tobytes() == want.z_bar.tobytes()
+    assert want.records[1].viol_max > 0.0 and want.z_bar[0] > 0.0
     assert [r.csv_values(zero_wall=True) for r in got.records] == \
         [r.csv_values(zero_wall=True) for r in want.records]
 
