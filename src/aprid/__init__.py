@@ -28,7 +28,7 @@ from .results import (CheckpointRecord, RunResult, log_spaced_checkpoints,
                       read_run_csv, write_run_csv)
 from .rng import eval_seed, stream_seed, training_rng
 from .schedules import ErgodicAverager, StepSchedule
-from .solvers import (DualState, MinimaxState, PrimalState, SolverParams,
+from .solvers import (DualState, PrimalState, SolverParams,
                       apriad_run, apriad_step, aprid_run, aprid_step,
                       primal_dual_gap)
 
@@ -39,7 +39,7 @@ __all__ = [
     "CheckpointRecord", "ConfigError", "CsaParams", "Dataset", "DivergenceError",
     "DualState", "ErgodicAverager", "ExpectationQcqpProblem", "ExperimentConfig",
     "ExperimentOutput", "FiniteSumQcqpProblem", "FrozenQcqpProblem", "FullEval",
-    "GradSample", "KktResiduals", "MinimaxState", "MsaParams",
+    "GradSample", "KktResiduals", "MsaParams",
     "NeymanPearsonProblem", "PdsgAdpParams", "PrimalState", "ReferenceError",
     "ReferenceSolution", "RunResult", "ScheduleExhaustedError",
     "SolverParams", "StepSchedule", "apriad_run", "apriad_step", "aprid_run",

@@ -193,6 +193,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
         if not getattr(problem, "deterministic", False):
             ref_lines["reference.frozen_samples"] = str(cfg.run["freeze_samples"])
             ref_lines["reference.freeze_seed"] = str(cfg.run["freeze_seed"])
+        del ref  # its O(M) arrays are not held while the cells run; f0_ref is all they read
     t_referenced = time.perf_counter()
 
     timing = cfg.run["timing"]

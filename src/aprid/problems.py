@@ -338,10 +338,6 @@ def make_synthetic_dataset(dim, n_pos, n_neg, seed, separation=2.0) -> Dataset:
 # binary classification with a bound on the negative-class surrogate loss
 
 
-def _softplus(t):
-    return np.logaddexp(0.0, t)
-
-
 def _libm_exp(v):
     try:
         return math.exp(v)
@@ -360,6 +356,16 @@ def _expit(t):
     except OverflowError:
         e = np.fromiter(map(_libm_exp, neg), float, len(neg))
     return 1.0 / (1.0 + e)
+
+
+def _logistic_mean(t):
+    """The mean of ``log(1 + exp(t))`` over the margins ``t``."""
+    return float(np.mean(np.logaddexp(0.0, t)))
+
+
+def _logistic_grad(t, rows):
+    """The gradient in x of ``_logistic_mean(rows @ x)``, given ``t = rows @ x``."""
+    return (_expit(t) @ rows) / rows.shape[0]
 
 
 class NeymanPearsonProblem:
@@ -401,18 +407,16 @@ class NeymanPearsonProblem:
     # exact full quantities
 
     def full_objective(self, x) -> float:
-        return float(np.mean(_softplus(-(self._pos @ x))))
+        return _logistic_mean(-(self._pos @ x))
 
     def full_objective_grad(self, x):
-        t = self._pos @ x
-        return -(_expit(-t) @ self._pos) / self._pos.shape[0]
+        return -_logistic_grad(-(self._pos @ x), self._pos)
 
     def full_constraint_values(self, x):
-        return np.array([np.mean(_softplus(self._neg @ x)) - self.c_hat])
+        return np.array([_logistic_mean(self._neg @ x) - self.c_hat])
 
     def full_constraint_grads(self, x):
-        t = self._neg @ x
-        return ((_expit(t) @ self._neg) / self._neg.shape[0])[None, :]
+        return _logistic_grad(self._neg @ x, self._neg)[None, :]
 
     # sampled quantities
 
@@ -421,23 +425,21 @@ class NeymanPearsonProblem:
 
     def sample_objective_grad(self, x, j0, rng):
         rows = self._pos.take(_subsample(rng, len(self._pos), j0), axis=0)
-        t = rows @ x
-        return -(_expit(-t) @ rows) / rows.shape[0]
+        return -_logistic_grad(-(rows @ x), rows)
 
     def sample_constraint_block(self, x, j1, rng):
         rows = self._neg.take(_subsample(rng, len(self._neg), j1), axis=0)
         t = rows @ x
-        value = float(np.mean(_softplus(t))) - self.c_hat
-        grad = (_expit(t) @ rows) / rows.shape[0]
-        return np.array([0]), np.array([value]), grad[None, :]
+        value = _logistic_mean(t) - self.c_hat
+        return np.array([0]), np.array([value]), _logistic_grad(t, rows)[None, :]
 
     def sample_constraint_block_exact(self, x, j1, rng):
-        support, _, grads = self.sample_constraint_block(x, j1, rng)
-        return support, self.full_constraint_values(x), grads
+        rows = self._neg.take(_subsample(rng, len(self._neg), j1), axis=0)
+        return np.array([0]), self.full_constraint_values(x), _logistic_grad(rows @ x, rows)[None]
 
     def constraint_value_estimate(self, x, jg, rng) -> float:
         rows = self._neg.take(_subsample(rng, len(self._neg), jg), axis=0)
-        return float(np.mean(_softplus(rows @ x))) - self.c_hat
+        return _logistic_mean(rows @ x) - self.c_hat
 
     def evaluate_full(self, x, seed=None) -> FullEval:
         return _full_eval(self.full_objective(x), self.full_constraint_values(x))
@@ -876,16 +878,23 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
 
     # exact full quantities
 
-    def full_constraint_values(self, x, rows=None):
-        """Every f_j(x), over a.x ``_EVAL_CHUNK`` rows at a time, or those of indices ``rows``."""
+    def exact_constraint_values(self, x, f, mask=None):
+        """``f`` with f_j(x) written over every row, where ``f`` holds a.x on entry, or over
+        the rows of ``mask``, with a.x formed here once; ``_EVAL_CHUNK`` rows at a time."""
         x = np.asarray(x, dtype=float)
-        f, m = serial_matmul(self.a, x), self.num_constraints
-        if rows is not None:
-            return self._exact_values(x, f, rows)
+        ax, m = f if mask is None else serial_matmul(self.a, x), self.num_constraints
         for lo in range(0, m, _EVAL_CHUNK):
-            rows = np.arange(lo, min(lo + _EVAL_CHUNK, m))
-            f[lo:lo + _EVAL_CHUNK] = self._exact_values(x, f, rows)
+            hi = min(lo + _EVAL_CHUNK, m)
+            rows = np.arange(lo, hi) if mask is None else lo + np.flatnonzero(mask[lo:hi])
+            f[rows] = self._exact_values(x, ax, rows)
         return f
+
+    def full_constraint_values(self, x, rows=None):
+        """Every f_j(x), or those of indices ``rows``."""
+        x = np.asarray(x, dtype=float)
+        f = serial_matmul(self.a, x)
+        return self._exact_values(x, f, rows) if rows is not None else \
+            self.exact_constraint_values(x, f)
 
     def full_constraint_grads(self, x):
         x = np.asarray(x, dtype=float)

@@ -11,7 +11,7 @@ the inner objective and gradient and by the post-round update and KKT check.
 A problem with ``screened_constraint_values`` (the finite-sum QCQP) evaluates at
 a point only the rows with z_j > 0 and those its certificate cannot prove
 negative; the skipped rows' shifted multipliers are exactly 0 either way, and
-they are evaluated once, at the point the solver returns, a chunk at a time.
+they are evaluated once, at the point the solver returns (``exact_constraint_values``).
 The M x n constraint-gradient matrix is formed only when a multiplier is nonzero.
 Otherwise a solve holds z, the point's values and skip mask and at most two more M-arrays.
 """
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ReferenceError
 from .kernels import serial_matmul
-from .problems import _EVAL_CHUNK
 
 __all__ = [
     "KktResiduals",
@@ -138,9 +137,8 @@ def _constraint_values_once(problem):
     certificate proves negative hold a negative bound instead: their shifted multiplier
     max(z_j + beta f_j, 0), their update and their KKT terms are exactly 0 as with the
     value. A row that a later z at the same point makes positive has f_j > 0, so it was
-    evaluated. ``complete(x)``, at the last point, evaluates its skipped rows and returns
-    every value there exact: it forms a.x once and hands the problem's ``_exact_values``
-    one chunk of skipped rows at a time.
+    evaluated. ``complete(x)``, at the last point, evaluates its skipped rows (the problem's
+    ``exact_constraint_values`` over their mask) and returns every value there exact.
     """
     screened = getattr(problem, "screened_constraint_values", None)
     last = [None, None, None]  # the point's bytes, its values, the rows they skip
@@ -154,14 +152,10 @@ def _constraint_values_once(problem):
         return last[1]
 
     def complete(x):
-        f, skipped = last[1], last[2]
-        if skipped is not None and skipped.any():
-            ax = serial_matmul(problem.a, x)  # once, for every chunk of skipped rows
-            for lo in range(0, f.size, _EVAL_CHUNK):
-                rows = lo + np.flatnonzero(skipped[lo:lo + _EVAL_CHUNK])
-                f[rows] = problem._exact_values(x, ax, rows)
+        if last[2] is not None and last[2].any():
+            problem.exact_constraint_values(x, last[1], last[2])
             last[2] = None
-        return f
+        return last[1]
 
     return values, complete
 

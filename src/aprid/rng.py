@@ -16,6 +16,8 @@ each step's, its ``plan``: one ``integers`` call over their bounds draws ``READ_
 steps' sets, each row then run through numpy's ``choice`` (Floyd's values, a repeat replaced
 by its bound - 1, a Fisher-Yates pass). Both draw through ``random_bounded_uint64``, so
 every set, and the state after it, is ``choice``'s per call (its tail shuffle stays so).
+The run driver closes each step (``end_step``), which raises unless the step drew each set of
+the plan exactly once, so not even a plan of equal sets serves a set to the wrong draw.
 
 Training and evaluation therefore never share a stream, and re-running with
 the same master seed reproduces every draw bit for bit. Freezing an
@@ -76,6 +78,12 @@ class TrainingStream(np.random.Generator):
                           for d, (t, s) in zip(np.split(draws, cuts, axis=1), self._plan)]
         self._served += 1
         return self._sets[slot][step % READ_AHEAD]
+
+    def end_step(self, step):
+        """Raise unless ``step`` (from 1) drew each set of the plan exactly once."""
+        drawn = self._served - (step - 1) * len(self._plan)
+        if drawn != len(self._plan):
+            raise RuntimeError(f"step {step} drew {drawn} of the {len(self._plan)} planned sets")
 
 
 def _choice_rows(draws, base):

@@ -135,35 +135,15 @@ class StepSchedule:
     def horizon(self) -> int:
         return self._alphas.size
 
-    @property
-    def eta_current(self) -> float:
-        """eta at the step the next ``next()`` call will emit."""
-        self._check_live()
-        return float(self._etas[self.step_index - 1])
-
-    @property
-    def rho_current(self) -> float:
-        self._check_live()
-        return float(self._rhos[self.step_index - 1])
-
-    @property
-    def alpha_current(self) -> float:
-        self._check_live()
-        return float(self._alphas[self.step_index - 1])
-
     def next(self):
         """Emit ``(alpha_k, rho_k)`` for the current step and advance."""
         i = self.step_index - 1
         alphas, rhos = self._emit
         if i >= len(alphas):
-            self._check_live()
-        self.step_index = i + 2
-        return alphas[i], rhos[i]
-
-    def _check_live(self):
-        if self.step_index > self.horizon:
             raise ScheduleExhaustedError(
                 f"schedule of horizon {self.horizon} has no step {self.step_index}")
+        self.step_index = i + 2
+        return alphas[i], rhos[i]
 
     def fresh(self):
         """A rewound copy sharing the precomputed sequences."""

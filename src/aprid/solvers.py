@@ -13,10 +13,11 @@ coupled dual step schedule:
 
 with the 0/0 = 0 convention for untouched coordinates. The momentum uses the
 raw gradient while the second moment uses the clipped one; the clip bounds
-every vhat coordinate by theta^2. The minimax solver applies the same
-adaptive scaling blockwise to a descent step in x and an ascent step in z,
-both projected onto their boxes. That update is written once, in
-``_adaptive_direction``, which ``aprid_step`` calls with one block and
+every vhat coordinate by theta^2. The minimax solver runs the same update on
+the stacked (x, z) over the product of its two boxes, stepping alpha_k on x and
+-rho_k on z, so z ascends (x - (-rho) d is x + rho d, signed zeros included),
+each block clipped on its own. That update is written once, in
+``_adaptive_step``, which ``aprid_step`` calls with one block and
 ``apriad_step`` with two.
 
 Solvers report the ergodic averages of their iterates, weighted by
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .kernels import clip_gradient, project_box_weighted, serial_matmul
+from .kernels import BoxSet, clip_gradient, project_box_weighted, serial_matmul
 from .oracles import sample_lagrangian_subgradient, sample_minimax_subgradient
 from .results import CheckpointRecord, RunResult, _resolve_checkpoints
 from .rng import eval_seed, training_rng
@@ -59,7 +60,6 @@ __all__ = [
     "SolverParams",
     "PrimalState",
     "DualState",
-    "MinimaxState",
     "aprid_step",
     "aprid_run",
     "apriad_step",
@@ -124,28 +124,29 @@ class DualState:
         return cls(z=np.zeros(int(num_constraints)))
 
 
-def _adaptive_direction(state, g, blocks, params):
-    """Update ``state.m`` from the raw gradient ``g`` and, when adaptive, ``state.v``
-    and ``state.v_hat`` from ``g``'s ``blocks``, each clipped to theta on its own;
-    return the projection weights and the step direction."""
+def _adaptive_step(state, g, blocks, steps, params, box):
+    """``state.x <- proj_{box, sqrt(vhat)}(state.x - steps * direction)``, after updating
+    ``state.m`` from the raw gradient ``g`` and, when adaptive, ``state.v`` and
+    ``state.v_hat`` from ``g``'s ``blocks``, each clipped to theta on its own."""
     b1, b2 = params.schedule.beta1, params.beta2
     state.m = b1 * state.m + (1.0 - b1) * g
     if not params.adaptive:
-        return np.ones_like(state.m), state.m
-    clipped = [clip_gradient(block, params.theta) for block in blocks]
-    g_hat = clipped[0] if len(clipped) == 1 else np.concatenate(clipped)
-    state.v = b2 * state.v + (1.0 - b2) * (g_hat * g_hat)
-    state.v_hat = np.maximum(state.v_hat, state.v)
-    # 0/0 = 0: coordinates never touched by gradient energy do not move.
-    root = np.sqrt(state.v_hat)
-    return root, np.divide(state.m, root, out=np.zeros_like(state.m), where=root > 0)
+        root, direction = np.ones_like(state.m), state.m
+    else:
+        clipped = [clip_gradient(block, params.theta) for block in blocks]
+        g_hat = clipped[0] if len(clipped) == 1 else np.concatenate(clipped)
+        state.v = b2 * state.v + (1.0 - b2) * (g_hat * g_hat)
+        state.v_hat = np.maximum(state.v_hat, state.v)
+        # 0/0 = 0: coordinates never touched by gradient energy do not move.
+        root = np.sqrt(state.v_hat)
+        direction = np.divide(state.m, root, out=np.zeros_like(state.m), where=root > 0)
+    state.x = project_box_weighted(state.x - steps * direction, box, root)
 
 
 def aprid_step(pstate, dstate, sample, alpha_k, rho_k, params, box):
     """One primal-dual update in place; returns the sampled multipliers
     ``z[sample.w_support]`` before and after it."""
-    root, direction = _adaptive_direction(pstate, sample.u, (sample.u,), params)
-    pstate.x = project_box_weighted(pstate.x - alpha_k * direction, box, root)
+    _adaptive_step(pstate, sample.u, (sample.u,), alpha_k, params, box)
     # only the sampled multipliers move, so only they can turn non-finite
     z_old = dstate.z[sample.w_support]
     z_new = np.maximum(z_old + rho_k * sample.w, 0.0)
@@ -239,33 +240,13 @@ def aprid_run(problem, params, batches, seed, checkpoints=None, f0_ref=None,
 # minimax variant
 
 
-@dataclass
-class MinimaxState:
-    """Joint saddle iterate; momentum and second moments are stacked over
-    the (x, z) blocks so the adaptive scaling is applied blockwise."""
-
-    x: np.ndarray
-    z: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    v_hat: np.ndarray
-
-    @classmethod
-    def fresh(cls, x0, z0):
-        x0 = np.asarray(x0, dtype=float).copy()
-        z0 = np.asarray(z0, dtype=float).copy()
-        joint = np.zeros(x0.size + z0.size)
-        return cls(x=x0, z=z0, m=joint.copy(), v=joint.copy(), v_hat=joint.copy())
-
-
-def apriad_step(state, sample, alpha_k, rho_k, params, box_x, box_z):
-    """One adaptive descent-ascent update in place; returns the state."""
-    n = state.x.size
+def apriad_step(state, sample, alpha_k, rho_k, params, box):
+    """One adaptive descent-ascent update of the stacked ``state.x = (x, z)`` in place,
+    over the product ``box``."""
+    steps = np.full(state.x.size, alpha_k)
+    steps[sample.u.size:] = -rho_k  # z ascends
     g = np.concatenate([sample.u, sample.w])
-    root, direction = _adaptive_direction(state, g, (sample.u, sample.w), params)
-    state.x = project_box_weighted(state.x - alpha_k * direction[:n], box_x, root[:n])
-    state.z = project_box_weighted(state.z + rho_k * direction[n:], box_z, root[n:])
-    return state
+    _adaptive_step(state, g, (sample.u, sample.w), steps, params, box)
 
 
 def apriad_run(problem, params, seed, checkpoints=None, timing="algo") -> RunResult:
@@ -284,16 +265,19 @@ def apriad_run(problem, params, seed, checkpoints=None, timing="algo") -> RunRes
             "the minimax solver's guarantees assume proportional steps",
             stacklevel=2,
         )
-    state = MinimaxState.fresh(_initial_x(problem.box_x), _initial_x(problem.box_z))
+    bx, bz, n = problem.box_x, problem.box_z, problem.box_x.dim
+    box = BoxSet(np.concatenate([bx.lower, bz.lower]), np.concatenate([bx.upper, bz.upper]))
+    state = PrimalState.fresh(_initial_x(box))
     avg_x = ErgodicAverager(schedule.beta1)
     avg_z = ErgodicAverager(schedule.beta1)
 
     def step(k, rng):
         alpha_k, rho_k = schedule.next()
-        sample = sample_minimax_subgradient(problem, state.x, state.z, rng)
-        avg_x.push(state.x, alpha_k)
-        avg_z.push(state.z, alpha_k)
-        apriad_step(state, sample, alpha_k, rho_k, params, problem.box_x, problem.box_z)
+        x, z = state.x[:n], state.x[n:]
+        sample = sample_minimax_subgradient(problem, x, z, rng)
+        avg_x.push(x, alpha_k)
+        avg_z.push(z, alpha_k)
+        apriad_step(state, sample, alpha_k, rho_k, params, box)
         if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
             raise DivergenceError("non-finite accumulator state")
 
@@ -374,6 +358,7 @@ def drive(problem, seed, horizon, step, lanes, checkpoints, f0_ref, timing,
             tic = time.perf_counter()
             step(k, rng)
             wall += time.perf_counter() - tic
+            rng.end_step(k)
             if k in cpset:
                 tic = time.perf_counter()
                 scored = [_score(problem, lane, k, seed, f0_ref) for lane in lanes]

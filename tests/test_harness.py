@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +196,29 @@ def test_manifest_splits_out_the_set_up_time(tmp_path):
     for key in ("setup.build_s", "setup.reference_s"):
         value = manifest[key]
         assert value == format(float(value), ".3f") and 0.0 <= float(value) <= total, key
+
+
+def test_the_reference_solution_is_released_before_the_cells_run(tmp_path, monkeypatch):
+    # its x, z and constraint values are O(M); the cells read only f0_ref
+    solutions, alive = [], []
+    solve, run_cell = harness.solve_reference, harness._run_cell
+
+    def solving(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        solutions.append(weakref.ref(solution))
+        return solution
+
+    def running(*args, **kwargs):
+        alive.append(solutions[-1]() is not None)
+        return run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_reference", solving)
+    monkeypatch.setattr(harness, "_run_cell", running)
+    cfg = resolve_config({"problem": FINITE_SUM, "algorithm": {"name": "aprid"},
+                          "run": {**RUN, "reference": "exact", "seeds": "1, 2"}})
+    out = run_experiment(cfg, tmp_path)
+    assert len(solutions) == 1 and alive == [False, False]
+    assert out.f0_ref is not None
 
 
 def test_duplicate_seeds_are_rejected(tmp_path):

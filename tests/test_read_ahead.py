@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import test_golden_trajectories as golden
-from aprid import (BatchSizes, CsaParams, PdsgAdpParams, csa_run, make_qcqp_finite_sum,
-                   pdsg_adp_run, rng as rng_module, training_rng)
+from aprid import (BatchSizes, CsaParams, PdsgAdpParams, SolverParams, StepSchedule, aprid_run,
+                   csa_run, make_qcqp_finite_sum, pdsg_adp_run, rng as rng_module, training_rng)
 from aprid.problems import _subsample
 from aprid.rng import TrainingStream
 
@@ -73,6 +73,39 @@ def test_a_draw_not_in_the_plan_raises():
     _subsample(stream, 100, 10)
     with pytest.raises(RuntimeError, match="step 2$"):
         _subsample(stream, 100, 10)
+
+
+class _Faulty:
+    """A finite-sum problem whose objective oracle repeats its draw, or skips the stream."""
+
+    def __init__(self, problem, fault):
+        self._problem, self._fault = problem, fault
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def sample_objective_grad(self, x, j0, rng):
+        if self._fault == "repeat":
+            self._problem.sample_objective_grad(x, j0, rng)
+        elif self._fault == "skip":
+            rng = np.random.default_rng(0)
+        return self._problem.sample_objective_grad(x, j0, rng)
+
+
+@pytest.mark.parametrize("fault", ["none", "repeat", "skip"])
+def test_a_step_that_repeats_or_skips_a_planned_draw_raises(fault):
+    # N = M and j0 = j1, as in the shipped qcqp_finite_sum config: the plan's two sets are
+    # equal, so only the count of a step's draws can tell them apart
+    prob = _Faulty(make_qcqp_finite_sum(4, 3, 30, 30, seed=1), fault)
+    assert prob.draw_plan(3, 3) == ((30, 3), (30, 3))
+    params = SolverParams(StepSchedule.constant(0.1, 0.1, 20, 0.9))
+    run = lambda: aprid_run(prob, params, BatchSizes(3, 3, 5), seed=1, checkpoints=[20])
+    if fault == "none":
+        assert run().records[-1].iteration == 20
+        return
+    drawn = {"repeat": 3, "skip": 1}[fault]
+    with pytest.raises(RuntimeError, match=rf"^step 1 drew {drawn} of the 2 planned sets"):
+        run()
 
 
 @pytest.fixture

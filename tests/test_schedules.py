@@ -58,15 +58,6 @@ def test_next_walks_the_sequence_and_exhausts():
     assert sch.step_index == 4  # the copy does not disturb the original
 
 
-def test_current_properties_follow_step_index():
-    sch = StepSchedule.sqrt_log(1.0, 1.0, horizon=10, beta1=0.8)
-    assert sch.alpha_current == sch.alpha_sequence()[0]
-    sch.next()
-    assert sch.alpha_current == sch.alpha_sequence()[1]
-    assert sch.rho_current == sch.rho_sequence()[1]
-    assert sch.eta_current == sch.eta_sequence()[1]
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         StepSchedule.constant(0.0, 1.0, horizon=5, beta1=0.9)

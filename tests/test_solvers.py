@@ -17,7 +17,6 @@ from aprid import (
     FiniteSumQcqpProblem,
     FullEval,
     GradSample,
-    MinimaxState,
     MsaParams,
     NeymanPearsonProblem,
     PrimalState,
@@ -40,6 +39,7 @@ from aprid import (
     training_rng,
 )
 
+from aprid.kernels import clip_gradient, project_box_weighted
 from aprid.solvers import _NormWatch
 from brute import double_sum_average
 
@@ -283,17 +283,65 @@ def test_minimax_blocks_clip_separately():
     prob = BilinearSaddleProblem(np.zeros((2, 2)), b=np.array([30.0, 40.0]),
                                  c=np.array([-0.2, 0.0]))
     params = SolverParams(StepSchedule.sqrt(1.0, 1.0, 5, 0.9), beta2=0.5, theta=5.0)
-    state = MinimaxState.fresh(np.zeros(2), np.zeros(2))
-    sample = sample_minimax_subgradient(prob, state.x, state.z, training_rng(0))
+    state = PrimalState.fresh(np.zeros(4))  # (x, z) stacked
+    sample = sample_minimax_subgradient(prob, state.x[:2], state.x[2:], training_rng(0))
     assert np.array_equal(sample.u, [30.0, 40.0])  # sigma = 0, exact grads
     assert np.array_equal(sample.w, [0.2, 0.0])
-    apriad_step(state, sample, 0.1, 0.1, params, prob.box_x, prob.box_z)
+    apriad_step(state, sample, 0.1, 0.1, params, BoxSet.symmetric(4, 1.0))
     assert np.allclose(state.m[:2], 0.1 * np.array([30.0, 40.0]), rtol=1e-15)
     assert np.allclose(state.v[:2], 0.5 * np.array([9.0, 16.0]), rtol=1e-15)  # clipped (3,4)
     assert np.allclose(state.v[2:], 0.5 * np.array([0.04, 0.0]), rtol=1e-15)  # raw
     # descent in x, ascent in z, untouched z coordinate pinned by 0/0 = 0
-    assert np.all(state.x < 0)
-    assert state.z[0] > 0 and state.z[1] == 0
+    assert np.all(state.x[:2] < 0)
+    assert state.x[2] > 0 and state.x[3] == 0
+
+
+def _joint_apriad_step(state, sample, alpha_k, rho_k, params, box_x, box_z):
+    """The minimax update as written before apriad stepped one PrimalState over (x, z):
+    its own x and z, moments stacked over them, each block clipped on its own, a descent
+    step in x and an ascent step in z, each projected onto its own box."""
+    n, b1, b2 = state.x.size, params.schedule.beta1, params.beta2
+    g = np.concatenate([sample.u, sample.w])
+    state.m = b1 * state.m + (1.0 - b1) * g
+    if params.adaptive:
+        g_hat = np.concatenate([clip_gradient(sample.u, params.theta),
+                                clip_gradient(sample.w, params.theta)])
+        state.v = b2 * state.v + (1.0 - b2) * (g_hat * g_hat)
+        state.v_hat = np.maximum(state.v_hat, state.v)
+        root = np.sqrt(state.v_hat)
+        direction = np.divide(state.m, root, out=np.zeros_like(state.m), where=root > 0)
+    else:
+        root, direction = np.ones_like(state.m), state.m
+    state.x = project_box_weighted(state.x - alpha_k * direction[:n], box_x, root[:n])
+    state.z = project_box_weighted(state.z + rho_k * direction[n:], box_z, root[n:])
+
+
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "plain"])
+@pytest.mark.parametrize("theta", [10.0, 0.05])
+def test_apriad_step_is_the_joint_update_bit_for_bit(adaptive, theta):
+    # noisy gradients, boxes that bind, and at theta = 0.05 a clip that fires on both blocks
+    base = make_bilinear_saddle(6, 4, seed=12, noise_sigma=0.5)
+    box_x = BoxSet(np.full(6, -0.3), np.full(6, 0.2))
+    box_z = BoxSet(np.full(4, -0.1), np.full(4, 0.4))
+    prob = BilinearSaddleProblem(base.a_mat, base.b, base.c, 0.5, box_x, box_z)
+    params = SolverParams(StepSchedule.sqrt(1.0, 0.7, 400, 0.9), theta=theta, adaptive=adaptive)
+    schedule = params.schedule.fresh()
+    box = BoxSet(np.r_[box_x.lower, box_z.lower], np.r_[box_x.upper, box_z.upper])
+    state = PrimalState.fresh(box.project(np.zeros(10)))
+    joint = PrimalState.fresh(box.project(np.zeros(10)))
+    joint.x, joint.z = joint.x[:6].copy(), joint.x[6:].copy()
+    rng, joint_rng = training_rng(12), training_rng(12)
+    for k in range(1, 401):
+        alpha_k, rho_k = schedule.next()
+        sample = sample_minimax_subgradient(prob, state.x[:6], state.x[6:], rng)
+        apriad_step(state, sample, alpha_k, rho_k, params, box)
+        _joint_apriad_step(joint, sample_minimax_subgradient(prob, joint.x, joint.z, joint_rng),
+                           alpha_k, rho_k, params, box_x, box_z)
+        assert state.x.tobytes() == np.r_[joint.x, joint.z].tobytes(), k
+        for name in ("m", "v", "v_hat"):
+            assert getattr(state, name).tobytes() == getattr(joint, name).tobytes(), (k, name)
+    # the run crossed both boxes' edges and moved z both ways
+    assert (state.x[6:] == 0.4).any() or (state.x[6:] == -0.1).any()
 
 
 def test_minimax_ratio_drift_warning():
