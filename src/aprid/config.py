@@ -185,6 +185,8 @@ _ALGORITHM_KEYS = {
     },
 }
 
+_REFERENCE_MODES = ("exact", "none")
+
 _RUN_KEYS = {
     "horizon": _Key(_pos_int, required=True),
     "j0": _Key(_pos_int, 10),
@@ -192,9 +194,8 @@ _RUN_KEYS = {
     "jg": _Key(_pos_int, 100),
     "seeds": _Key(_int_list, [0]),
     "checkpoints": _Key(_checkpoints, [50]),
-    "reference": _Key(_enum("exact", "best_feasible", "none"), None),
+    "reference": _Key(_enum(*_REFERENCE_MODES), None),
     "reference_tol": _Key(_pos_float, 1e-6, mode="exact"),
-    "feasible_tol": _Key(_pos_float, 1e-6, mode="best_feasible"),
     "freeze_samples": _Key(_pos_int, 100_000, mode="exact"),
     "freeze_seed": _Key(_nonneg_int, 0, mode="exact"),
     "timing": _Key(_enum("algo", "total", "none"), "algo"),
@@ -262,6 +263,8 @@ class ExperimentConfig:
             errors += [f"run.{key}: missing key" for key, spec in _RUN_KEYS.items()
                        if key not in self.run and spec.mode in (None, mode)]
             errors += [f"run.{key}: unknown key" for key in self.run if key not in _RUN_KEYS]
+            if "reference" in self.run and mode not in _REFERENCE_MODES:
+                errors.append(f"run.reference: expected one of {_REFERENCE_MODES}, got {mode!r}")
             errors += _kind_errors("run", self.run, _RUN_KEYS)
         if not errors and set(sections) == {"problem", "algorithm", "run"}:
             errors = _cross_key_errors(self.problem, self.algorithm, self.run)

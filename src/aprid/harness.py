@@ -2,17 +2,18 @@
 
 One experiment is a validated config plus a seed list. The harness builds
 the problem once (instances are immutable), resolves the reference target,
-runs every (algorithm, seed) cell, and writes per-cell trajectory CSVs plus
-a single ``manifest.txt`` with every resolved config value, library
+runs every (algorithm, seed) cell, writing its trajectory CSVs as it ends,
+then a single ``manifest.txt`` with every resolved config value, library
 versions, the reference provenance and active set, timestamps, and a
-per-cell status table. Trajectory files never contain timestamps, so
-identical configs and seeds reproduce identical bytes (exactly true in
-``timing = none`` mode, true outside the wall_s column otherwise).
+per-cell status table. A trajectory depends only on the config and its seed
+and holds no timestamps, so identical configs and seeds reproduce identical
+bytes (exactly in ``timing = none`` mode, outside the wall_s column otherwise).
 """
 
 import datetime
 import hashlib
 import math
+import numbers
 import os
 import platform
 import time
@@ -156,7 +157,11 @@ class ExperimentOutput:
 def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
                    extra_manifest=None) -> ExperimentOutput:
     """Run every (algorithm, seed) cell of an experiment and persist it."""
-    seeds = [int(s) for s in (seeds if seeds is not None else cfg.run["seeds"])]
+    seeds = list(seeds if seeds is not None else cfg.run["seeds"])
+    bad = [s for s in seeds if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0]
+    if bad:
+        raise ConfigError([f"run.seeds: expected a non-negative integer, got {s!r}" for s in bad])
+    seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError(["run.seeds: need at least one seed"])
     if len(set(seeds)) < len(seeds):
@@ -199,47 +204,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
     timing = cfg.run["timing"]
     run_timing = "algo" if timing == "none" else timing
 
-    cell_results = []  # (RunResult, status)
+    # each cell's trajectories are on disk before the next seed starts
+    csv_paths, cell_lines, results = [], {}, []
     diverged = False
     for seed in seeds:
         try:
-            for res in _run_cell(problem, plan, seed, f0_ref, run_timing):
-                cell_results.append((res, "ok"))
+            cell = [(res, "ok") for res in _run_cell(problem, plan, seed, f0_ref, run_timing)]
         except DivergenceError as exc:
             # every lane keeps its completed rows and ends on the failing step
-            diverged = True
+            diverged, cell = True, []
             for partial in exc.partial_results:
                 last_wall = partial.records[-1].wall_s if partial.records else 0.0
                 partial.records = partial.records + [CheckpointRecord(
                     iteration=exc.iteration, wall_s=last_wall, flags="diverged")]
-                cell_results.append((partial, "diverged"))
-
-    if cfg.run["reference"] == "best_feasible":
-        feasible = [
-            rec.objective
-            for res, status in cell_results
-            for rec in res.records
-            if np.isfinite(rec.objective) and rec.viol_max <= cfg.run["feasible_tol"]
-        ]
-        if feasible:
-            f0_ref = min(feasible)
-            ref_lines["reference.f0"] = format(f0_ref, ".17g")
-            ref_lines["reference.source"] = "best_feasible"
-            for res, _ in cell_results:
-                for rec in res.records:
-                    if np.isfinite(rec.objective):
-                        rec.obj_err = abs(rec.objective - f0_ref)
-        else:
-            ref_lines["reference.source"] = "best_feasible_unavailable"
-
-    csv_paths = []
-    cell_lines = {}
-    for idx, (res, status) in enumerate(cell_results):
-        fname = f"{res.algorithm}_seed{res.seed}.csv"
-        path = os.path.join(out_dir, fname)
-        write_run_csv(path, res.records, zero_wall=(timing == "none"))
-        csv_paths.append(path)
-        cell_lines[f"cell.{idx}"] = f"{res.algorithm},{res.seed},{fname},{status}"
+                cell.append((partial, "diverged"))
+        for res, status in cell:
+            fname = f"{res.algorithm}_seed{res.seed}.csv"
+            path = os.path.join(out_dir, fname)
+            write_run_csv(path, res.records, zero_wall=(timing == "none"))
+            csv_paths.append(path)
+            cell_lines[f"cell.{len(results)}"] = f"{res.algorithm},{res.seed},{fname},{status}"
+            results.append(res)
 
     total_wall = time.perf_counter() - t0
     manifest = {}
@@ -266,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seeds=None,
 
     return ExperimentOutput(
         out_dir=out_dir, manifest_path=manifest_path, csv_paths=csv_paths,
-        results=[res for res, _ in cell_results], f0_ref=f0_ref, diverged=diverged,
+        results=results, f0_ref=f0_ref, diverged=diverged,
     )
 
 

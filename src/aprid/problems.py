@@ -889,12 +889,9 @@ class FiniteSumQcqpProblem(_AggregatedQuadratic):
             f[rows] = self._exact_values(x, ax, rows)
         return f
 
-    def full_constraint_values(self, x, rows=None):
-        """Every f_j(x), or those of indices ``rows``."""
+    def full_constraint_values(self, x):
         x = np.asarray(x, dtype=float)
-        f = serial_matmul(self.a, x)
-        return self._exact_values(x, f, rows) if rows is not None else \
-            self.exact_constraint_values(x, f)
+        return self.exact_constraint_values(x, serial_matmul(self.a, x))
 
     def full_constraint_grads(self, x):
         x = np.asarray(x, dtype=float)

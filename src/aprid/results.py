@@ -35,9 +35,8 @@ class CheckpointRecord:
     """Metrics of the averaged iterate at one checkpoint, its fields up to
     ``flags`` in the CSV's column order.
 
-    ``objective`` is the raw objective value kept for in-memory consumers
-    (re-anchoring errors against a best-feasible baseline); it is not part
-    of the CSV schema.
+    ``objective`` is the raw objective value, kept in memory only; it is
+    not part of the CSV schema.
     """
 
     iteration: int

@@ -117,6 +117,19 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_removed_reference_mode_exit_code(tmp_path, capsys):
+    path = tmp_path / "bf.ini"
+    for text, message in (
+            ("reference = best_feasible",
+             "run.reference: expected one of ('exact', 'none'), got 'best_feasible'"),
+            ("reference = none\nfeasible_tol = 1e-6", "run.feasible_tol: unknown key")):
+        path.write_text(GOOD_CONFIG.replace("reference = none", text))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n  - ") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("level, message", [
     ("c_hat = 0", "problem.c_hat: expected a positive number, got 0.0"),
     ("c_hat = -1", "problem.c_hat: expected a positive number, got -1.0"),

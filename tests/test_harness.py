@@ -221,6 +221,52 @@ def test_the_reference_solution_is_released_before_the_cells_run(tmp_path, monke
     assert out.f0_ref is not None
 
 
+class _Interrupted(Exception):
+    pass
+
+
+def test_each_cell_is_on_disk_before_the_next_seed_starts(tmp_path, monkeypatch):
+    cfg = resolve_config({"problem": FINITE_SUM, "algorithm": {"name": "aprid"},
+                          "run": {**RUN, "seeds": "1, 2"}})
+    whole = run_experiment(cfg, tmp_path / "whole")
+    run_cell = harness._run_cell
+
+    def interrupted(problem, plan, seed, *rest):
+        if seed == 2:
+            raise _Interrupted
+        return run_cell(problem, plan, seed, *rest)
+
+    monkeypatch.setattr(harness, "_run_cell", interrupted)
+    with pytest.raises(_Interrupted):
+        run_experiment(cfg, tmp_path / "cut")
+    assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == ["aprid_seed1.csv"]
+    assert (tmp_path / "cut" / "aprid_seed1.csv").read_bytes() == \
+        (tmp_path / "whole" / "aprid_seed1.csv").read_bytes()
+
+
+# (problem, algorithm, reference) of each case; the npc cell diverges at its cap
+DIVERGING_NPC = {"kind": "npc_synthetic", "d": "6", "n_pos": "40", "n_neg": "40", "c_hat": "0.01"}
+INDEPENDENCE = [(FINITE_SUM, {"name": "aprid"}, "exact"), (FINITE_SUM, {"name": "aprid"}, "none"),
+                (FINITE_SUM, {"name": "csa"}, "exact"), (FINITE_SUM, {"name": "csa"}, "none"),
+                (DIVERGING_NPC, {"name": "aprid", "divergence_cap": "1e-6"}, "none")]
+
+
+@pytest.mark.parametrize("problem, algorithm, reference", INDEPENDENCE,
+                         ids=["aprid-exact", "aprid-none", "csa-exact", "csa-none", "diverging"])
+def test_a_seeds_trajectories_do_not_depend_on_the_other_seeds(problem, algorithm, reference,
+                                                               tmp_path):
+    cfg = resolve_config({"problem": problem, "algorithm": algorithm,
+                          "run": {**RUN, "reference": reference}})
+    alone = run_experiment(cfg, tmp_path / "alone", seeds=[1])
+    together = run_experiment(cfg, tmp_path / "together", seeds=[2, 1])
+    assert alone.diverged == together.diverged == (problem is DIVERGING_NPC)
+    ones = [pathlib.Path(p) for p in together.csv_paths if p.endswith("_seed1.csv")]
+    assert [p.name for p in ones] == [pathlib.Path(p).name for p in alone.csv_paths]
+    assert len(ones) == (2 if algorithm["name"] == "csa" else 1)
+    for mine, solo in zip(ones, alone.csv_paths):
+        assert mine.read_bytes() == pathlib.Path(solo).read_bytes()
+
+
 def test_duplicate_seeds_are_rejected(tmp_path):
     cfg = resolve_config({"problem": FINITE_SUM, "algorithm": {"name": "msa"},
                           "run": {**RUN, "seeds": "1, 1"}})
@@ -234,6 +280,52 @@ def test_duplicate_seeds_are_rejected(tmp_path):
     with pytest.raises(ConfigError, match="run.seeds: need at least one seed"):
         run_experiment(cfg, tmp_path / "no_seeds", seeds=[])
     assert not (tmp_path / "no_seeds").exists()
+
+
+@pytest.mark.parametrize("seeds", [[2.7], [1.9], [True], [np.bool_(True)], ["3"], [-1],
+                                   [np.int64(-2)], [1, 2.0, 3, -4]])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused_before_any_work(
+        seeds, tmp_path, monkeypatch):
+    # the rule --seeds and a parsed run.seeds follow, held to an API or hand-built list
+    built = []
+    monkeypatch.setattr(harness, "build_problem", lambda cfg: built.append(cfg))
+    cfg = resolve_config({"problem": FINITE_SUM, "algorithm": {"name": "msa"}, "run": RUN})
+    want = [f"run.seeds: expected a non-negative integer, got {s!r}" for s in seeds
+            if type(s) is not int or s < 0]
+    with pytest.raises(ConfigError) as info:
+        run_experiment(cfg, tmp_path / "api", seeds=seeds)
+    assert info.value.problems == want
+    hand = _with_run(_hand_built("msa", "qcqp_finite_sum", alpha=1.0, rho=1.0, z_cap=3.0),
+                     seeds=seeds)
+    with pytest.raises(ConfigError) as info:
+        run_experiment(hand, tmp_path / "hand")
+    assert info.value.problems == want
+    assert not built and not (tmp_path / "api").exists() and not (tmp_path / "hand").exists()
+
+
+def test_numpy_integer_seeds_run_as_their_python_ints(tmp_path):
+    cfg = resolve_config({"problem": FINITE_SUM, "algorithm": {"name": "msa"}, "run": RUN})
+    out = run_experiment(cfg, tmp_path / "np", seeds=[np.int64(3), np.uint8(0)])
+    ref = run_experiment(cfg, tmp_path / "py", seeds=[3, 0])
+    assert [pathlib.Path(p).name for p in out.csv_paths] == ["msa_seed3.csv", "msa_seed0.csv"]
+    for a, b in zip(out.csv_paths, ref.csv_paths):
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
+    assert harness.read_manifest(out.manifest_path)["seeds"] == "3,0"
+
+
+def test_a_hand_built_config_with_a_removed_reference_mode_is_refused(tmp_path):
+    msa = dict(alpha=1.0, rho=1.0, z_cap=3.0)
+    cases = {
+        "tolerance": (dict(feasible_tol=1e-6), ["run.feasible_tol: unknown key"]),
+        "mode": (dict(reference="best_feasible"),
+                 ["run.reference: expected one of ('exact', 'none'), got 'best_feasible'"]),
+    }
+    for name, (run_keys, problems) in cases.items():
+        cfg = _with_run(_hand_built("msa", "qcqp_finite_sum", **msa), **run_keys)
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg, tmp_path / name)
+        assert info.value.problems == problems, name
+        assert not (tmp_path / name).exists(), name
 
 
 def test_hand_built_config_keys_are_checked_before_any_output(tmp_path):

@@ -189,6 +189,19 @@ def test_unknown_kind_and_algorithm():
         resolve_config(raw)
 
 
+def test_the_reference_modes_are_exact_and_none():
+    # a reference anchored to the best checkpoint of all seeds made one seed's file depend
+    # on the others; that mode and its tolerance are gone
+    for mode in ("exact", "none"):
+        assert resolve_config(qcqp_raw(reference=mode)).run["reference"] == mode
+    assert "feasible_tol" not in resolve_config(qcqp_raw()).run
+    with pytest.raises(ConfigError) as info:
+        resolve_config(qcqp_raw(reference="best_feasible", feasible_tol="1e-6"))
+    assert info.value.problems == [
+        "run.reference: expected one of ('exact', 'none'), got 'best_feasible'",
+        "run.feasible_tol: unknown key"]
+
+
 def test_npc_level_key_rules():
     base = {
         "problem": {"kind": "npc_synthetic", "d": "5", "n_pos": "20", "n_neg": "20"},
@@ -388,36 +401,6 @@ def test_run_experiment_persists_and_replays(tmp_path):
     for p1, p2 in zip(out1.csv_paths, out2.csv_paths):
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
-
-
-def test_run_experiment_best_feasible_reanchors(tmp_path):
-    cfg = resolve_config(qcqp_raw(reference="best_feasible"))
-    out = run_experiment(cfg, tmp_path / "bf")
-    manifest = read_manifest(out.manifest_path)
-    assert manifest["reference.source"] == "best_feasible"
-    feasible = [rec.objective for res in out.results for rec in res.records
-                if rec.viol_max <= cfg.run["feasible_tol"]]
-    assert out.f0_ref == min(feasible)
-    errs = [rec.obj_err for res in out.results for rec in res.records]
-    assert min(errs) == 0.0  # the anchor record itself
-    for res in out.results:
-        for rec in res.records:
-            assert rec.obj_err == pytest.approx(abs(rec.objective - out.f0_ref))
-
-
-def test_run_experiment_best_feasible_without_a_feasible_record(tmp_path):
-    # no averaged iterate meets a level this far below the achievable loss
-    raw = {"problem": {"kind": "npc_synthetic", "d": "6", "n_pos": "40", "n_neg": "40",
-                       "c_hat": "0.01"},
-           "algorithm": {"name": "msa"},
-           "run": {"horizon": "20", "checkpoints": "5 20", "seeds": "1", "timing": "none",
-                   "reference": "best_feasible"}}
-    out = run_experiment(resolve_config(raw), tmp_path / "bf")
-    manifest = read_manifest(out.manifest_path)
-    assert manifest["reference.source"] == "best_feasible_unavailable"
-    assert "reference.f0" not in manifest and out.f0_ref is None
-    recs = [rec for res in out.results for rec in res.records]
-    assert recs and all(rec.viol_max > 1e-6 and math.isnan(rec.obj_err) for rec in recs)
 
 
 def test_run_experiment_switching_writes_two_lanes(tmp_path):
